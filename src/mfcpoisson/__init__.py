@@ -45,6 +45,7 @@ from .simulate import (  # noqa: F401
     chattering,
     estimate_cost,
     sample_poisson_path,
+    simulate_cost,
     simulate_relaxed,
     simulate_strict,
 )

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,6 +81,22 @@ def _require(section: dict, name: str, keys) -> None:
         raise ConfigError(f"section '{name}' lacks field(s): {', '.join(missing)}")
 
 
+def _check_integer(section: dict, name: str, key: str) -> None:
+    value = section[key]
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name}.{key} must be an integer, got {value!r}")
+
+
+def _check_finite(section: dict, name: str, key: str) -> None:
+    value = section[key]
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+    ):
+        raise ConfigError(f"{name}.{key} must be a finite number, got {value!r}")
+
+
 def _merge_defaults(user: dict, defaults: dict) -> dict:
     out = {}
     for key, val in defaults.items():
@@ -104,6 +122,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
     sim = raw["sim"]
     _require(sim, "sim", ["particles", "scenarios", "dt", "seed"])
 
+    for key in ("b1", "b2", "b3", "sigma", "c", "T"):
+        _check_finite(model, "model", key)
+    for key in ("particles", "scenarios", "seed"):
+        _check_integer(sim, "sim", key)
+    _check_finite(sim, "sim", "dt")
+
     try:
         params = LQParams.from_config(model, raw.get("jumps"))
     except (KeyError, TypeError, ValueError) as err:
@@ -115,6 +139,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("sim.scenarios must be at least 1")
     if not sim["dt"] > 0:
         raise ConfigError("sim.dt must be positive")
+    if sim["seed"] < 0:
+        raise ConfigError("sim.seed must be nonnegative")
     mode = sim.get("mode", "common")
     if mode not in ("common", "idiosyncratic"):
         raise ConfigError(f"sim.mode must be common|idiosyncratic, got {mode!r}")

@@ -17,13 +17,7 @@ from . import __version__
 from .coefficients import lq_coefficients
 from .config import ConfigError, ExperimentConfig, parse_config
 from .lq import solve_riccati
-from .simulate import (
-    RelaxedRule,
-    chattering,
-    cost_of_cloud,
-    simulate_relaxed,
-    simulate_strict,
-)
+from .simulate import RelaxedRule, chattering, simulate_cost
 from .verify import (
     CheckReport,
     chattering_report,
@@ -87,28 +81,19 @@ def scenario_cost(raw_config: dict, variant: tuple, scenario: int) -> float:
     """Cost of one scenario under one control variant (rebuilt from raw config)."""
     cfg = parse_config(raw_config)
     params, mc = cfg.params, cfg.mc
-    coeffs = lq_coefficients(params)
     kind = variant[0]
     if kind == "optimal":
-        sol = solve_riccati(params, mc.mode, mc.riccati_steps)
-        cloud = simulate_strict(
-            coeffs, optimal_feedback_rule(sol), mc.particles, params.T, mc.dt,
-            mode=mc.mode, seed=mc.seed, scenario=scenario, init=mc.init,
-        )
+        rule = optimal_feedback_rule(solve_riccati(params, mc.mode, mc.riccati_steps))
     elif kind == "relaxed":
-        cloud = simulate_relaxed(
-            coeffs, _relaxed_rule_from_config(cfg), mc.particles, params.T, mc.dt,
-            mode=mc.mode, seed=mc.seed, scenario=scenario, init=mc.init,
-        )
+        rule = _relaxed_rule_from_config(cfg)
     elif kind == "chatter":
         rule = chattering(_relaxed_rule_from_config(cfg), int(variant[1]), params.T)
-        cloud = simulate_strict(
-            coeffs, rule, mc.particles, params.T, mc.dt,
-            mode=mc.mode, seed=mc.seed, scenario=scenario, init=mc.init,
-        )
     else:
         raise ValueError(f"unknown cost variant {variant!r}")
-    return cost_of_cloud(cloud, coeffs)
+    return simulate_cost(
+        lq_coefficients(params), rule, mc.particles, params.T, mc.dt,
+        mode=mc.mode, seed=mc.seed, scenario=scenario, init=mc.init,
+    )
 
 
 def _cost_task(args):
@@ -121,7 +106,7 @@ def run_cost_tasks(cfg: ExperimentConfig, tasks: list, threads: int) -> list:
     args = [(cfg.raw, variant, scenario) for variant, scenario in tasks]
     if threads <= 1 or len(args) <= 1:
         return [_cost_task(a) for a in args]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=min(threads, len(args))) as pool:
         return list(pool.map(_cost_task, args, chunksize=1))
 
 

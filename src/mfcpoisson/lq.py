@@ -118,41 +118,60 @@ def solve_riccati(params: LQParams, mode: str, n_steps: int) -> RiccatiSolution:
             raise IllPosedError(t, "1 + Gamma*(beta+eta) > 0")
 
     check(n_steps, beta[-1], eta[-1])
-    y = np.array([params.c, -params.c])
 
-    def f(yv):
-        db, de = riccati_rhs(params, mode, yv[0], yv[1])
+    # RK4 on Python floats: the stages are 2-vectors, and numpy round trips
+    # would dominate.  Each expression mirrors ``riccati_rhs`` term by term
+    # (``beta * beta`` is numpy's square), so every node keeps its bits.
+    b3_sq = params.b3**2
+    sigma_sq = params.sigma**2
+    b23_sq = (params.b2 + params.b3) ** 2
+    two_b1 = 2.0 * params.b1
+    common = mode == "common"
+
+    def f(b, e):
+        quad = b3_sq * (b * b) / (1.0 + gamma_l2 * b)
+        dbeta = -sigma_sq * b + quad
+        s = b + e
+        denom = 1.0 + gamma_l2 * (s if common else b)
+        deta = -quad - (two_b1 - b23_sq * s / denom) * s
         # backward integration: d/dtau = -d/dt
-        return -np.array([float(db), float(de)])
+        return -dbeta, -deta
 
+    half_h = 0.5 * h
+    sixth_h = h / 6.0
+    yb, ye = float(beta[-1]), float(eta[-1])
     for k in range(n_steps - 1, -1, -1):
-        k1 = f(y)
-        k2 = f(y + 0.5 * h * k1)
-        k3 = f(y + 0.5 * h * k2)
-        k4 = f(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        beta[k], eta[k] = y
-        check(k, beta[k], eta[k])
+        k1b, k1e = f(yb, ye)
+        k2b, k2e = f(yb + half_h * k1b, ye + half_h * k1e)
+        k3b, k3e = f(yb + half_h * k2b, ye + half_h * k2e)
+        k4b, k4e = f(yb + h * k3b, ye + h * k3e)
+        yb = yb + sixth_h * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+        ye = ye + sixth_h * (k1e + 2.0 * k2e + 2.0 * k3e + k4e)
+        beta[k], eta[k] = yb, ye
+        check(k, yb, ye)
 
     ts = np.linspace(0.0, params.T, n_steps + 1)
     return RiccatiSolution(params=params, mode=mode, ts=ts, beta=beta, eta=eta)
 
 
+def _mean_feedback(sol: RiccatiSolution, gamma_l2: float, beta, eta, cond_mean):
+    p = sol.params
+    s = beta + eta
+    denom = 1.0 + gamma_l2 * (s if sol.mode == "common" else beta)
+    return -(p.b2 + p.b3) * s / denom * cond_mean
+
+
 def mean_optimal_control(sol: RiccatiSolution, t, cond_mean):
     """Conditional mean of the optimal feedback."""
-    p = sol.params
-    beta, eta = sol.beta_at(t), sol.eta_at(t)
-    s = beta + eta
-    denom = 1.0 + sol.gamma_l2 * (s if sol.mode == "common" else beta)
-    return -(p.b2 + p.b3) * s / denom * cond_mean
+    return _mean_feedback(sol, sol.gamma_l2, sol.beta_at(t), sol.eta_at(t), cond_mean)
 
 
 def optimal_control(sol: RiccatiSolution, t, x, cond_mean):
     """Optimal feedback  alpha(t, x) ;  vectorized over states."""
-    p = sol.params
-    beta = sol.beta_at(t)
-    gain = p.b3 * beta / (1.0 + sol.gamma_l2 * beta)
-    return mean_optimal_control(sol, t, cond_mean) - gain * (
+    beta, eta = sol.beta_at(t), sol.eta_at(t)
+    gamma_l2 = sol.gamma_l2
+    gain = sol.params.b3 * beta / (1.0 + gamma_l2 * beta)
+    return _mean_feedback(sol, gamma_l2, beta, eta, cond_mean) - gain * (
         np.asarray(x, dtype=float) - cond_mean
     )
 

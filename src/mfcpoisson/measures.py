@@ -23,7 +23,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import DimensionMismatchError, MeasureKindError, SizeLimitError
 
@@ -74,6 +73,10 @@ def transport_cost(
     constraint is dropped (it is implied by the others), which keeps the
     system full-rank.
     """
+    # imported here: scipy.optimize dominates the package's import time, and
+    # only the exact transport metrics need it
+    from scipy.optimize import linprog
+
     na, nb = len(weights_a), len(weights_b)
     if na > MAX_EXACT_ATOMS or nb > MAX_EXACT_ATOMS:
         raise SizeLimitError(
@@ -315,6 +318,22 @@ class JointEmpiricalMeasure:
             n = states.shape[0]
             weights = np.full(n, 1.0 / n)
         return cls(states, _as_atoms(controls), weights)
+
+    @classmethod
+    def trusted(cls, states, controls, weights) -> "JointEmpiricalMeasure":
+        """Unvalidated strict joint over 1-D float state and control arrays.
+
+        For hot loops: the caller guarantees what ``__post_init__`` would
+        check (equal lengths, nonnegative weights summing to one).  The arrays
+        are laid out as :func:`_as_atoms` lays them out, as contiguous (N, 1)
+        views without a copy when they already are contiguous, so the means
+        are the same ``weights @ states`` products as on a validated joint.
+        """
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "states", np.ascontiguousarray(states).reshape(-1, 1))
+        object.__setattr__(rho, "controls", np.ascontiguousarray(controls).reshape(-1, 1))
+        object.__setattr__(rho, "weights", weights)
+        return rho
 
     @classmethod
     def relaxed(cls, states, control_measures, weights=None) -> "JointEmpiricalMeasure":

@@ -172,8 +172,8 @@ class RelaxedRule:
     """Measure-valued control: fn(t, states, mean) -> (support, weights).
 
     ``support`` is (A,) shared across particles or (N, A) per particle;
-    ``weights`` likewise.  Rows are normalized; a nonpositive row total is a
-    normalization failure.
+    ``weights`` likewise.  Weights must be nonnegative and rows are
+    normalized; a nonpositive row total is a normalization failure.
     """
 
     kind = "relaxed"
@@ -182,12 +182,22 @@ class RelaxedRule:
         self.fn = fn
         self.box = box
 
-    def evaluate(self, t, states, cond_mean):
+    def atoms(self, t, states, cond_mean):
+        """Normalized (support, weights): 1-D when both are shared atoms, else rows."""
         support, weights = self.fn(t, states, cond_mean)
         support = np.atleast_1d(np.asarray(support, dtype=float))
         weights = np.atleast_1d(np.asarray(weights, dtype=float))
         if self.box is not None and not self.box.contains(support.reshape(-1, 1)):
             raise ValueError(f"relaxed support outside the declared box at t={t:.6g}")
+        if np.any(weights < 0):
+            raise ValueError("relaxed control weights must be nonnegative")
+        if support.ndim == 1 and weights.ndim == 1:
+            if support.shape != weights.shape:
+                raise ValueError("support/weights shapes do not match the cloud")
+            total = weights.sum()
+            if total <= 0:
+                raise ValueError("relaxed control weights must have positive total")
+            return support, weights / total
         if support.ndim == 1:
             support = np.broadcast_to(support, (states.shape[0], support.shape[0]))
         if weights.ndim == 1:
@@ -198,6 +208,14 @@ class RelaxedRule:
         if np.any(totals <= 0):
             raise ValueError("relaxed control weights must have positive total")
         return support, weights / totals[:, None]
+
+    def evaluate(self, t, states, cond_mean):
+        """Per-particle (support, weights) rows, each of shape (N, A)."""
+        support, weights = self.atoms(t, states, cond_mean)
+        if support.ndim == 1:
+            shape = (states.shape[0], support.shape[0])
+            return np.broadcast_to(support, shape), np.broadcast_to(weights, shape)
+        return support, weights
 
     @classmethod
     def constant(cls, support, weights, box=None) -> "RelaxedRule":
@@ -224,9 +242,12 @@ class ChatteringRule:
         self.horizon = float(horizon)
 
     def evaluate(self, t, states, cond_mean):
-        support, weights = self.relaxed.evaluate(t, states, cond_mean)
+        support, weights = self.relaxed.atoms(t, states, cond_mean)
         slab = self.horizon / self.n_slabs
         theta = (t / slab) % 1.0
+        if support.ndim == 1:
+            idx = min(int((np.cumsum(weights) <= theta).sum()), support.shape[0] - 1)
+            return np.full(states.shape[0], support[idx])
         cum = np.cumsum(weights, axis=1)
         idx = np.minimum((cum <= theta).sum(axis=1), support.shape[1] - 1)
         return support[np.arange(states.shape[0]), idx]
@@ -310,25 +331,59 @@ class ParticleCloud:
         return EmpiricalMeasure.from_samples(self.states[node])
 
     def joint_at(self, node: int) -> JointEmpiricalMeasure:
+        """Validated strict joint of the cloud and its control at a node."""
         node = min(node, self.grid.n_steps - 1)
         if self.controls is not None:
-            return JointEmpiricalMeasure.strict(self.states[node], self.controls[node])
-        support, weights = self.relaxed_controls[node]
-        return _projected_joint(self.states[node], support, weights)
+            control = self.controls[node]
+        else:
+            control = self.relaxed_controls[node]
+        n = self.n_particles
+        rho = _law_view(self.states[node], control, np.full(n, 1.0 / n))
+        return JointEmpiricalMeasure.strict(rho.states, rho.controls, rho.weights)
 
     def conditional_means(self) -> np.ndarray:
         return self.states.mean(axis=1)
 
 
-def _projected_joint(states, support, weights) -> JointEmpiricalMeasure:
-    """Strict joint of the cloud against per-particle control measures."""
-    n, a = support.shape
-    w_cloud = np.full(n, 1.0 / n)
-    return JointEmpiricalMeasure.strict(
-        np.repeat(states, a),
-        support.reshape(-1),
-        (w_cloud[:, None] * weights).reshape(-1),
-    )
+def _law_view(x, control, w_cloud) -> JointEmpiricalMeasure:
+    """Joint law of the cloud and its control on one step, unvalidated.
+
+    ``control`` is the strict control array or the relaxed (support, weights)
+    pair; ``w_cloud`` is the uniform particle weight vector.  A relaxed
+    control is projected: atom (x_i, u_ia) carries weight w_i q_ia.
+    """
+    if isinstance(control, tuple):
+        support, qw = control
+        return JointEmpiricalMeasure.trusted(
+            np.repeat(x, support.shape[1]),
+            support.reshape(-1),
+            (w_cloud[:, None] * qw).reshape(-1),
+        )
+    return JointEmpiricalMeasure.trusted(x, control, w_cloud)
+
+
+def _per_particle(fn, x, rho, control, *extra) -> np.ndarray:
+    """Coefficient value per particle; relaxed controls average over their atoms."""
+    if isinstance(control, tuple):
+        support, qw = control
+        vals = fn(x[:, None], rho, support, *extra)
+        if np.shape(vals) != support.shape:
+            vals = np.broadcast_to(vals, support.shape)
+        return (vals * qw).sum(axis=1)
+    vals = np.asarray(fn(x, rho, control, *extra), dtype=float)
+    return vals if vals.shape == x.shape else np.broadcast_to(vals, x.shape)
+
+
+def _running_cost_rate(coeffs: CoefficientSet, x, rho, control) -> float:
+    """Cloud mean of the running cost on one step."""
+    return float(_per_particle(coeffs.running_cost, x, rho, control).mean())
+
+
+def _terminal_cost(coeffs: CoefficientSet, x_T) -> float:
+    """Cloud mean of the terminal cost against the terminal empirical law."""
+    mu_T = EmpiricalMeasure.from_samples(x_T)
+    g_vals = np.asarray(coeffs.terminal_cost(x_T, mu_T), dtype=float)
+    return float(np.broadcast_to(g_vals, x_T.shape).mean())
 
 
 def _collect_events(grid: TimeGrid, mode: str, path, paths):
@@ -356,8 +411,14 @@ def _simulate(
     init: InitSpec,
     path: Optional[PoissonPath],
     paths: Optional[list],
-    relaxed: bool,
-) -> ParticleCloud:
+    history: bool,
+):
+    """The Euler loop behind every entry point.
+
+    With ``history`` it returns the :class:`ParticleCloud`; without, it keeps
+    only the current cloud and returns the sample cost, summing the running
+    cost step by step in the order :func:`cost_of_cloud` sums it.
+    """
     if mode not in ("common", "idiosyncratic"):
         raise ValueError("mode must be 'common' or 'idiosyncratic'")
     if n_particles < 2:
@@ -387,79 +448,66 @@ def _simulate(
     gen_brownian = substream(seed, scenario, "brownian")
     x = init.sample(n_particles, gen_init)
 
+    relaxed = rule.kind == "relaxed"
     m_steps = grid.n_steps
-    states = np.empty((m_steps + 1, n_particles))
-    states[0] = x
-    controls = None if relaxed else np.empty((m_steps, n_particles))
-    relaxed_controls = [] if relaxed else None
+    if history:
+        states = np.empty((m_steps + 1, n_particles))
+        states[0] = x
+        controls = None if relaxed else np.empty((m_steps, n_particles))
+        relaxed_controls = [] if relaxed else None
     pre_jump_states: dict = {}
     event_log: list = []
+    running = 0.0
     lam = jumps.intensities
+    w_cloud = np.full(n_particles, 1.0 / n_particles)
+    times = grid.times
 
     for k in range(m_steps):
-        t = grid.times[k]
-        h = grid.times[k + 1] - grid.times[k]
+        t = times[k]
+        h = times[k + 1] - times[k]
         cond_mean = float(x.mean())
 
-        if relaxed:
-            support, qw = rule.evaluate(t, x, cond_mean)
-            relaxed_controls.append((support, qw))
-            rho = _projected_joint(x, support, qw)
-
-            def qavg(fn, *extra):
-                vals = fn(x[:, None], rho, support, *extra)
-                return (np.broadcast_to(vals, support.shape) * qw).sum(axis=1)
-
-            drift = qavg(coeffs.drift)
-            for j in range(jumps.n_marks):
-                drift = drift - lam[j] * qavg(coeffs.jump, j)
-            diffusion = qavg(coeffs.diffusion)
+        control = rule.evaluate(t, x, cond_mean)
+        rho = _law_view(x, control, w_cloud)
+        drift = _per_particle(coeffs.drift, x, rho, control)
+        for j in range(jumps.n_marks):
+            drift = drift - lam[j] * _per_particle(coeffs.jump, x, rho, control, j)
+        diffusion = _per_particle(coeffs.diffusion, x, rho, control)
+        if history:
+            if relaxed:
+                relaxed_controls.append(control)
+            else:
+                controls[k] = control
         else:
-            u = rule.evaluate(t, x, cond_mean)
-            controls[k] = u
-            rho = JointEmpiricalMeasure.strict(x, u)
-            drift = np.broadcast_to(
-                np.asarray(coeffs.drift(x, rho, u), dtype=float), x.shape
-            ).copy()
-            for j in range(jumps.n_marks):
-                drift -= lam[j] * np.broadcast_to(
-                    np.asarray(coeffs.jump(x, rho, u, j), dtype=float), x.shape
-                )
-            diffusion = np.broadcast_to(
-                np.asarray(coeffs.diffusion(x, rho, u), dtype=float), x.shape
-            )
+            running += h * _running_cost_rate(coeffs, x, rho, control)
 
         noise = gen_brownian.standard_normal(n_particles)
         x_new = x + drift * h + diffusion * math.sqrt(h) * noise
 
         node = k + 1
         if node in events:
-            pre_jump_states[node] = x_new.copy()
+            if history:
+                pre_jump_states[node] = x_new.copy()
             for particle, mark in events[node]:
-                if relaxed:
-                    rho_minus = _projected_joint(x_new, support, qw)
-                    vals = coeffs.jump(x_new[:, None], rho_minus, support, mark)
-                    disp = (np.broadcast_to(vals, support.shape) * qw).sum(axis=1)
-                else:
-                    rho_minus = JointEmpiricalMeasure.strict(x_new, u)
-                    disp = np.broadcast_to(
-                        np.asarray(coeffs.jump(x_new, rho_minus, u, mark), dtype=float),
-                        x_new.shape,
-                    )
+                rho_minus = _law_view(x_new, control, w_cloud)
+                disp = _per_particle(coeffs.jump, x_new, rho_minus, control, mark)
                 if particle is None:
                     x_new = x_new + disp
                     event_log.append((node, mark, float(disp.mean())))
                 else:
+                    # x_new is this step's own array: shift the particle in place
                     shift = float(np.asarray(disp).reshape(-1)[particle])
-                    x_new = x_new.copy()
                     x_new[particle] += shift
                     event_log.append((node, mark, shift / n_particles))
 
         if not np.all(np.isfinite(x_new)):
-            raise DivergenceError(node, float(grid.times[node]))
-        states[node] = x_new
+            raise DivergenceError(node, float(times[node]))
+        if history:
+            states[node] = x_new
         x = x_new
 
+    if not history:
+        return running + _terminal_cost(coeffs, x)
     return ParticleCloud(
         grid=grid,
         states=states,
@@ -493,7 +541,7 @@ def simulate_strict(
         raise TypeError("simulate_strict needs a strict control rule")
     return _simulate(
         coeffs, rule, n_particles, T, dt, mode, seed, scenario, init, path, paths,
-        relaxed=False,
+        history=True,
     )
 
 
@@ -515,7 +563,7 @@ def simulate_relaxed(
         raise TypeError("simulate_relaxed needs a relaxed control rule")
     return _simulate(
         coeffs, rule, n_particles, T, dt, mode, seed, scenario, init, path, paths,
-        relaxed=True,
+        history=True,
     )
 
 
@@ -523,31 +571,48 @@ def simulate_relaxed(
 # Cost
 # ---------------------------------------------------------------------------
 
+def simulate_cost(
+    coeffs: CoefficientSet,
+    rule,
+    n_particles: int,
+    T: float,
+    dt: float,
+    mode: str = "common",
+    seed: int = 0,
+    scenario: int = 0,
+    init: InitSpec = InitSpec(),
+    path: Optional[PoissonPath] = None,
+    paths: Optional[list] = None,
+) -> float:
+    """Sample cost of one scenario under a strict or relaxed rule, history-free.
+
+    Runs the Euler loop of :func:`simulate_strict` / :func:`simulate_relaxed`
+    with the running cost summed inside it, so the result equals
+    :func:`cost_of_cloud` of the matching cloud bit for bit, while memory
+    stays at one cloud instead of ``(steps + 1) x N``.
+    """
+    if rule.kind not in ("strict", "relaxed"):
+        raise TypeError(f"unknown control rule kind {rule.kind!r}")
+    return _simulate(
+        coeffs, rule, n_particles, T, dt, mode, seed, scenario, init, path, paths,
+        history=False,
+    )
+
+
 def cost_of_cloud(cloud: ParticleCloud, coeffs: CoefficientSet) -> float:
     """Sample cost of one scenario: left-endpoint running integral + terminal."""
     times = cloud.grid.times
+    w_cloud = np.full(cloud.n_particles, 1.0 / cloud.n_particles)
     total = 0.0
     for k in range(cloud.grid.n_steps):
         h = times[k + 1] - times[k]
         x = cloud.states[k]
         if cloud.controls is not None:
-            u = cloud.controls[k]
-            rho = JointEmpiricalMeasure.strict(x, u)
-            f_vals = np.broadcast_to(
-                np.asarray(coeffs.running_cost(x, rho, u), dtype=float), x.shape
-            )
+            control = cloud.controls[k]
         else:
-            support, qw = cloud.relaxed_controls[k]
-            rho = _projected_joint(x, support, qw)
-            vals = coeffs.running_cost(x[:, None], rho, support)
-            f_vals = (np.broadcast_to(vals, support.shape) * qw).sum(axis=1)
-        total += h * float(f_vals.mean())
-    mu_T = cloud.measure_at(cloud.grid.n_steps)
-    g_vals = np.asarray(
-        coeffs.terminal_cost(cloud.states[-1], mu_T), dtype=float
-    )
-    total += float(np.broadcast_to(g_vals, cloud.states[-1].shape).mean())
-    return total
+            control = cloud.relaxed_controls[k]
+        total += h * _running_cost_rate(coeffs, x, _law_view(x, control, w_cloud), control)
+    return total + _terminal_cost(coeffs, cloud.states[-1])
 
 
 def estimate_cost(clouds: Sequence[ParticleCloud], coeffs: CoefficientSet):

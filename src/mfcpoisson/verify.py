@@ -55,8 +55,7 @@ from .simulate import (
     ParticleCloud,
     RelaxedRule,
     chattering,
-    cost_of_cloud,
-    simulate_relaxed,
+    simulate_cost,
     simulate_strict,
 )
 
@@ -526,16 +525,14 @@ def check_optimality(
     coarse = np.empty(mc.scenarios)
     for s in range(mc.scenarios):
         for name, rule in rules.items():
-            cloud = simulate_strict(
+            costs[name][s] = simulate_cost(
                 coeffs, rule, mc.particles, params.T, mc.dt,
                 mode=mc.mode, seed=mc.seed, scenario=s, init=mc.init,
             )
-            costs[name][s] = cost_of_cloud(cloud, coeffs)
-        coarse_cloud = simulate_strict(
+        coarse[s] = simulate_cost(
             coeffs, rules["optimal"], mc.particles, params.T, 2 * mc.dt,
             mode=mc.mode, seed=mc.seed, scenario=s, init=mc.init,
         )
-        coarse[s] = cost_of_cloud(coarse_cloud, coeffs)
 
     inconclusive = mc.scenarios < 2
     gaps, gap_sigmas = {}, {}
@@ -718,11 +715,11 @@ def compare_noise_modes(
 
     stats = {"riccati_gap_no_jumps": riccati_gap}
     passed = riccati_gap <= 1e-10
+    inconclusive = False
     has_jumps = params.jumps.n_marks > 0 and params.jumps.gamma_l2 > 0
 
     if has_jumps:
-        mean_jumps = {}
-        event_vs_quiet = {}
+        mean_jumps, n_events, event_vs_quiet = {}, {}, {}
         for mode in ("common", "idiosyncratic"):
             sol = solve_riccati(params, mode, mc.riccati_steps)
             displacements = []
@@ -736,6 +733,7 @@ def compare_noise_modes(
                 for k in range(len(incr)):
                     (event_incr if (k + 1) in event_nodes else quiet_incr).append(incr[k])
             mean_jumps[mode] = float(np.mean(displacements)) if displacements else 0.0
+            n_events[mode] = len(displacements)
             event_vs_quiet[mode] = (
                 float(np.mean(event_incr) / np.mean(quiet_incr))
                 if event_incr and quiet_incr
@@ -755,11 +753,14 @@ def compare_noise_modes(
                 "event_increment_ratio_idiosyncratic": event_vs_quiet["idiosyncratic"],
             }
         )
-        passed = passed and ratio >= jump_ratio_min
+        # with no shared jump drawn in any scenario there is nothing to compare
+        inconclusive = n_events["common"] == 0
+        passed = passed and ratio >= jump_ratio_min and not inconclusive
 
     return CheckReport(
         name="noise-modes",
         passed=bool(passed),
+        inconclusive=inconclusive,
         tolerance=jump_ratio_min,
         stats=stats,
         seed=mc.seed,
@@ -819,25 +820,17 @@ def check_chattering(
     config_hash: str = "",
 ) -> CheckReport:
     """Paired cost gaps between slab approximations and the relaxed control."""
-    relaxed_costs = np.empty(mc.scenarios)
-    for s in range(mc.scenarios):
-        cloud = simulate_relaxed(
-            coeffs, relaxed_rule, mc.particles, horizon, mc.dt,
-            mode=mc.mode, seed=mc.seed, scenario=s, init=mc.init,
-        )
-        relaxed_costs[s] = cost_of_cloud(cloud, coeffs)
-
-    costs_by_level = []
-    for n in levels:
-        rule = chattering(relaxed_rule, n, horizon)
-        costs = np.empty(mc.scenarios)
-        for s in range(mc.scenarios):
-            cloud = simulate_strict(
+    def paired_costs(rule):
+        return np.array([
+            simulate_cost(
                 coeffs, rule, mc.particles, horizon, mc.dt,
                 mode=mc.mode, seed=mc.seed, scenario=s, init=mc.init,
             )
-            costs[s] = cost_of_cloud(cloud, coeffs)
-        costs_by_level.append(costs)
+            for s in range(mc.scenarios)
+        ])
+
+    relaxed_costs = paired_costs(relaxed_rule)
+    costs_by_level = [paired_costs(chattering(relaxed_rule, n, horizon)) for n in levels]
 
     return chattering_report(
         levels, relaxed_costs, costs_by_level, sigma_factor, mc.seed, config_hash

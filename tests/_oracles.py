@@ -105,3 +105,48 @@ def quadratic_min_bruteforce(a, b, c, d, atoms, weights, n_grid=161, radius=6.0)
         for r in np.linspace(-radius, radius, n_grid):
             best = min(best, functional(s + r * centered))
     return best
+
+
+def riccati_rk4_reference(b1, b2, b3, sigma, c, big_t, gamma_l2, mode, n_steps):
+    """Classical RK4 for (beta, eta), backward from T, on numpy 2-vectors.
+
+    Every stage is a numpy array expression, as in the original array-based
+    solver, so a solver on plain floats must reproduce these nodes bit for
+    bit.  Returns ``(beta, eta, bad_node)``: ``bad_node`` is the first node
+    (in integration order) whose denominator 1 + Gamma*beta, or under common
+    noise 1 + Gamma*(beta + eta), is not positive, else None; nodes not
+    reached stay NaN.
+    """
+    h = big_t / n_steps
+    beta = np.full(n_steps + 1, np.nan)
+    eta = np.full(n_steps + 1, np.nan)
+
+    def ill_posed(b, e):
+        return 1.0 + gamma_l2 * b <= 0.0 or (
+            mode == "common" and 1.0 + gamma_l2 * (b + e) <= 0.0
+        )
+
+    def f(y):
+        bv = np.asarray(y[0], dtype=float)
+        ev = np.asarray(y[1], dtype=float)
+        quad = b3**2 * bv**2 / (1.0 + gamma_l2 * bv)
+        dbeta = -(sigma**2) * bv + quad
+        s = bv + ev
+        denom = 1.0 + gamma_l2 * (s if mode == "common" else bv)
+        deta = -quad - (2.0 * b1 - (b2 + b3) ** 2 * s / denom) * s
+        return -np.array([float(dbeta), float(deta)])
+
+    beta[-1], eta[-1] = c, -c
+    if ill_posed(beta[-1], eta[-1]):
+        return beta, eta, n_steps
+    y = np.array([c, -c])
+    for k in range(n_steps - 1, -1, -1):
+        k1 = f(y)
+        k2 = f(y + 0.5 * h * k1)
+        k3 = f(y + 0.5 * h * k2)
+        k4 = f(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        beta[k], eta[k] = y
+        if ill_posed(beta[k], eta[k]):
+            return beta, eta, k
+    return beta, eta, None

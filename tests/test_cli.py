@@ -1,4 +1,9 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +70,50 @@ class TestConfigParsing:
         a = config_hash(small_config())
         b = config_hash(small_config(seed=999))
         assert a != b
+
+
+class TestConfigFieldTypes:
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("sim", "particles", "100"),
+            ("sim", "particles", 100.0),
+            ("sim", "scenarios", True),
+            ("sim", "seed", -1),
+            ("sim", "seed", 1.5),
+            ("sim", "dt", "0.01"),
+            ("sim", "dt", math.inf),
+            ("model", "b1", math.nan),
+            ("model", "sigma", None),
+            ("model", "T", False),
+        ],
+    )
+    def test_bad_field_is_a_config_error_naming_it(self, tmp_path, capsys, section, key, value):
+        cfg = small_config()
+        cfg[section][key] = value
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            parse_config(cfg)
+        path = write_config(tmp_path, cfg)
+        assert main(["riccati", "--config", path, "--out", str(tmp_path / "r.csv")]) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+
+    def test_integer_model_field_and_zero_seed_accepted(self):
+        cfg = small_config()
+        cfg["model"]["T"] = 1
+        cfg["sim"]["seed"] = 0
+        assert parse_config(cfg).params.T == 1.0
+
+
+class TestImportCost:
+    def test_cli_import_leaves_scipy_optimize_unloaded(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = "import sys, mfcpoisson.cli; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestCliBasics:
@@ -188,6 +237,49 @@ class TestVerifyCommands:
         out = tmp_path / "chat.json"
         assert main(["chattering", "--config", path, "--out", str(out)]) == 1
         assert json.loads(out.read_text())["report"]["passed"] is False
+
+
+class TestNoiseModesWithoutCommonJump:
+    def test_reported_inconclusive_and_exits_1(self, tmp_path, capsys):
+        # this seed draws no common-noise event in any of 3 scenarios; the
+        # shared path depends only on seed and scenario, so few particles do
+        cfg = small_config(particles=40, scenarios=3, dt=0.02, seed=20240901 + 1954137147)
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "noise.json"
+        assert main(["compare-noise", "--config", path, "--out", str(out)]) == 1
+        assert "noise-modes: INCONCLUSIVE" in capsys.readouterr().out
+        report = json.loads(out.read_text())["report"]
+        assert report["inconclusive"] is True and report["passed"] is False
+        assert report["stats"]["mean_jump_common"] == 0.0
+        assert math.isnan(report["stats"]["event_increment_ratio_common"])
+        assert report["stats"]["mean_jump_idiosyncratic"] > 0.0
+
+
+class TestCostPool:
+    def test_pool_is_no_larger_than_the_task_list(self, monkeypatch):
+        from mfcpoisson import experiments
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args, chunksize=1):
+                return [fn(a) for a in args]
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        cfg = parse_config(small_config(particles=20, scenarios=2, dt=0.05))
+        tasks = [(("optimal",), s) for s in range(2)]
+        costs = experiments.run_cost_tasks(cfg, tasks, threads=8)
+        assert sizes == [2]
+        assert costs == experiments.run_cost_tasks(cfg, tasks, threads=1)
 
 
 class TestFpPairingDump:

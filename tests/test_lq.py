@@ -13,7 +13,7 @@ from mfcpoisson.lq import (
 )
 from mfcpoisson.measures import EmpiricalMeasure
 
-from _oracles import quadratic_min_bruteforce, riccati_reference
+from _oracles import quadratic_min_bruteforce, riccati_reference, riccati_rk4_reference
 
 
 def params(**kw):
@@ -117,6 +117,54 @@ class TestRiccatiNumerics:
         with pytest.raises(IllPosedError) as err:
             solve_riccati(bad, "common", 64)
         assert err.value.time == pytest.approx(1.0)
+
+
+def forged_params(**kw):
+    """LQParams without validation, for inputs the constructor rejects."""
+    bad = object.__new__(LQParams)
+    for name, val in kw.items():
+        object.__setattr__(bad, name, val)
+    return bad
+
+
+class TestRiccatiMatchesArrayRK4:
+    """The plain-float RK4 keeps the bits of the numpy-array RK4."""
+
+    @pytest.mark.parametrize("mode", ["common", "idiosyncratic"])
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(b1=0.5, b2=0.4, b3=1.0, sigma=0.4, c=1.0, T=1.0, gamma=0.3, lam=1.0),
+            dict(b1=-1.3, b2=0.7, b3=2.1, sigma=0.9, c=0.25, T=2.5, gamma=0.8, lam=1.7),
+            dict(b1=0.5, b2=0.4, b3=1.0, sigma=0.4, c=1.0, T=1.0, gamma=0.0, lam=1.0),
+        ],
+    )
+    def test_nodes_bit_identical(self, mode, kw):
+        kw = dict(kw)
+        jumps = JumpSpec([1.0], [kw.pop("lam")], [kw.pop("gamma")])
+        p = LQParams(jumps=jumps, **kw)
+        sol = solve_riccati(p, mode, 4096)
+        beta, eta, bad = riccati_rk4_reference(
+            p.b1, p.b2, p.b3, p.sigma, p.c, p.T, jumps.gamma_l2, mode, 4096
+        )
+        assert bad is None
+        assert sol.beta.tobytes() == beta.tobytes()
+        assert sol.eta.tobytes() == eta.tobytes()
+
+    @pytest.mark.parametrize("mode", ["common", "idiosyncratic"])
+    @pytest.mark.parametrize("c", [-0.5, -0.3])
+    def test_ill_posed_at_the_same_node(self, mode, c):
+        # a forged negative terminal weight passes 1 + Gamma*beta > 0 at T,
+        # then beta falls backward until the denominator vanishes
+        jumps = JumpSpec([1.0], [1.0], [1.0])
+        bad = forged_params(b1=0.5, b2=0.4, b3=1.0, sigma=1.0, c=c, T=1.0, jumps=jumps)
+        _, _, node = riccati_rk4_reference(
+            0.5, 0.4, 1.0, 1.0, c, 1.0, jumps.gamma_l2, mode, 256
+        )
+        assert node is not None and 0 < node < 256
+        with pytest.raises(IllPosedError) as err:
+            solve_riccati(bad, mode, 256)
+        assert err.value.time == node * (1.0 / 256)
 
 
 class TestOptimalControl:

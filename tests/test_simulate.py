@@ -15,6 +15,7 @@ from mfcpoisson.simulate import (
     cost_of_cloud,
     estimate_cost,
     sample_poisson_path,
+    simulate_cost,
     simulate_relaxed,
     simulate_strict,
     substream,
@@ -225,6 +226,30 @@ class TestRelaxedSimulation:
         with pytest.raises(TypeError):
             simulate_strict(coeffs, RelaxedRule.constant([0.0], [1.0]), 4, 1.0, 0.1)
 
+    def test_negative_weight_rejected(self):
+        coeffs = lq()
+        bad = RelaxedRule.constant(np.array([0.2, 0.8]), np.array([-0.5, 1.5]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            bad.evaluate(0.0, np.zeros(4), 0.0)
+        with pytest.raises(ValueError):
+            simulate_relaxed(coeffs, bad, 4, 1.0, 0.1, seed=1)
+        with pytest.raises(ValueError):
+            simulate_cost(coeffs, bad, 4, 1.0, 0.1, seed=1)
+
+    def test_shared_atoms_match_per_row_normalization(self):
+        support = np.array([0.1, -0.4, 0.9, 0.3, 1.7, -1.1, 0.0, 0.6, 2.2])
+        weights = np.random.default_rng(3).uniform(0.0, 1.0, size=support.size)
+        x = np.linspace(-1.0, 1.0, 5)
+        shared = RelaxedRule.constant(support, weights)
+        rows = RelaxedRule(lambda t, x, m: (np.tile(support, (len(x), 1)), np.tile(weights, (len(x), 1))))
+        for a, b in zip(shared.evaluate(0.3, x, 0.0), rows.evaluate(0.3, x, 0.0)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        for t in np.linspace(0.0, 1.0, 41):
+            np.testing.assert_array_equal(
+                chattering(shared, 4, 1.0).evaluate(t, x, 0.0),
+                chattering(rows, 4, 1.0).evaluate(t, x, 0.0),
+            )
+
     def test_zero_weight_rows_rejected(self):
         coeffs = lq()
         bad = RelaxedRule(lambda t, x, m: (np.array([0.0, 1.0]), np.array([0.0, 0.0])))
@@ -317,6 +342,34 @@ class TestCost:
         x0 = cloud.states[0]
         want = 0.5 * 2.0 * np.mean((x0 - x0.mean()) ** 2)
         assert cost_of_cloud(cloud, coeffs) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("case", ["optimal", "gain", "relaxed", "chattering", "idiosyncratic"])
+    def test_history_free_cost_equals_cost_of_cloud(self, case):
+        from mfcpoisson.lq import solve_riccati
+        from mfcpoisson.verify import Perturbation, optimal_feedback_rule
+
+        params = LQParams(
+            b1=0.5, b2=0.4, b3=1.0, sigma=0.4, c=1.0, T=1.0,
+            jumps=JumpSpec([1.0, 2.0], [1.5, 1.0], [0.3, -0.2]),
+        )
+        coeffs = lq_coefficients(params)
+        mode = "idiosyncratic" if case == "idiosyncratic" else "common"
+        sol = solve_riccati(params, mode, 1024)
+        relaxed = RelaxedRule.constant(np.array([0.2, 0.8]), np.array([0.3, 0.7]))
+        rule = {
+            "optimal": optimal_feedback_rule(sol),
+            "gain": Perturbation("gain", 1.5).wrap(sol),
+            "relaxed": relaxed,
+            "chattering": chattering(relaxed, 8, params.T),
+            "idiosyncratic": optimal_feedback_rule(sol),
+        }[case]
+        run = dict(mode=mode, seed=11, scenario=2, init=InitSpec("gaussian", 1.0, 0.5))
+        simulate = simulate_relaxed if case == "relaxed" else simulate_strict
+        cloud = simulate(coeffs, rule, 60, params.T, 1 / 200, **run)
+        assert cloud.event_log  # the run exercises the jump branch
+        assert simulate_cost(coeffs, rule, 60, params.T, 1 / 200, **run) == cost_of_cloud(
+            cloud, coeffs
+        )
 
     def test_estimate_requires_scenarios(self):
         with pytest.raises(ValueError):
