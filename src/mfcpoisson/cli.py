@@ -33,7 +33,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default="", help="output file path")
     common.add_argument("--seed", type=int, default=None, help="override sim.seed")
     common.add_argument(
-        "--threads", type=int, default=1, help="worker processes for scenario tasks"
+        "--threads", type=int, default=1,
+        help="forked worker processes for the scenarios of cost, chattering, "
+        "verify optimality|fp|noise and compare-noise",
     )
 
     sub = parser.add_subparsers(dest="command", required=True)

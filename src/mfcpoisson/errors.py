@@ -29,6 +29,9 @@ class DivergenceError(RuntimeError):
         self.time = time
         super().__init__(f"non-finite state at step {step} (t={time:.6g})")
 
+    def __reduce__(self):  # rebuild from the fields, so it survives a worker pool
+        return type(self), (self.step, self.time)
+
 
 class IllPosedError(RuntimeError):
     """A Riccati positivity constraint failed; carries the first bad time."""
@@ -37,6 +40,9 @@ class IllPosedError(RuntimeError):
         self.time = time
         self.constraint = constraint
         super().__init__(f"{constraint} violated at t={time:.6g}")
+
+    def __reduce__(self):
+        return type(self), (self.time, self.constraint)
 
 
 class DomainError(ValueError):

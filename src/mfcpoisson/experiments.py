@@ -1,27 +1,25 @@
 """Experiment drivers: wire a validated config into solvers, checks and files.
 
-Scenario-level work (cost estimation, chattering studies) can fan out over a
-process pool; workers rebuild everything from the raw config dictionary, and
-results are keyed by scenario index, so the output does not depend on worker
-count or execution order.
+Scenario-level work fans out through :func:`simulate.map_scenarios`, whose
+results come back in scenario order, so the output does not depend on
+``--threads``.
 """
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .coefficients import lq_coefficients
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import ConfigError, ExperimentConfig
 from .lq import solve_riccati
-from .simulate import RelaxedRule, chattering, simulate_cost
+from .simulate import RelaxedRule, map_scenarios
 from .verify import (
     CheckReport,
-    chattering_report,
     check_bsde,
+    check_chattering,
     check_fp,
     check_hjb,
     check_optimality,
@@ -30,6 +28,7 @@ from .verify import (
     hjb_sample_measures,
     optimal_feedback_rule,
     pairing_table,
+    scenario_costs,
     simulate_optimal,
 )
 
@@ -44,70 +43,30 @@ def _provenance(cfg: ExperimentConfig) -> str:
     return f"mfcpoisson {__version__} config_hash={cfg.config_hash}"
 
 
-def write_csv(path, cfg: ExperimentConfig, header, rows, extra_comment=""):
-    lines = [f"# {_provenance(cfg)}"]
-    if extra_comment:
-        lines.append(f"# {extra_comment}")
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(
-            ",".join(
-                format(v, ".17g") if isinstance(v, (float, np.floating)) else str(v)
-                for v in row
+def write_csv(path, cfg: ExperimentConfig, header, rows, extra_comment="") -> int:
+    """Write ``rows`` (any iterable) as they come; returns the row count."""
+    n_rows = 0
+    with open(path, "w") as fh:
+        fh.write(f"# {_provenance(cfg)}\n")
+        if extra_comment:
+            fh.write(f"# {extra_comment}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(
+                ",".join(
+                    format(v, ".17g") if isinstance(v, (float, np.floating)) else str(v)
+                    for v in row
+                )
+                + "\n"
             )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+            n_rows += 1
+    return n_rows
 
 
 def write_json(path, cfg: ExperimentConfig, payload: dict):
     body = {"version": __version__, "config_hash": cfg.config_hash}
     body.update(payload)
     Path(path).write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# Scenario cost tasks (picklable for the worker pool)
-# ---------------------------------------------------------------------------
-
-def _relaxed_rule_from_config(cfg: ExperimentConfig) -> RelaxedRule:
-    chat = cfg.verify["chattering"]
-    return RelaxedRule.constant(
-        np.asarray(chat["support"], dtype=float),
-        np.asarray(chat["weights"], dtype=float),
-    )
-
-
-def scenario_cost(raw_config: dict, variant: tuple, scenario: int) -> float:
-    """Cost of one scenario under one control variant (rebuilt from raw config)."""
-    cfg = parse_config(raw_config)
-    params, mc = cfg.params, cfg.mc
-    kind = variant[0]
-    if kind == "optimal":
-        rule = optimal_feedback_rule(solve_riccati(params, mc.mode, mc.riccati_steps))
-    elif kind == "relaxed":
-        rule = _relaxed_rule_from_config(cfg)
-    elif kind == "chatter":
-        rule = chattering(_relaxed_rule_from_config(cfg), int(variant[1]), params.T)
-    else:
-        raise ValueError(f"unknown cost variant {variant!r}")
-    return simulate_cost(
-        lq_coefficients(params), rule, mc.particles, params.T, mc.dt,
-        mode=mc.mode, seed=mc.seed, scenario=scenario, init=mc.init,
-    )
-
-
-def _cost_task(args):
-    raw, variant, scenario = args
-    return scenario_cost(raw, variant, scenario)
-
-
-def run_cost_tasks(cfg: ExperimentConfig, tasks: list, threads: int) -> list:
-    """Evaluate (variant, scenario) cost tasks, optionally on a process pool."""
-    args = [(cfg.raw, variant, scenario) for variant, scenario in tasks]
-    if threads <= 1 or len(args) <= 1:
-        return [_cost_task(a) for a in args]
-    with ProcessPoolExecutor(max_workers=min(threads, len(args))) as pool:
-        return list(pool.map(_cost_task, args, chunksize=1))
 
 
 # ---------------------------------------------------------------------------
@@ -121,31 +80,37 @@ def run_riccati(cfg: ExperimentConfig, out: str):
     return 0, f"riccati: {len(rows)} nodes -> {out}"
 
 
-def run_simulate(cfg: ExperimentConfig, out: str):
+def _trajectory_rows(cfg: ExperimentConfig):
+    """Trajectory rows, one scenario's cloud in memory at a time."""
     params, mc = cfg.params, cfg.mc
     sol = solve_riccati(params, mc.mode, mc.riccati_steps)
-    rows = []
     for scenario in range(mc.scenarios):
         cloud = simulate_optimal(params, sol, mc, scenario)
         n_steps = cloud.grid.n_steps
-        for k, t in enumerate(cloud.times):
-            controls = cloud.controls[min(k, n_steps - 1)]
-            for i in range(cloud.n_particles):
-                rows.append(
-                    (scenario, i, float(t), float(cloud.states[k, i]), float(controls[i]))
-                )
-    write_csv(
+        for k, t in enumerate(cloud.times.tolist()):
+            controls = cloud.controls[min(k, n_steps - 1)].tolist()
+            for i, (x, u) in enumerate(zip(cloud.states[k].tolist(), controls)):
+                yield scenario, i, t, x, u
+
+
+def run_simulate(cfg: ExperimentConfig, out: str):
+    n_rows = write_csv(
         out, cfg,
         ["scenario", "particle", "time", "state", "control"],
-        rows,
+        _trajectory_rows(cfg),
         extra_comment="control column holds the value applied on the step starting at `time`",
     )
-    return 0, f"simulate: {len(rows)} rows -> {out}"
+    return 0, f"simulate: {n_rows} rows -> {out}"
 
 
 def run_cost(cfg: ExperimentConfig, out: str, threads: int = 1):
-    tasks = [(("optimal",), s) for s in range(cfg.mc.scenarios)]
-    costs = np.array(run_cost_tasks(cfg, tasks, threads))
+    params, mc = cfg.params, cfg.mc
+    coeffs = lq_coefficients(params)
+    rule = optimal_feedback_rule(solve_riccati(params, mc.mode, mc.riccati_steps))
+    costs = np.array(map_scenarios(
+        lambda s: scenario_costs(coeffs, [rule], params.T, mc, s)[0],
+        mc.scenarios, threads,
+    ))
     stderr = (
         float(costs.std(ddof=1) / np.sqrt(len(costs))) if len(costs) > 1 else 0.0
     )
@@ -162,20 +127,17 @@ def run_cost(cfg: ExperimentConfig, out: str, threads: int = 1):
 
 def run_chattering(cfg: ExperimentConfig, out: str, threads: int = 1):
     chat = cfg.verify["chattering"]
-    levels = [int(n) for n in chat["levels"]]
-    scenarios = range(cfg.mc.scenarios)
-    tasks = [(("relaxed",), s) for s in scenarios]
-    for n in levels:
-        tasks.extend((("chatter", n), s) for s in scenarios)
-    flat = run_cost_tasks(cfg, tasks, threads)
-    n_s = cfg.mc.scenarios
-    relaxed_costs = np.array(flat[:n_s])
-    costs_by_level = [
-        np.array(flat[n_s * (1 + i) : n_s * (2 + i)]) for i in range(len(levels))
-    ]
-    report = chattering_report(
-        levels, relaxed_costs, costs_by_level,
-        float(chat["sigma_factor"]), cfg.mc.seed, cfg.config_hash,
+    report = check_chattering(
+        lq_coefficients(cfg.params),
+        RelaxedRule.constant(
+            np.asarray(chat["support"], dtype=float),
+            np.asarray(chat["weights"], dtype=float),
+        ),
+        cfg.params.T, cfg.mc,
+        levels=[int(n) for n in chat["levels"]],
+        sigma_factor=float(chat["sigma_factor"]),
+        config_hash=cfg.config_hash,
+        workers=threads,
     )
     if out:
         write_json(out, cfg, {"report": report.to_dict()})
@@ -224,7 +186,7 @@ def run_verify(kind: str, cfg: ExperimentConfig, out: str, threads: int = 1):
         elif kind == "fp":
             report = check_fp(
                 params, mc, ratio_band=tuple(cfg.verify["fp_ratio_band"]),
-                config_hash=cfg.config_hash,
+                config_hash=cfg.config_hash, workers=threads,
             )
             table_path = cfg.output.get("fp_pairings")
             if table_path:
@@ -238,12 +200,13 @@ def run_verify(kind: str, cfg: ExperimentConfig, out: str, threads: int = 1):
                 )
         elif kind == "optimality":
             report = check_optimality(
-                params, cfg.perturbations, mc, config_hash=cfg.config_hash
+                params, cfg.perturbations, mc, config_hash=cfg.config_hash,
+                workers=threads,
             )
         else:  # noise
             report = compare_noise_modes(
                 params, mc, jump_ratio_min=float(cfg.verify["noise_ratio_min"]),
-                config_hash=cfg.config_hash,
+                config_hash=cfg.config_hash, workers=threads,
             )
     except ValueError as err:
         raise ConfigError(str(err)) from err

@@ -72,18 +72,6 @@ class RelaxedKernel:
             np.tile(support, (n_rows, 1)), np.tile(weights / weights.sum(), (n_rows, 1))
         )
 
-    @classmethod
-    def from_control_measures(cls, qs) -> "RelaxedKernel":
-        width = max(q.n_atoms for q in qs)
-        sup = np.zeros((len(qs), width))
-        w = np.zeros((len(qs), width))
-        for i, q in enumerate(qs):
-            k = q.n_atoms
-            sup[i, :k] = q.atoms[:, 0]
-            sup[i, k:] = q.atoms[0, 0]
-            w[i, :k] = q.weights
-        return cls(sup, w)
-
     def require_cover(self, mu: EmpiricalMeasure):
         if self.n_rows != mu.n_atoms:
             raise CoverageError(

@@ -14,10 +14,14 @@ Randomness comes from counter-based Philox streams keyed by
 ``poisson``; particles consume fixed lanes of vectorized draws.  Identical
 keys reproduce bit-identical clouds, and control variants under one key see
 identical noise, which is what the paired cost comparisons rely on.
+Because a scenario's draws depend on nothing but its key, scenarios can run
+in any order on any worker: :func:`map_scenarios` fans them out.
 """
 from __future__ import annotations
 
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -613,6 +617,44 @@ def cost_of_cloud(cloud: ParticleCloud, coeffs: CoefficientSet) -> float:
             control = cloud.relaxed_controls[k]
         total += h * _running_cost_rate(coeffs, x, _law_view(x, control, w_cloud), control)
     return total + _terminal_cost(coeffs, cloud.states[-1])
+
+
+# ---------------------------------------------------------------------------
+# Scenario fan-out
+# ---------------------------------------------------------------------------
+
+_TASK: Optional[Callable] = None
+
+
+def _install_task(task: Callable):
+    global _TASK
+    _TASK = task
+
+
+def _run_task(scenario: int):
+    return _TASK(scenario)
+
+
+def map_scenarios(task: Callable, n_scenarios: int, workers: int = 1) -> list:
+    """``[task(0), ..., task(n_scenarios - 1)]``, on up to ``workers`` processes.
+
+    Workers are forked, and the task reaches them through the pool
+    initializer, which fork hands over without pickling: it may close over
+    lambdas, rules and coefficient sets (spawn would have to pickle them).
+    The program starts no threads of its own, which fork needs to be safe.
+    Only scenario indices and results cross the process boundary, and
+    results come back in scenario order, so the list does not depend on the
+    worker count.
+    """
+    if workers <= 1 or n_scenarios <= 1:
+        return [task(s) for s in range(n_scenarios)]
+    with ProcessPoolExecutor(
+        max_workers=min(workers, n_scenarios),
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_install_task,
+        initargs=(task,),
+    ) as pool:
+        return list(pool.map(_run_task, range(n_scenarios)))
 
 
 def estimate_cost(clouds: Sequence[ParticleCloud], coeffs: CoefficientSet):

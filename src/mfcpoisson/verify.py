@@ -43,6 +43,7 @@ from .measureflow import (
     MeasurePath,
     RelaxedKernel,
     TestFunctionDictionary,
+    _pair_A0_aggregated,
     aggregate_coeffs,
     apply_A1,
     default_dictionary,
@@ -55,6 +56,7 @@ from .simulate import (
     ParticleCloud,
     RelaxedRule,
     chattering,
+    map_scenarios,
     simulate_cost,
     simulate_strict,
 )
@@ -166,6 +168,23 @@ class Perturbation:
                 )
             )
         raise ValueError(f"unknown perturbation kind {self.kind!r}")
+
+
+def scenario_costs(
+    coeffs: CoefficientSet,
+    rules: Sequence,
+    horizon: float,
+    mc: MonteCarloSettings,
+    scenario: int,
+) -> list:
+    """Sample cost of each rule on one scenario; the rules share its noise."""
+    return [
+        simulate_cost(
+            coeffs, rule, mc.particles, horizon, mc.dt,
+            mode=mc.mode, seed=mc.seed, scenario=scenario, init=mc.init,
+        )
+        for rule in rules
+    ]
 
 
 def simulate_optimal(
@@ -506,6 +525,7 @@ def check_optimality(
     perturbations: Sequence[Perturbation],
     mc: MonteCarloSettings,
     config_hash: str = "",
+    workers: int = 1,
 ) -> CheckReport:
     """Paired-cost comparison of the candidate optimum against perturbations.
 
@@ -521,18 +541,14 @@ def check_optimality(
     for pert in perturbations:
         rules[pert.label] = pert.wrap(sol)
 
-    costs = {name: np.empty(mc.scenarios) for name in rules}
-    coarse = np.empty(mc.scenarios)
-    for s in range(mc.scenarios):
-        for name, rule in rules.items():
-            costs[name][s] = simulate_cost(
-                coeffs, rule, mc.particles, params.T, mc.dt,
-                mode=mc.mode, seed=mc.seed, scenario=s, init=mc.init,
-            )
-        coarse[s] = simulate_cost(
-            coeffs, rules["optimal"], mc.particles, params.T, 2 * mc.dt,
-            mode=mc.mode, seed=mc.seed, scenario=s, init=mc.init,
-        )
+    coarse_mc = replace(mc, dt=2 * mc.dt)
+    table = np.array(map_scenarios(
+        lambda s: scenario_costs(coeffs, list(rules.values()), params.T, mc, s)
+        + scenario_costs(coeffs, [rules["optimal"]], params.T, coarse_mc, s),
+        mc.scenarios, workers,
+    )).T
+    costs = dict(zip(rules, table))
+    coarse = table[-1]
 
     inconclusive = mc.scenarios < 2
     gaps, gap_sigmas = {}, {}
@@ -603,24 +619,13 @@ def _fp_terminal_error(
         predicted[phi.name] = float(
             np.mean(np.asarray(phi.value(cloud.states[0]), dtype=float))
         )
-    n = cloud.n_particles
-    weights = np.full(n, 1.0 / n)
     for k in range(cloud.grid.n_steps):
         h = float(cloud.times[k + 1] - cloud.times[k])
         mu = EmpiricalMeasure.from_samples(cloud.states[k])
         kernel = RelaxedKernel.dirac(cloud.controls[k])
         agg = aggregate_coeffs(mu, kernel, coeffs)
-        x = cloud.states[k]
-        compensator = agg.jump @ coeffs.jumps.intensities if coeffs.jumps.n_marks else 0.0
         for phi in dictionary:
-            a0 = float(
-                weights
-                @ (
-                    (agg.drift - compensator) * np.asarray(phi.dx(x), dtype=float)
-                    + 0.5 * agg.diffusion_sq * np.asarray(phi.dxx(x), dtype=float)
-                )
-            )
-            predicted[phi.name] += h * a0
+            predicted[phi.name] += h * _pair_A0_aggregated(phi, mu, agg, coeffs)
         node = k + 1
         if node in events:
             pre_mu = EmpiricalMeasure.from_samples(cloud.pre_jump_states[node])
@@ -645,6 +650,7 @@ def check_fp(
     dictionary: Optional[TestFunctionDictionary] = None,
     ratio_band: tuple = (0.3, 0.7),
     config_hash: str = "",
+    workers: int = 1,
 ) -> CheckReport:
     """Weak-form flow predictions against the cloud under a 2x2 refinement.
 
@@ -661,12 +667,10 @@ def check_fp(
     fine = replace(mc, dt=mc.dt / 2.0, particles=4 * mc.particles)
     rms = {}
     for label, settings in (("coarse", mc), ("fine", fine)):
-        per_scenario = np.stack(
-            [
-                _fp_terminal_error(params, sol, settings, dictionary, scenario)
-                for scenario in range(settings.scenarios)
-            ]
-        )
+        per_scenario = np.stack(map_scenarios(
+            lambda s: _fp_terminal_error(params, sol, settings, dictionary, s),
+            settings.scenarios, workers,
+        ))
         rms[label] = np.sqrt(np.mean(per_scenario**2, axis=0))
     live = rms["coarse"] > 0
     per_entry = rms["fine"][live] / rms["coarse"][live]
@@ -697,6 +701,7 @@ def compare_noise_modes(
     mc: MonteCarloSettings,
     jump_ratio_min: float = 5.0,
     config_hash: str = "",
+    workers: int = 1,
 ) -> CheckReport:
     """Shared vs per-particle jumps: Riccati agreement without jumps, and the
     conditional-mean jump statistic dominance with them."""
@@ -722,16 +727,23 @@ def compare_noise_modes(
         mean_jumps, n_events, event_vs_quiet = {}, {}, {}
         for mode in ("common", "idiosyncratic"):
             sol = solve_riccati(params, mode, mc.riccati_steps)
-            displacements = []
-            quiet_incr, event_incr = [], []
-            for scenario in range(mc.scenarios):
-                cloud = simulate_optimal(params, sol, replace(mc, mode=mode), scenario)
-                displacements.extend(abs(d) for _, _, d in cloud.event_log)
+            mode_mc = replace(mc, mode=mode)
+
+            def jump_statistics(scenario):
+                cloud = simulate_optimal(params, sol, mode_mc, scenario)
                 event_nodes = {node for node, _, _ in cloud.event_log}
-                means = cloud.conditional_means()
-                incr = np.abs(np.diff(means))
-                for k in range(len(incr)):
-                    (event_incr if (k + 1) in event_nodes else quiet_incr).append(incr[k])
+                incr = np.abs(np.diff(cloud.conditional_means()))
+                return (
+                    [abs(d) for _, _, d in cloud.event_log],
+                    [incr[k] for k in range(len(incr)) if (k + 1) not in event_nodes],
+                    [incr[k] for k in range(len(incr)) if (k + 1) in event_nodes],
+                )
+
+            displacements, quiet_incr, event_incr = [], [], []
+            for disp, quiet, event in map_scenarios(jump_statistics, mc.scenarios, workers):
+                displacements += disp
+                quiet_incr += quiet
+                event_incr += event
             mean_jumps[mode] = float(np.mean(displacements)) if displacements else 0.0
             n_events[mode] = len(displacements)
             event_vs_quiet[mode] = (
@@ -772,20 +784,26 @@ def compare_noise_modes(
 # Chattering convergence
 # ---------------------------------------------------------------------------
 
-def chattering_report(
-    levels: Sequence[int],
-    relaxed_costs: np.ndarray,
-    costs_by_level: Sequence[np.ndarray],
-    sigma_factor: float,
-    seed: int,
+def check_chattering(
+    coeffs: CoefficientSet,
+    relaxed_rule: RelaxedRule,
+    horizon: float,
+    mc: MonteCarloSettings,
+    levels: Sequence[int] = (2, 4, 8, 16, 32),
+    sigma_factor: float = 5.0,
     config_hash: str = "",
+    workers: int = 1,
 ) -> CheckReport:
-    """Gap statistics and verdict from per-scenario paired costs."""
-    relaxed_costs = np.asarray(relaxed_costs, dtype=float)
-    scenarios = relaxed_costs.size
+    """Paired cost gaps between slab approximations and the relaxed control."""
+    rules = [relaxed_rule] + [chattering(relaxed_rule, n, horizon) for n in levels]
+    table = np.array(map_scenarios(
+        lambda s: scenario_costs(coeffs, rules, horizon, mc, s), mc.scenarios, workers
+    )).T
+    relaxed_costs = table[0]
+    scenarios = mc.scenarios
     gaps, sigmas = [], []
-    for costs in costs_by_level:
-        diffs = np.asarray(costs, dtype=float) - relaxed_costs
+    for costs in table[1:]:
+        diffs = costs - relaxed_costs
         gaps.append(abs(float(diffs.mean())))
         sigmas.append(
             float(diffs.std(ddof=1) / math.sqrt(scenarios)) if scenarios > 1 else 0.0
@@ -804,36 +822,9 @@ def chattering_report(
             "final_gap": gaps[-1],
             "final_sigma": final_sigma,
         },
-        seed=seed,
+        seed=mc.seed,
         config_hash=config_hash,
         inconclusive=scenarios < 2,
-    )
-
-
-def check_chattering(
-    coeffs: CoefficientSet,
-    relaxed_rule: RelaxedRule,
-    horizon: float,
-    mc: MonteCarloSettings,
-    levels: Sequence[int] = (2, 4, 8, 16, 32),
-    sigma_factor: float = 5.0,
-    config_hash: str = "",
-) -> CheckReport:
-    """Paired cost gaps between slab approximations and the relaxed control."""
-    def paired_costs(rule):
-        return np.array([
-            simulate_cost(
-                coeffs, rule, mc.particles, horizon, mc.dt,
-                mode=mc.mode, seed=mc.seed, scenario=s, init=mc.init,
-            )
-            for s in range(mc.scenarios)
-        ])
-
-    relaxed_costs = paired_costs(relaxed_rule)
-    costs_by_level = [paired_costs(chattering(relaxed_rule, n, horizon)) for n in levels]
-
-    return chattering_report(
-        levels, relaxed_costs, costs_by_level, sigma_factor, mc.seed, config_hash
     )
 
 

@@ -1,14 +1,21 @@
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from mfcpoisson import simulate
 from mfcpoisson.cli import main
+from mfcpoisson.coefficients import lq_coefficients
 from mfcpoisson.config import ConfigError, config_hash, default_config, load_config, parse_config
+from mfcpoisson.errors import DivergenceError, IllPosedError
+from mfcpoisson.lq import solve_riccati
 
 
 def small_config(**sim_overrides):
@@ -28,6 +35,30 @@ def write_config(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg, indent=1))
     return str(path)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the scenario pool by an in-process recorder of its sizes."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, mp_context=None, initializer=None, initargs=()):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return [fn(a) for a in args]
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(simulate, "_TASK", None)
+    return sizes
 
 
 class TestConfigParsing:
@@ -198,6 +229,20 @@ class TestSimulateCommand:
         assert header == "scenario,particle,time,state,control"
         assert len(rows) == 2 * 5 * 5  # scenarios x particles x nodes
 
+    def test_peak_memory_does_not_grow_with_scenarios(self, tmp_path):
+        from mfcpoisson.experiments import run_simulate
+
+        peaks = {}
+        for n in (2, 8):
+            cfg = parse_config(small_config(particles=50, scenarios=n, dt=0.01))
+            tracemalloc.start()
+            try:
+                run_simulate(cfg, str(tmp_path / f"traj{n}.csv"))
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8] < 2 * peaks[2]
+
 
 class TestVerifyCommands:
     def test_bsde_passes_and_is_deterministic(self, tmp_path):
@@ -256,30 +301,66 @@ class TestNoiseModesWithoutCommonJump:
 
 
 class TestCostPool:
-    def test_pool_is_no_larger_than_the_task_list(self, monkeypatch):
-        from mfcpoisson import experiments
+    def test_pool_is_no_larger_than_the_task_list(self, pool_sizes):
+        from mfcpoisson.verify import optimal_feedback_rule, scenario_costs
 
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, args, chunksize=1):
-                return [fn(a) for a in args]
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
         cfg = parse_config(small_config(particles=20, scenarios=2, dt=0.05))
-        tasks = [(("optimal",), s) for s in range(2)]
-        costs = experiments.run_cost_tasks(cfg, tasks, threads=8)
-        assert sizes == [2]
-        assert costs == experiments.run_cost_tasks(cfg, tasks, threads=1)
+        coeffs = lq_coefficients(cfg.params)
+        rule = optimal_feedback_rule(solve_riccati(cfg.params, cfg.mc.mode, 256))
+
+        def task(s):
+            return scenario_costs(coeffs, [rule], cfg.params.T, cfg.mc, s)[0]
+
+        costs = simulate.map_scenarios(task, 2, workers=8)
+        assert pool_sizes == [2]
+        assert costs == simulate.map_scenarios(task, 2, workers=1)
+
+    def test_verify_optimality_honours_threads(self, tmp_path, pool_sizes):
+        path = write_config(tmp_path, small_config(particles=20, scenarios=4, dt=0.05))
+        assert main(["verify", "optimality", "--config", path, "--threads", "2"]) in (0, 1)
+        assert pool_sizes == [2]
+
+
+class TestPoolErrors:
+    def test_numerical_errors_survive_pickling(self):
+        div = pickle.loads(pickle.dumps(DivergenceError(7, 0.25)))
+        assert isinstance(div, DivergenceError)
+        assert (div.step, div.time, str(div)) == (7, 0.25, str(DivergenceError(7, 0.25)))
+        ill = pickle.loads(pickle.dumps(IllPosedError(0.5, "a > 0")))
+        assert isinstance(ill, IllPosedError)
+        assert (ill.time, ill.constraint) == (0.5, "a > 0")
+
+    def test_divergence_in_a_worker_keeps_its_type_and_step(self, tmp_path):
+        cfg = small_config(particles=20, scenarios=2, dt=0.05)
+        cfg["model"]["sigma"] = 60.0
+        path = write_config(tmp_path, cfg)
+        steps = []
+        for threads in ("1", "2"):
+            with pytest.raises(DivergenceError) as err, np.errstate(over="ignore", invalid="ignore"):
+                main(["cost", "--config", path, "--threads", threads])
+            steps.append(err.value.step)
+        assert steps[0] == steps[1]
+
+
+class TestThreadInvariance:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["cost"],
+            ["chattering"],
+            ["verify", "optimality"],
+            ["verify", "fp"],
+            ["verify", "noise"],
+            ["compare-noise"],
+        ],
+        ids=lambda c: "-".join(c),
+    )
+    def test_output_is_byte_identical_across_threads(self, tmp_path, command):
+        path = write_config(tmp_path, small_config())
+        outs = [tmp_path / f"t{threads}.json" for threads in (1, 2)]
+        for threads, out in zip((1, 2), outs):
+            main(command + ["--config", path, "--out", str(out), "--threads", str(threads)])
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 class TestFpPairingDump:
@@ -305,10 +386,3 @@ class TestChatteringCommand:
         assert report["stats"]["levels"] == [2, 8]
         assert len(report["stats"]["gaps"]) == 2
         assert code in (0, 1)
-
-    def test_thread_invariance(self, tmp_path):
-        path = write_config(tmp_path, small_config())
-        out1, out2 = tmp_path / "c1.json", tmp_path / "c2.json"
-        main(["chattering", "--config", path, "--out", str(out1)])
-        main(["chattering", "--config", path, "--out", str(out2), "--threads", "3"])
-        assert out1.read_bytes() == out2.read_bytes()

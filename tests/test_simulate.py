@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from mfcpoisson.simulate import (
     chattering,
     cost_of_cloud,
     estimate_cost,
+    map_scenarios,
     sample_poisson_path,
     simulate_cost,
     simulate_relaxed,
@@ -417,3 +420,12 @@ class TestChattering:
         assert ds[2] < ds[0]
         assert ds[2] <= 0.5 * ds[0]
         assert ds[1] <= ds[0] + 1e-12
+
+
+class TestMapScenarios:
+    def test_forked_workers_run_a_closure_in_scenario_order(self):
+        offset = 10
+        results = map_scenarios(lambda s: (s + offset, os.getpid()), 5, workers=2)
+        assert [value for value, _ in results] == [10, 11, 12, 13, 14]
+        pids = {pid for _, pid in results}
+        assert os.getpid() not in pids and 1 <= len(pids) <= 2
