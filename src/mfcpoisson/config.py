@@ -97,6 +97,21 @@ def _check_finite(section: dict, name: str, key: str) -> None:
         raise ConfigError(f"{name}.{key} must be a finite number, got {value!r}")
 
 
+def _check_init_atoms(init: InitSpec) -> None:
+    atoms, weights = init.atoms, init.weights
+    if atoms.ndim != 1 or not np.all(np.isfinite(atoms)):
+        raise ConfigError("sim.init.atoms must be a list of finite numbers")
+    if weights.shape != atoms.shape:
+        raise ConfigError(
+            f"sim.init.weights needs one entry per atom: {weights.size} weights "
+            f"for {atoms.size} atoms"
+        )
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
+        raise ConfigError("sim.init.weights must be finite and nonnegative")
+    if not weights.sum() > 0:
+        raise ConfigError("sim.init.weights must have a positive total")
+
+
 def _merge_defaults(user: dict, defaults: dict) -> dict:
     out = {}
     for key, val in defaults.items():
@@ -151,11 +166,16 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"verify.tolerances.{name} must be positive")
     if verify["u_grid"]["points"] < 3:
         raise ConfigError("verify.u_grid.points must be at least 3")
+    _check_integer(verify, "verify", "riccati_steps")
+    if verify["riccati_steps"] < 16:
+        raise ConfigError("verify.riccati_steps must be at least 16")
 
     try:
         init = InitSpec.from_config(sim.get("init", {"kind": "gaussian", "mean": 1.0, "std": 0.5}))
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"sim.init section: {err}") from err
+    if init.kind == "atoms":
+        _check_init_atoms(init)
 
     mc = MonteCarloSettings(
         particles=int(sim["particles"]),

@@ -43,6 +43,13 @@ def _provenance(cfg: ExperimentConfig) -> str:
     return f"mfcpoisson {__version__} config_hash={cfg.config_hash}"
 
 
+def _quoted(text: str) -> str:
+    """A CSV string field, quoted when it holds a comma, quote or newline."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_csv(path, cfg: ExperimentConfig, header, rows, extra_comment="") -> int:
     """Write ``rows`` (any iterable) as they come; returns the row count."""
     n_rows = 0
@@ -54,7 +61,8 @@ def write_csv(path, cfg: ExperimentConfig, header, rows, extra_comment="") -> in
         for row in rows:
             fh.write(
                 ",".join(
-                    format(v, ".17g") if isinstance(v, (float, np.floating)) else str(v)
+                    format(v, ".17g") if isinstance(v, (float, np.floating))
+                    else _quoted(v) if isinstance(v, str) else str(v)
                     for v in row
                 )
                 + "\n"

@@ -5,9 +5,16 @@ A scenario is one realization of the driving Poisson randomness.  Under
 cloud approximates the conditional law given that path; under
 ``idiosyncratic`` noise each particle carries its own path and the cloud
 approximates the plain law.  Either way the simulation is an explicit
-Euler scheme on a jump-adapted grid: every Poisson event time is a grid
-node, the jump is applied exactly at its node from the pre-jump state and
-pre-jump empirical law, and the compensator enters the drift.
+Euler scheme with the compensator in the drift, and a jump is applied from
+the pre-jump state and pre-jump empirical law:
+
+* common noise runs on a jump-adapted grid, where every event time is a
+  node and each jump lands at its exact node;
+* idiosyncratic noise runs on the uniform grid, where a jump at
+  t in (t_k, t_{k+1}] lands at the end of its step, node k + 1, moving only
+  its owner.  Every jump of a step reads the same end-of-step cloud and law,
+  so step count and memory do not grow with the number of particles; a jump
+  moves the law by O(1/N), so this stays consistent with Euler at order dt.
 
 Randomness comes from counter-based Philox streams keyed by
 ``(seed, scenario, purpose)`` with purposes ``init`` / ``brownian`` /
@@ -88,7 +95,11 @@ def sample_poisson_path(jumps, T: float, gen: np.random.Generator) -> PoissonPat
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Ordered nodes 0 = t_0 < ... < t_M = T containing every event time."""
+    """Ordered nodes 0 = t_0 < ... < t_M = T.
+
+    Under common noise the grid holds every event time; under idiosyncratic
+    noise it is the uniform grid and events fall between nodes.
+    """
 
     times: np.ndarray
 
@@ -307,8 +318,11 @@ class ParticleCloud:
     ``states[k]`` holds the cloud at node k (post-jump).  ``controls[k]`` is
     the strict control on [t_k, t_{k+1}); for relaxed runs
     ``relaxed_controls[k]`` keeps the (support, weights) pair instead.
-    ``pre_jump_states`` stores the cloud right before each event node so
-    measure-level jump operators can be checked exactly.
+    ``pre_jump_states[k]`` stores the cloud right before the jumps applied at
+    node k, so measure-level jump operators can be checked exactly, and
+    ``event_log`` holds one (node, mark, shift of the cloud mean) entry per
+    event.  A common jump lands at its exact node; an idiosyncratic jump at
+    the end of its step.
     """
 
     grid: TimeGrid
@@ -390,19 +404,6 @@ def _terminal_cost(coeffs: CoefficientSet, x_T) -> float:
     return float(np.broadcast_to(g_vals, x_T.shape).mean())
 
 
-def _collect_events(grid: TimeGrid, mode: str, path, paths):
-    """Map grid node -> list of (particle or None, mark)."""
-    events: dict[int, list] = {}
-    if mode == "common":
-        for t, mark in zip(path.times, path.marks):
-            events.setdefault(grid.node_of(float(t)), []).append((None, int(mark)))
-    else:
-        for i, p in enumerate(paths):
-            for t, mark in zip(p.times, p.marks):
-                events.setdefault(grid.node_of(float(t)), []).append((i, int(mark)))
-    return events
-
-
 def _simulate(
     coeffs: CoefficientSet,
     rule,
@@ -432,21 +433,31 @@ def _simulate(
     if mode == "common":
         if path is None:
             path = sample_poisson_path(jumps, T, substream(seed, scenario, "poisson"))
-        event_times = path.times
+        ev_times, ev_marks, ev_owners = path.times, path.marks, None
+        grid = build_grid(T, dt, path.times)
     else:
         if paths is None:
             gen = substream(seed, scenario, "poisson")
             paths = [sample_poisson_path(jumps, T, gen) for _ in range(n_particles)]
-        event_times = np.concatenate([p.times for p in paths]) if paths else np.empty(0)
+        elif len(paths) != n_particles:
+            raise ValueError("idiosyncratic mode needs one Poisson path per particle")
+        ev_times = np.concatenate([p.times for p in paths])
+        order = np.argsort(ev_times, kind="stable")
+        ev_times = ev_times[order]
+        ev_marks = np.concatenate([p.marks for p in paths])[order]
+        ev_owners = np.repeat(np.arange(n_particles), [p.n_events for p in paths])[order]
+        grid = build_grid(T, dt)
+        if ev_times.size and ev_times[-1] > T:
+            raise ValueError("event times must lie in (0, T]")
 
-    all_marks = path.marks if mode == "common" else (
-        np.concatenate([p.marks for p in paths]) if paths else np.empty(0, dtype=int)
-    )
-    if all_marks.size and (all_marks.min() < 0 or all_marks.max() >= jumps.n_marks):
+    if ev_marks.size and (ev_marks.min() < 0 or ev_marks.max() >= jumps.n_marks):
         raise ValueError("path carries mark indices outside the declared mark set")
 
-    grid = build_grid(T, dt, np.unique(event_times))
-    events = _collect_events(grid, mode, path, paths)
+    # an event at t in (t_k, t_{k+1}] lands on node k + 1 (exactly t_{k+1} in
+    # common mode, whose grid holds every event time); node k's events are
+    # ev_*[bounds[k]:bounds[k + 1]]
+    ev_nodes = np.searchsorted(grid.times, ev_times, side="left")
+    bounds = np.searchsorted(ev_nodes, np.arange(grid.n_steps + 2)).tolist()
 
     gen_init = substream(seed, scenario, "init")
     gen_brownian = substream(seed, scenario, "brownian")
@@ -489,20 +500,30 @@ def _simulate(
         x_new = x + drift * h + diffusion * math.sqrt(h) * noise
 
         node = k + 1
-        if node in events:
+        lo, hi = bounds[node], bounds[node + 1]
+        if hi > lo:
             if history:
                 pre_jump_states[node] = x_new.copy()
-            for particle, mark in events[node]:
-                rho_minus = _law_view(x_new, control, w_cloud)
-                disp = _per_particle(coeffs.jump, x_new, rho_minus, control, mark)
-                if particle is None:
+            if ev_owners is None:
+                for mark in ev_marks[lo:hi].tolist():
+                    rho_minus = _law_view(x_new, control, w_cloud)
+                    disp = _per_particle(coeffs.jump, x_new, rho_minus, control, mark)
                     x_new = x_new + disp
                     event_log.append((node, mark, float(disp.mean())))
-                else:
-                    # x_new is this step's own array: shift the particle in place
-                    shift = float(np.asarray(disp).reshape(-1)[particle])
-                    x_new[particle] += shift
-                    event_log.append((node, mark, shift / n_particles))
+            else:
+                # every jump of the step reads the end-of-step cloud and law;
+                # x_new is this step's own array, so the owners move in place
+                rho_minus = _law_view(x_new, control, w_cloud)
+                marks, owners = ev_marks[lo:hi], ev_owners[lo:hi]
+                shifts = np.empty(hi - lo)
+                for mark in set(marks.tolist()):
+                    sel = marks == mark
+                    disp = _per_particle(coeffs.jump, x_new, rho_minus, control, mark)
+                    shifts[sel] = disp[owners[sel]]
+                np.add.at(x_new, owners, shifts)
+                event_log += zip(
+                    [node] * (hi - lo), marks.tolist(), (shifts / n_particles).tolist()
+                )
 
         if not np.all(np.isfinite(x_new)):
             raise DivergenceError(node, float(times[node]))

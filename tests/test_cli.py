@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -15,6 +16,7 @@ from mfcpoisson.cli import main
 from mfcpoisson.coefficients import lq_coefficients
 from mfcpoisson.config import ConfigError, config_hash, default_config, load_config, parse_config
 from mfcpoisson.errors import DivergenceError, IllPosedError
+from mfcpoisson.experiments import write_csv
 from mfcpoisson.lq import solve_riccati
 
 
@@ -127,6 +129,30 @@ class TestConfigFieldTypes:
         path = write_config(tmp_path, cfg)
         assert main(["riccati", "--config", path, "--out", str(tmp_path / "r.csv")]) == 2
         assert f"{section}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "atoms, weights, field",
+        [
+            ([0.0, 1.0], [0.5, -0.5], "sim.init.weights"),
+            ([0.0, 1.0], [0.5, math.nan], "sim.init.weights"),
+            ([0.0, 1.0], [0.0, 0.0], "sim.init.weights"),
+            ([0.0, 1.0, 2.0], [0.5, 0.5], "sim.init.weights"),
+            ([0.0, math.inf], [0.5, 0.5], "sim.init.atoms"),
+        ],
+    )
+    def test_bad_init_atoms_exit_2_naming_the_field(self, tmp_path, capsys, atoms, weights, field):
+        cfg = small_config(init={"kind": "atoms", "atoms": atoms, "weights": weights})
+        path = write_config(tmp_path, cfg)
+        assert main(["cost", "--config", path]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steps", [8, "64", 64.0, True])
+    def test_bad_riccati_steps_exit_2_naming_the_field(self, tmp_path, capsys, steps):
+        cfg = small_config()
+        cfg["verify"]["riccati_steps"] = steps
+        path = write_config(tmp_path, cfg)
+        assert main(["riccati", "--config", path, "--out", str(tmp_path / "r.csv")]) == 2
+        assert "verify.riccati_steps" in capsys.readouterr().err
 
     def test_integer_model_field_and_zero_seed_accepted(self):
         cfg = small_config()
@@ -375,6 +401,21 @@ class TestFpPairingDump:
         lines = [l for l in table.read_text().splitlines() if not l.startswith("#")]
         assert lines[0] == "step,phi,predicted,observed,residual"
         assert len(lines) > 1
+        rows = list(csv.reader(lines))
+        assert all(len(row) == 5 for row in rows)
+        assert any("," in row[1] for row in rows)  # names such as gauss(0.0,1.0)
+        assert not any(row[1].startswith('"') for row in rows)
+
+    def test_rows_without_commas_are_written_unquoted(self, tmp_path):
+        cfg = parse_config(small_config())
+        out = tmp_path / "rows.csv"
+        rows = [(1, "plain", 0.5), (2, "a,b", 1.0), (3, 'say "hi"', np.float64(0.25))]
+        assert write_csv(out, cfg, ["k", "name", "v"], rows) == 3
+        lines = out.read_text().splitlines()[1:]
+        assert lines == ["k,name,v", "1,plain,0.5", '2,"a,b",1', '3,"say ""hi""",0.25']
+        assert list(csv.reader(lines))[1:] == [
+            ["1", "plain", "0.5"], ["2", "a,b", "1"], ["3", 'say "hi"', "0.25"]
+        ]
 
 
 class TestChatteringCommand:

@@ -194,6 +194,111 @@ class TestJumpCoupling:
             assert moved.sum() == 1
 
 
+def _mean_reverting_jumps():
+    """Jumps toward the cloud mean, mark-dependent; no drift, no diffusion."""
+    return CoefficientSet(
+        jumps=JumpSpec([1.0, 2.0], [1.0, 1.0], [0.0, 0.0]),
+        drift=lambda x, rho, u: 0.0 * x,
+        diffusion=lambda x, rho, u: 0.0 * x,
+        jump=lambda x, rho, u, mark: (0.5 + mark) * (rho.mean_state[0] - x) + 0.1 * (mark + 1),
+        running_cost=lambda x, rho, u: 0.0 * x,
+        terminal_cost=lambda x, mu: 0.0 * x,
+    )
+
+
+def _jump(x, mean, mark):
+    return (0.5 + mark) * (mean - x) + 0.1 * (mark + 1)
+
+
+def _idio_cloud(paths, n=4):
+    return simulate_strict(
+        _mean_reverting_jumps(), FeedbackRule.constant(0.0), n, 1.0, 0.25, seed=5,
+        mode="idiosyncratic", paths=paths,
+        init=InitSpec("gaussian", mean=1.0, std=0.8),
+    )
+
+
+def _hand_paths(rows):
+    return [PoissonPath(np.array(t, dtype=float), np.array(m, dtype=int)) for t, m in rows]
+
+
+class TestIdiosyncraticWithinStep:
+    # grid 0, .25, .5, .75, 1: an event at t in (t_k, t_{k+1}] lands on node k + 1
+    ROWS = [
+        ([0.3], [0]),  # node 2
+        ([0.4], [1]),  # node 2, same step as particle 0
+        ([0.55, 0.6], [0, 1]),  # node 3, twice in one step
+        ([0.75], [0]),  # node 3, exactly on the node
+    ]
+
+    def test_grid_is_uniform(self):
+        cloud = _idio_cloud(_hand_paths(self.ROWS))
+        np.testing.assert_array_equal(cloud.times, np.linspace(0.0, 1.0, 5))
+        assert set(cloud.pre_jump_states) == {2, 3}
+
+    def test_event_inside_step_moves_only_its_owners_at_the_next_node(self):
+        cloud = _idio_cloud(_hand_paths(self.ROWS))
+        pre = cloud.pre_jump_states[2]
+        mean = pre.mean()
+        want = pre.copy()
+        want[0] += _jump(pre[0], mean, 0)
+        want[1] += _jump(pre[1], mean, 1)
+        np.testing.assert_allclose(cloud.states[2], want, rtol=0, atol=1e-14)
+        assert np.array_equal(cloud.states[2][2:], pre[2:])
+        assert not np.array_equal(pre, cloud.states[1])  # the step's Euler move came first
+
+    def test_same_step_jumps_read_the_same_pre_jump_law(self):
+        first = _idio_cloud(_hand_paths([([0.3], [0]), ([0.4], [0]), ([], []), ([], [])]))
+        swapped = _idio_cloud(_hand_paths([([0.4], [0]), ([0.3], [0]), ([], []), ([], [])]))
+        np.testing.assert_array_equal(first.states, swapped.states)
+        assert sorted(first.event_log) == sorted(swapped.event_log)
+
+    def test_two_jumps_in_one_step_both_apply(self):
+        cloud = _idio_cloud(_hand_paths(self.ROWS))
+        pre = cloud.pre_jump_states[3]
+        mean = pre.mean()
+        want = pre.copy()
+        want[2] += _jump(pre[2], mean, 0) + _jump(pre[2], mean, 1)
+        want[3] += _jump(pre[3], mean, 0)
+        np.testing.assert_allclose(cloud.states[3], want, rtol=0, atol=1e-14)
+        assert np.array_equal(cloud.states[3][:2], pre[:2])
+
+    def test_event_log_has_one_entry_per_event(self):
+        cloud = _idio_cloud(_hand_paths(self.ROWS))
+        owners = [0, 1, 2, 2, 3]
+        assert [(node, mark) for node, mark, _ in cloud.event_log] == [
+            (2, 0), (2, 1), (3, 0), (3, 1), (3, 0)
+        ]
+        for (node, mark, disp), i in zip(cloud.event_log, owners):
+            pre = cloud.pre_jump_states[node]
+            assert disp == pytest.approx(_jump(pre[i], pre.mean(), mark) / 4, abs=1e-15)
+
+    def test_needs_one_path_per_particle(self):
+        with pytest.raises(ValueError):
+            _idio_cloud(_hand_paths(self.ROWS[:3]))
+
+    def test_rejects_event_after_horizon(self):
+        with pytest.raises(ValueError):
+            _idio_cloud(_hand_paths(self.ROWS[:3] + [([1.5], [0])]))
+
+
+class TestIdiosyncraticCostIsLinear:
+    @pytest.mark.parametrize("n", [50, 500, 2000])
+    def test_steps_and_history_do_not_grow_with_particles(self, n):
+        T, dt = 1.0, 1e-2
+        coeffs = lq(sigma=0.3, jumps=JumpSpec([1.0], [2.0], [0.3]))
+        cloud = simulate_strict(
+            coeffs, FeedbackRule(lambda t, x, m: -0.5 * x), n, T, dt, seed=9,
+            mode="idiosyncratic",
+        )
+        steps = int(np.ceil(T / dt))
+        assert len(cloud.event_log) > n  # about 2n jumps in all
+        assert cloud.grid.n_steps == steps
+        assert cloud.states.nbytes == (steps + 1) * n * 8
+        # at most one stored pre-jump cloud per step
+        assert sum(a.nbytes for a in cloud.pre_jump_states.values()) <= steps * n * 8
+
+
 class TestRelaxedSimulation:
     def test_dirac_rule_is_bit_identical_to_strict(self):
         coeffs = lq(b1=0.5, b2=0.4, sigma=0.4, jumps=JumpSpec([1.0], [1.0], [0.3]))
