@@ -44,6 +44,7 @@ from .simulate import (  # noqa: F401
     TimeGrid,
     chattering,
     estimate_cost,
+    paired_costs,
     sample_poisson_path,
     simulate_cost,
     simulate_relaxed,

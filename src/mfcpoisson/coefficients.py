@@ -5,6 +5,10 @@ bundles the drift/diffusion/jump/cost evaluators together with the optional
 state-derivative and linear-derivative (measure-kernel) evaluators needed by
 the adjoint machinery.  Evaluators must be pure and vectorized over particle
 arrays; measure arguments arrive as atom measures from :mod:`mfcpoisson.measures`.
+Paired rules simulated in lock-step pass (R, N) arrays, one row per rule, with
+a law view whose ``mean_state[0]`` and ``mean_control[0]`` are (R, 1) columns;
+evaluators used there must be elementwise and read the law only through those
+two means, as the linear-quadratic family does.
 
 Jump marks form a finite set: integrals over the mark space are finite sums
 weighted by per-mark intensities.
@@ -12,6 +16,7 @@ weighted by per-mark intensities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -74,7 +79,7 @@ class JumpSpec:
     def total_intensity(self) -> float:
         return float(self.intensities.sum())
 
-    @property
+    @cached_property
     def gamma_l2(self) -> float:
         """Gamma = integral of gamma(z)^2 against the intensity measure."""
         return float(self.gamma_values**2 @ self.intensities)

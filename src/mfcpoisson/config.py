@@ -112,6 +112,21 @@ def _check_init_atoms(init: InitSpec) -> None:
         raise ConfigError("sim.init.weights must have a positive total")
 
 
+def _check_marks(jumps) -> None:
+    if not isinstance(jumps, dict):
+        return
+    rows = jumps.get("marks", [])
+    if not isinstance(rows, list):
+        raise ConfigError("jumps.marks must be a list")
+    for i, row in enumerate(rows):
+        name = f"jumps.marks[{i}]"
+        if not isinstance(row, dict):
+            raise ConfigError(f"{name} must be an object")
+        _require(row, name, ["z", "lambda", "gamma"])
+        for key in ("z", "lambda", "gamma"):
+            _check_finite(row, name, key)
+
+
 def _merge_defaults(user: dict, defaults: dict) -> dict:
     out = {}
     for key, val in defaults.items():
@@ -142,6 +157,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     for key in ("particles", "scenarios", "seed"):
         _check_integer(sim, "sim", key)
     _check_finite(sim, "sim", "dt")
+    _check_marks(raw.get("jumps"))
 
     try:
         params = LQParams.from_config(model, raw.get("jumps"))
@@ -154,6 +170,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("sim.scenarios must be at least 1")
     if not sim["dt"] > 0:
         raise ConfigError("sim.dt must be positive")
+    if sim["dt"] > model["T"]:
+        raise ConfigError(f"sim.dt must not exceed model.T, got {sim['dt']!r} > {model['T']!r}")
     if sim["seed"] < 0:
         raise ConfigError("sim.seed must be nonnegative")
     mode = sim.get("mode", "common")
@@ -170,12 +188,18 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if verify["riccati_steps"] < 16:
         raise ConfigError("verify.riccati_steps must be at least 16")
 
+    init_raw = sim.get("init", {"kind": "gaussian", "mean": 1.0, "std": 0.5})
     try:
-        init = InitSpec.from_config(sim.get("init", {"kind": "gaussian", "mean": 1.0, "std": 0.5}))
+        init = InitSpec.from_config(init_raw)
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"sim.init section: {err}") from err
     if init.kind == "atoms":
         _check_init_atoms(init)
+    else:
+        _check_finite(init_raw, "sim.init", "mean")
+        _check_finite(init_raw, "sim.init", "std")
+        if init_raw["std"] < 0:
+            raise ConfigError(f"sim.init.std must be nonnegative, got {init_raw['std']!r}")
 
     mc = MonteCarloSettings(
         particles=int(sim["particles"]),

@@ -57,6 +57,7 @@ class RiccatiSolution:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_last_query", (None, None))
 
     @property
     def gamma_l2(self) -> float:
@@ -67,6 +68,20 @@ class RiccatiSolution:
 
     def eta_at(self, t) -> np.ndarray | float:
         return np.interp(t, self.ts, self.eta)
+
+    def beta_eta_at(self, t) -> Tuple:
+        """``(beta_at(t), eta_at(t))``; the last scalar query is remembered.
+
+        Paired rules query the same time once each per Euler step, and the
+        remembered pair is the very ``np.interp`` result.
+        """
+        last_t, values = self._last_query
+        if isinstance(t, float) and last_t == t:
+            return values
+        values = self.beta_at(t), self.eta_at(t)
+        if isinstance(t, float):
+            object.__setattr__(self, "_last_query", (t, values))
+        return values
 
     def rhs_at(self, t) -> Tuple[np.ndarray, np.ndarray]:
         """ODE right-hand side evaluated on the interpolated solution."""
@@ -163,12 +178,12 @@ def _mean_feedback(sol: RiccatiSolution, gamma_l2: float, beta, eta, cond_mean):
 
 def mean_optimal_control(sol: RiccatiSolution, t, cond_mean):
     """Conditional mean of the optimal feedback."""
-    return _mean_feedback(sol, sol.gamma_l2, sol.beta_at(t), sol.eta_at(t), cond_mean)
+    return _mean_feedback(sol, sol.gamma_l2, *sol.beta_eta_at(t), cond_mean)
 
 
 def optimal_control(sol: RiccatiSolution, t, x, cond_mean):
     """Optimal feedback  alpha(t, x) ;  vectorized over states."""
-    beta, eta = sol.beta_at(t), sol.eta_at(t)
+    beta, eta = sol.beta_eta_at(t)
     gamma_l2 = sol.gamma_l2
     gain = sol.params.b3 * beta / (1.0 + gamma_l2 * beta)
     return _mean_feedback(sol, gamma_l2, beta, eta, cond_mean) - gain * (
@@ -178,7 +193,7 @@ def optimal_control(sol: RiccatiSolution, t, x, cond_mean):
 
 def value_function(sol: RiccatiSolution, t, mu: EmpiricalMeasure) -> float:
     """Measure quadratic (beta <x^2> + eta <x>^2)/2."""
-    beta, eta = sol.beta_at(t), sol.eta_at(t)
+    beta, eta = sol.beta_eta_at(t)
     return float(0.5 * (beta * mu.second_moment_raw() + eta * mu.mean[0] ** 2))
 
 
@@ -195,7 +210,7 @@ def adjoint_profile(sol: RiccatiSolution, t, x, cond_mean):
     under idiosyncratic jumps.
     """
     params = sol.params
-    beta, eta = sol.beta_at(t), sol.eta_at(t)
+    beta, eta = sol.beta_eta_at(t)
     x = np.asarray(x, dtype=float)
     alpha = optimal_control(sol, t, x, cond_mean)
     p = beta * x + eta * cond_mean

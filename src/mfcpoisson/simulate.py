@@ -23,6 +23,16 @@ keys reproduce bit-identical clouds, and control variants under one key see
 identical noise, which is what the paired cost comparisons rely on.
 Because a scenario's draws depend on nothing but its key, scenarios can run
 in any order on any worker: :func:`map_scenarios` fans them out.
+
+Paired costs run in lock-step.  :func:`paired_costs` advances R strict rules
+of one scenario as the rows of an (R, N) cloud in the same Euler loop that
+runs a single rule: each rule is called on its own row, the Brownian vector
+is drawn once per step for all rows, and the coefficients are evaluated once
+on the (R, N) arrays.  Coefficient evaluators must therefore be elementwise,
+and they see ``rho.mean_state[0]`` and ``rho.mean_control[0]`` as (R, 1)
+columns.  Each row's means are the same dot products that a run of its rule
+alone forms, so every paired cost equals :func:`simulate_cost` of its rule
+bit for bit.
 """
 from __future__ import annotations
 
@@ -156,7 +166,8 @@ class FeedbackRule:
 
     def evaluate(self, t, states, cond_mean):
         u = np.asarray(self.fn(t, states, cond_mean), dtype=float)
-        u = np.broadcast_to(u, states.shape).astype(float, copy=False)
+        if u.shape != states.shape:
+            u = np.broadcast_to(u, states.shape)
         if self.box is not None and not self.box.contains(u.reshape(-1, 1)):
             raise ValueError(f"control outside the declared box at t={t:.6g}")
         return u
@@ -363,12 +374,30 @@ class ParticleCloud:
         return self.states.mean(axis=1)
 
 
-def _law_view(x, control, w_cloud) -> JointEmpiricalMeasure:
+class _PairedLaw:
+    """Law view of paired strict clouds, one row of ``x`` and ``u`` per rule.
+
+    Evaluators see ``mean_state[0]`` and ``mean_control[0]`` as (R, 1)
+    columns.  Row r is the ``w @ x[r]`` product that
+    :meth:`JointEmpiricalMeasure.trusted` forms for a single rule, so every
+    row keeps the bits of its own run; one ``x @ w`` product over all rows
+    would not.
+    """
+
+    __slots__ = ("mean_state", "mean_control")
+
+    def __init__(self, x, u, w_cloud):
+        self.mean_state = np.array([[w_cloud @ row.reshape(-1, 1) for row in x]])
+        self.mean_control = np.array([[w_cloud @ row.reshape(-1, 1) for row in u]])
+
+
+def _law_view(x, control, w_cloud):
     """Joint law of the cloud and its control on one step, unvalidated.
 
     ``control`` is the strict control array or the relaxed (support, weights)
     pair; ``w_cloud`` is the uniform particle weight vector.  A relaxed
-    control is projected: atom (x_i, u_ia) carries weight w_i q_ia.
+    control is projected: atom (x_i, u_ia) carries weight w_i q_ia.  A 2-D
+    ``x`` holds paired clouds, one per row, and gets a :class:`_PairedLaw`.
     """
     if isinstance(control, tuple):
         support, qw = control
@@ -377,6 +406,8 @@ def _law_view(x, control, w_cloud) -> JointEmpiricalMeasure:
             support.reshape(-1),
             (w_cloud[:, None] * qw).reshape(-1),
         )
+    if x.ndim == 2:
+        return _PairedLaw(x, control, w_cloud)
     return JointEmpiricalMeasure.trusted(x, control, w_cloud)
 
 
@@ -392,9 +423,14 @@ def _per_particle(fn, x, rho, control, *extra) -> np.ndarray:
     return vals if vals.shape == x.shape else np.broadcast_to(vals, x.shape)
 
 
-def _running_cost_rate(coeffs: CoefficientSet, x, rho, control) -> float:
-    """Cloud mean of the running cost on one step."""
-    return float(_per_particle(coeffs.running_cost, x, rho, control).mean())
+def _running_cost_rate(coeffs: CoefficientSet, x, rho, control):
+    """Cloud mean of the running cost on one step, one per row of ``x``.
+
+    Each row is made contiguous, so its mean has the bits of the same 1-D
+    array's mean even when the evaluator returned a broadcast value.
+    """
+    vals = _per_particle(coeffs.running_cost, x, rho, control)
+    return np.ascontiguousarray(vals).mean(axis=-1)
 
 
 def _terminal_cost(coeffs: CoefficientSet, x_T) -> float:
@@ -406,7 +442,7 @@ def _terminal_cost(coeffs: CoefficientSet, x_T) -> float:
 
 def _simulate(
     coeffs: CoefficientSet,
-    rule,
+    rules: Sequence,
     n_particles: int,
     T: float,
     dt: float,
@@ -420,14 +456,30 @@ def _simulate(
 ):
     """The Euler loop behind every entry point.
 
-    With ``history`` it returns the :class:`ParticleCloud`; without, it keeps
-    only the current cloud and returns the sample cost, summing the running
-    cost step by step in the order :func:`cost_of_cloud` sums it.
+    ``rules`` are paired variants of one scenario: strict rules advance in
+    lock-step as the rows of one (R, N) cloud on a single draw of the
+    initial states, Brownian increments and Poisson events, with the
+    coefficients evaluated once on the whole array.  Each row takes exactly
+    the steps of a run of its rule alone, so each cost keeps its bits.  A
+    relaxed rule runs alone (R = 1).
+
+    With ``history`` (one rule) it returns the :class:`ParticleCloud`;
+    without, it keeps only the current clouds and returns the list of
+    sample costs, summing the running cost step by step in the order
+    :func:`cost_of_cloud` sums it.
+
+    A failure is the one that running the rules one after another would
+    raise first: a row that fails is dropped with every row above it, the
+    lower rows run on, and the lowest failed row's error is raised at the
+    end.
     """
     if mode not in ("common", "idiosyncratic"):
         raise ValueError("mode must be 'common' or 'idiosyncratic'")
     if n_particles < 2:
         raise ValueError("need at least two particles for an empirical law")
+    relaxed = rules[0].kind == "relaxed"
+    if len(rules) > 1 and (history or any(r.kind != "strict" for r in rules)):
+        raise ValueError("only strict rules run paired, and without history")
 
     jumps = coeffs.jumps
     if mode == "common":
@@ -461,9 +513,13 @@ def _simulate(
 
     gen_init = substream(seed, scenario, "init")
     gen_brownian = substream(seed, scenario, "brownian")
+    # the live rows are rules 0..live-1; one live row is kept 1-D, as a
+    # single rule's cloud, and ``x[r]`` is contiguous either way
+    live = len(rules)
     x = init.sample(n_particles, gen_init)
+    if live > 1:
+        x = np.tile(x, (live, 1))
 
-    relaxed = rule.kind == "relaxed"
     m_steps = grid.n_steps
     if history:
         states = np.empty((m_steps + 1, n_particles))
@@ -472,34 +528,25 @@ def _simulate(
         relaxed_controls = [] if relaxed else None
     pre_jump_states: dict = {}
     event_log: list = []
-    running = 0.0
+    running = np.zeros(live)
+    failure = None
     lam = jumps.intensities
     w_cloud = np.full(n_particles, 1.0 / n_particles)
     times = grid.times
 
-    for k in range(m_steps):
-        t = times[k]
-        h = times[k + 1] - times[k]
-        cond_mean = float(x.mean())
+    def first_rows(arr, n_rows):
+        return arr[0] if n_rows == 1 else arr[:n_rows]
 
-        control = rule.evaluate(t, x, cond_mean)
+    def advance(x, control, h, noise, node):
+        """States at ``node`` and the running-cost rate of this step."""
         rho = _law_view(x, control, w_cloud)
         drift = _per_particle(coeffs.drift, x, rho, control)
         for j in range(jumps.n_marks):
             drift = drift - lam[j] * _per_particle(coeffs.jump, x, rho, control, j)
         diffusion = _per_particle(coeffs.diffusion, x, rho, control)
-        if history:
-            if relaxed:
-                relaxed_controls.append(control)
-            else:
-                controls[k] = control
-        else:
-            running += h * _running_cost_rate(coeffs, x, rho, control)
-
-        noise = gen_brownian.standard_normal(n_particles)
+        rate = None if history else _running_cost_rate(coeffs, x, rho, control)
         x_new = x + drift * h + diffusion * math.sqrt(h) * noise
 
-        node = k + 1
         lo, hi = bounds[node], bounds[node + 1]
         if hi > lo:
             if history:
@@ -509,30 +556,88 @@ def _simulate(
                     rho_minus = _law_view(x_new, control, w_cloud)
                     disp = _per_particle(coeffs.jump, x_new, rho_minus, control, mark)
                     x_new = x_new + disp
-                    event_log.append((node, mark, float(disp.mean())))
+                    if history:
+                        event_log.append((node, mark, float(disp.mean())))
             else:
                 # every jump of the step reads the end-of-step cloud and law;
                 # x_new is this step's own array, so the owners move in place
                 rho_minus = _law_view(x_new, control, w_cloud)
                 marks, owners = ev_marks[lo:hi], ev_owners[lo:hi]
-                shifts = np.empty(hi - lo)
+                shifts = np.empty(x_new.shape[:-1] + (hi - lo,))
                 for mark in set(marks.tolist()):
                     sel = marks == mark
                     disp = _per_particle(coeffs.jump, x_new, rho_minus, control, mark)
-                    shifts[sel] = disp[owners[sel]]
-                np.add.at(x_new, owners, shifts)
-                event_log += zip(
-                    [node] * (hi - lo), marks.tolist(), (shifts / n_particles).tolist()
-                )
+                    shifts[..., sel] = disp[..., owners[sel]]
+                np.add.at(x_new, (Ellipsis, owners), shifts)
+                if history:
+                    event_log.extend(zip(
+                        [node] * (hi - lo), marks.tolist(), (shifts / n_particles).tolist()
+                    ))
+        return x_new, rate
 
-        if not np.all(np.isfinite(x_new)):
-            raise DivergenceError(node, float(times[node]))
+    for k in range(m_steps):
+        t = times[k]
+        h = times[k + 1] - times[k]
+        node = k + 1
+
+        rows = x.reshape(live, n_particles)
+        cond_means = rows.mean(axis=1).tolist()  # each row's bits, as rows[r].mean()
+        row_controls = []
+        for r in range(live):
+            try:
+                row_controls.append(rules[r].evaluate(t, rows[r], cond_means[r]))
+            except Exception as err:
+                if r == 0:
+                    raise
+                failure, live = err, r
+                x = first_rows(x, live)
+                break
+        control = row_controls[0] if live == 1 else np.stack(row_controls)
+
+        noise = gen_brownian.standard_normal(n_particles)
+        try:
+            x_new, rate = advance(x, control, h, noise, node)
+        except Exception:
+            if live == 1:
+                raise
+            # the lowest row whose own step raises, as its run alone would
+            for r in range(live):
+                try:
+                    advance(x[r], control[r], h, noise, node)
+                except Exception as err:
+                    if r == 0:
+                        raise
+                    failure, live = err, r
+                    break
+            else:
+                raise
+            x, control = first_rows(x, live), first_rows(control, live)
+            x_new, rate = advance(x, control, h, noise, node)
+
+        finite = np.isfinite(x_new).reshape(live, -1).all(axis=1)
+        if not finite.all():
+            err = DivergenceError(node, float(times[node]))
+            bad = int(np.argmin(finite))
+            if bad == 0:
+                raise err
+            failure, live = err, bad
+            x_new, rate = first_rows(x_new, live), rate[:live]
         if history:
+            if relaxed:
+                relaxed_controls.append(control)
+            else:
+                controls[k] = control
             states[node] = x_new
+        else:
+            running[:live] += h * rate
         x = x_new
 
     if not history:
-        return running + _terminal_cost(coeffs, x)
+        rows = x.reshape(live, n_particles)
+        costs = [running[r] + _terminal_cost(coeffs, rows[r]) for r in range(live)]
+        if failure is not None:
+            raise failure
+        return costs
     return ParticleCloud(
         grid=grid,
         states=states,
@@ -565,7 +670,7 @@ def simulate_strict(
     if rule.kind != "strict":
         raise TypeError("simulate_strict needs a strict control rule")
     return _simulate(
-        coeffs, rule, n_particles, T, dt, mode, seed, scenario, init, path, paths,
+        coeffs, [rule], n_particles, T, dt, mode, seed, scenario, init, path, paths,
         history=True,
     )
 
@@ -587,7 +692,7 @@ def simulate_relaxed(
     if rule.kind != "relaxed":
         raise TypeError("simulate_relaxed needs a relaxed control rule")
     return _simulate(
-        coeffs, rule, n_particles, T, dt, mode, seed, scenario, init, path, paths,
+        coeffs, [rule], n_particles, T, dt, mode, seed, scenario, init, path, paths,
         history=True,
     )
 
@@ -616,11 +721,39 @@ def simulate_cost(
     :func:`cost_of_cloud` of the matching cloud bit for bit, while memory
     stays at one cloud instead of ``(steps + 1) x N``.
     """
-    if rule.kind not in ("strict", "relaxed"):
-        raise TypeError(f"unknown control rule kind {rule.kind!r}")
+    return paired_costs(
+        coeffs, [rule], n_particles, T, dt, mode, seed, scenario, init, path, paths
+    )[0]
+
+
+def paired_costs(
+    coeffs: CoefficientSet,
+    rules: Sequence,
+    n_particles: int,
+    T: float,
+    dt: float,
+    mode: str = "common",
+    seed: int = 0,
+    scenario: int = 0,
+    init: InitSpec = InitSpec(),
+    path: Optional[PoissonPath] = None,
+    paths: Optional[list] = None,
+) -> list:
+    """Sample costs of paired rules on one scenario, advanced in lock-step.
+
+    The rules share the scenario's noise (common random numbers).  Strict
+    rules run as the rows of one cloud, so each cost equals
+    :func:`simulate_cost` of its rule alone bit for bit; a relaxed rule must
+    come alone.
+    """
+    if not rules:
+        raise ValueError("need at least one rule")
+    for rule in rules:
+        if rule.kind not in ("strict", "relaxed"):
+            raise TypeError(f"unknown control rule kind {rule.kind!r}")
     return _simulate(
-        coeffs, rule, n_particles, T, dt, mode, seed, scenario, init, path, paths,
-        history=False,
+        coeffs, list(rules), n_particles, T, dt, mode, seed, scenario, init, path,
+        paths, history=False,
     )
 
 

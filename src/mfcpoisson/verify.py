@@ -57,7 +57,7 @@ from .simulate import (
     RelaxedRule,
     chattering,
     map_scenarios,
-    simulate_cost,
+    paired_costs,
     simulate_strict,
 )
 
@@ -177,12 +177,21 @@ def scenario_costs(
     mc: MonteCarloSettings,
     scenario: int,
 ) -> list:
-    """Sample cost of each rule on one scenario; the rules share its noise."""
-    return [
-        simulate_cost(
-            coeffs, rule, mc.particles, horizon, mc.dt,
+    """Sample cost of each rule on one scenario; the rules share its noise.
+
+    The strict rules advance together in one lock-step run and each relaxed
+    rule runs alone; every cost equals that of its rule run alone.
+    """
+    def costs(group):
+        return paired_costs(
+            coeffs, group, mc.particles, horizon, mc.dt,
             mode=mc.mode, seed=mc.seed, scenario=scenario, init=mc.init,
         )
+
+    strict = [rule for rule in rules if rule.kind == "strict"]
+    strict_costs = iter(costs(strict) if strict else [])
+    return [
+        next(strict_costs) if rule.kind == "strict" else costs([rule])[0]
         for rule in rules
     ]
 

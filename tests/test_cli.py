@@ -154,6 +154,27 @@ class TestConfigFieldTypes:
         assert main(["riccati", "--config", path, "--out", str(tmp_path / "r.csv")]) == 2
         assert "verify.riccati_steps" in capsys.readouterr().err
 
+    def test_step_longer_than_horizon_exits_2(self, tmp_path, capsys):
+        cfg = small_config(dt=1.5)
+        path = write_config(tmp_path, cfg)
+        assert main(["cost", "--config", path]) == 2
+        assert "sim.dt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["gamma", "lambda", "z"])
+    def test_string_mark_field_exits_2_naming_it(self, tmp_path, capsys, key):
+        cfg = small_config()
+        cfg["jumps"]["marks"][0][key] = "0.3"
+        path = write_config(tmp_path, cfg)
+        assert main(["cost", "--config", path]) == 2
+        assert f"jumps.marks[0].{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("std", [-0.5, math.inf, math.nan, "0.5"])
+    def test_bad_init_std_exits_2_naming_it(self, tmp_path, capsys, std):
+        cfg = small_config(init={"kind": "gaussian", "mean": 1.0, "std": std})
+        path = write_config(tmp_path, cfg)
+        assert main(["cost", "--config", path]) == 2
+        assert "sim.init.std" in capsys.readouterr().err
+
     def test_integer_model_field_and_zero_seed_accepted(self):
         cfg = small_config()
         cfg["model"]["T"] = 1

@@ -5,7 +5,7 @@ import pytest
 
 from mfcpoisson.coefficients import CoefficientSet, JumpSpec, LQParams, lq_coefficients
 from mfcpoisson.errors import DivergenceError
-from mfcpoisson.measures import ControlMeasure, fm_distance
+from mfcpoisson.measures import Box, ControlMeasure, fm_distance
 from mfcpoisson.simulate import (
     FeedbackRule,
     InitSpec,
@@ -17,6 +17,7 @@ from mfcpoisson.simulate import (
     cost_of_cloud,
     estimate_cost,
     map_scenarios,
+    paired_costs,
     sample_poisson_path,
     simulate_cost,
     simulate_relaxed,
@@ -182,16 +183,26 @@ class TestJumpCoupling:
             assert np.mean(pre**2) != np.mean(post**2)
 
     def test_idiosyncratic_moves_only_owner(self):
+        # the particles moved at a node are exactly the owners of its events;
+        # seeds 0, 2 and 16 put two particles' events in one step
         spec = JumpSpec([1.0], [1.0], [0.8])
         coeffs = lq(b3=0.0, jumps=spec)  # no drift except compensator
-        cloud = simulate_strict(
-            coeffs, FeedbackRule.constant(1.0), 5, 1.0, 0.05, seed=17,
-            mode="idiosyncratic",
-        )
-        for node, mark, _ in cloud.event_log:
-            pre = cloud.pre_jump_states[node]
-            moved = np.abs(cloud.states[node] - pre) > 1e-12
-            assert moved.sum() == 1
+        multi_event_nodes = 0
+        for seed in range(60):
+            cloud = simulate_strict(
+                coeffs, FeedbackRule.constant(1.0), 5, 1.0, 0.05, seed=seed,
+                mode="idiosyncratic",
+            )
+            owners = {}
+            for i, p in enumerate(cloud.paths):
+                for node in np.searchsorted(cloud.grid.times, p.times, side="left"):
+                    owners.setdefault(int(node), set()).add(i)
+            assert set(cloud.pre_jump_states) == set(owners)
+            for node, pre in cloud.pre_jump_states.items():
+                moved = np.abs(cloud.states[node] - pre) > 1e-12
+                assert set(np.flatnonzero(moved).tolist()) == owners[node]
+                multi_event_nodes += len(owners[node]) > 1
+        assert multi_event_nodes > 0
 
 
 def _mean_reverting_jumps():
@@ -525,6 +536,75 @@ class TestChattering:
         assert ds[2] < ds[0]
         assert ds[2] <= 0.5 * ds[0]
         assert ds[1] <= ds[0] + 1e-12
+
+
+def _blows_up_from(t_blow):
+    """A control that turns infinite at ``t_blow``; the cloud diverges a step later."""
+    return FeedbackRule(lambda t, x, m: np.full_like(x, np.inf if t >= t_blow else -0.5))
+
+
+class TestPairedFailures:
+    """Lock-step raises what running the rules one after another raises first."""
+
+    RUN = dict(n_particles=20, T=1.0, dt=0.01, seed=3, scenario=1)
+
+    def raised(self, rules):
+        coeffs = lq(jumps=JumpSpec([1.0], [2.0], [0.3]))
+        with np.errstate(all="ignore"):
+            try:
+                paired_costs(coeffs, rules, **self.RUN)
+            except Exception as err:
+                paired = err
+            for rule in rules:
+                try:
+                    simulate_cost(coeffs, rule, **self.RUN)
+                except Exception as err:
+                    return paired, err
+        raise AssertionError("no rule failed")
+
+    def test_lowest_rule_divergence_wins_over_an_earlier_one(self):
+        paired, alone = self.raised([_blows_up_from(0.6), _blows_up_from(0.2)])
+        assert isinstance(paired, DivergenceError) and isinstance(alone, DivergenceError)
+        assert (paired.step, paired.time) == (alone.step, alone.time)
+        assert paired.time > 0.6  # rule 0's step, not rule 1's
+
+    def test_failure_of_a_higher_rule_is_raised_at_the_end(self):
+        box = Box(np.array([-1.0]), np.array([1.0]))
+        outside = FeedbackRule(lambda t, x, m: np.full_like(x, 2.0 if t >= 0.4 else 0.0), box)
+        rules = [FeedbackRule.constant(0.1), outside, _blows_up_from(0.1)]
+        paired, alone = self.raised(rules)
+        assert type(paired) is ValueError and str(paired) == str(alone)
+        assert "outside the declared box" in str(paired)
+
+    def test_coefficient_error_is_attributed_to_its_rule(self):
+        def running_cost(x, rho, u):
+            if np.any(np.asarray(rho.mean_control[0]) > 1.0):
+                raise FloatingPointError(f"control mean {np.max(rho.mean_control[0])}")
+            return 0.5 * u**2
+
+        coeffs = CoefficientSet(
+            jumps=JumpSpec.empty(),
+            drift=lambda x, rho, u: u + 0.0 * x,
+            diffusion=lambda x, rho, u: 0.1 + 0.0 * x,
+            jump=lambda x, rho, u, mark: 0.0 * x,
+            running_cost=running_cost,
+            terminal_cost=lambda x, mu: 0.0 * x,
+        )
+        # the whole batch would report 4.0; rule 1 alone reports 3.0
+        rules = [FeedbackRule.constant(0.5), FeedbackRule.constant(3.0),
+                 FeedbackRule.constant(4.0)]
+        with pytest.raises(FloatingPointError, match="control mean 3.0"):
+            simulate_cost(coeffs, rules[1], **self.RUN)
+        with pytest.raises(FloatingPointError, match="control mean 3.0"):
+            paired_costs(coeffs, rules, **self.RUN)
+        assert paired_costs(coeffs, rules[:1], **self.RUN) == [
+            simulate_cost(coeffs, rules[0], **self.RUN)
+        ]
+
+    def test_relaxed_rules_run_alone(self):
+        relaxed = RelaxedRule.constant([0.0, 1.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match="strict"):
+            paired_costs(lq(), [FeedbackRule.constant(0.0), relaxed], **self.RUN)
 
 
 class TestMapScenarios:

@@ -15,7 +15,15 @@ from mfcpoisson.coefficients import (
 from mfcpoisson.lq import lq_value_evaluator, optimal_control, solve_riccati
 from mfcpoisson.measureflow import ito_residual
 from mfcpoisson.measures import EmpiricalMeasure, JointEmpiricalMeasure
-from mfcpoisson.simulate import InitSpec, RelaxedRule, simulate_strict
+from mfcpoisson.simulate import (
+    FeedbackRule,
+    InitSpec,
+    OpenLoopRule,
+    RelaxedRule,
+    chattering,
+    simulate_cost,
+    simulate_strict,
+)
 from mfcpoisson.verify import (
     MonteCarloSettings,
     Perturbation,
@@ -32,6 +40,7 @@ from mfcpoisson.verify import (
     hjb_sample_measures,
     measure_path_from_cloud,
     optimal_feedback_rule,
+    scenario_costs,
     simulate_optimal,
 )
 
@@ -296,6 +305,78 @@ class TestOptimality:
         )
         rep = check_optimality(params, [Perturbation("gain", 1.5)], mc)
         assert rep.inconclusive and not rep.passed
+
+
+def mean_field_set():
+    """Coefficients reading the law through both means, jumps included."""
+    return CoefficientSet(
+        jumps=JumpSpec([1.0, 2.0], [1.5, 1.0], [0.0, 0.0]),
+        drift=lambda x, rho, u: 0.3 * (rho.mean_state[0] - x) + u - 0.1 * rho.mean_control[0],
+        diffusion=lambda x, rho, u: 0.3 + 0.1 * np.tanh(x),
+        jump=lambda x, rho, u, mark: (0.1 + 0.2 * mark) * (rho.mean_state[0] - x) + 0.05 * u,
+        running_cost=lambda x, rho, u: 0.5 * u**2 + 0.1 * (x - rho.mean_state[0]) ** 2,
+        terminal_cost=lambda x, mu: (x - mu.mean[0]) ** 2,
+    )
+
+
+class TestLockStep:
+    """Paired rules in lock-step cost exactly what each rule costs alone."""
+
+    @staticmethod
+    def rules_for(case, params, mode, n):
+        open_loop = OpenLoopRule(
+            np.linspace(0.0, params.T, 5), np.random.default_rng(n).normal(size=(5, n))
+        )
+        if case == "perturbed":
+            sol = solve_riccati(params, mode, 1024)
+            perts = [
+                Perturbation("gain", 0.5),
+                Perturbation("offset", -0.5),
+                Perturbation("time-shift", 0.2),
+            ]
+            return [optimal_feedback_rule(sol)] + [p.wrap(sol) for p in perts] + [open_loop]
+        if case == "chattering":
+            relaxed = RelaxedRule.constant(np.array([0.2, 0.8]), np.array([0.3, 0.7]))
+            return [chattering(relaxed, n_slabs, params.T) for n_slabs in (2, 4, 8, 16, 32)]
+        return [
+            FeedbackRule(lambda t, x, m: -0.8 * (x - m)),
+            FeedbackRule(lambda t, x, m: np.sin(3.0 * t) - 0.2 * x),
+            open_loop,
+        ]
+
+    @pytest.mark.parametrize("n", [37, 500, 1001])
+    @pytest.mark.parametrize("mode", ["common", "idiosyncratic"])
+    @pytest.mark.parametrize("case", ["perturbed", "chattering", "mean-field"])
+    def test_each_cost_equals_its_rule_alone(self, case, mode, n):
+        params = make_params(jumps=JumpSpec([1.0, 2.0], [1.5, 1.0], [0.3, -0.2]))
+        coeffs = mean_field_set() if case == "mean-field" else lq_coefficients(params)
+        rules = self.rules_for(case, params, mode, n)
+        mc = MonteCarloSettings(
+            particles=n, scenarios=1, dt=1 / 128, seed=4, mode=mode,
+            init=InitSpec("gaussian", 1.0, 0.5),
+        )
+        paired = scenario_costs(coeffs, rules, params.T, mc, 3)
+        alone = [
+            simulate_cost(
+                coeffs, rule, n, params.T, mc.dt, mode=mode, seed=mc.seed, scenario=3,
+                init=mc.init,
+            )
+            for rule in rules
+        ]
+        assert paired == alone
+        assert len(set(alone)) == len(alone)  # the rules really differ
+
+    def test_relaxed_rule_keeps_its_place(self):
+        params = make_params()
+        coeffs = lq_coefficients(params)
+        relaxed = RelaxedRule.constant(np.array([0.2, 0.8]), np.array([0.5, 0.5]))
+        rules = [chattering(relaxed, 2, 1.0), relaxed, chattering(relaxed, 8, 1.0)]
+        mc = MonteCarloSettings(particles=40, scenarios=1, dt=1 / 64, seed=2)
+        alone = [
+            simulate_cost(coeffs, r, 40, 1.0, mc.dt, seed=2, scenario=1, init=mc.init)
+            for r in rules
+        ]
+        assert scenario_costs(coeffs, rules, 1.0, mc, 1) == alone
 
 
 class TestFp:
