@@ -142,10 +142,14 @@ class LQParams:
 
 @dataclass(frozen=True)
 class AdjointTriplet:
-    """Adjoint state (p, P, K): costate, Brownian loading, per-mark jump loading."""
+    """Adjoint state (p, P, K): costate, Brownian loading, per-mark jump loading.
 
-    p: float
-    P: float
+    ``p`` and ``P`` are scalars or arrays of adjoint values at several points;
+    ``K`` has shape ``(..., n_marks)``, its leading axes matching ``p``'s.
+    """
+
+    p: float | np.ndarray
+    P: float | np.ndarray
     K: np.ndarray
 
     def __post_init__(self):
@@ -246,60 +250,75 @@ def lq_coefficients(params: LQParams) -> CoefficientSet:
 # Hamiltonians
 # ---------------------------------------------------------------------------
 
-def _check_adjoint(adj: AdjointTriplet, jumps: JumpSpec):
-    if adj.K.shape[0] != jumps.n_marks:
+def _assemble(points, adj, jumps, drift, diffusion, running, jump):
+    """drift.p + diffusion.P + running + sum_j jump(j).(K_j lambda_j), broadcast.
+
+    A Python float when every point and adjoint value is scalar, otherwise an
+    array of the broadcast shape of the terms and the points.
+    """
+    if adj.K.shape[-1] != jumps.n_marks:
         raise ValueError(
-            f"adjoint K has {adj.K.shape[0]} entries for {jumps.n_marks} marks"
+            f"adjoint K has {adj.K.shape[-1]} entries per point for {jumps.n_marks} marks"
         )
+    lam = jumps.intensities
+    value = (
+        np.asarray(drift, dtype=float) * adj.p
+        + np.asarray(diffusion, dtype=float) * adj.P
+        + np.asarray(running, dtype=float)
+    )
+    for j in range(jumps.n_marks):
+        value = value + np.asarray(jump(j), dtype=float) * (adj.K[..., j] * lam[j])
+    shape = np.broadcast_shapes(np.shape(value), *map(np.shape, points))
+    return np.broadcast_to(value, shape) if shape else float(value)
 
 
 def hamiltonian_strict(
-    x: float,
-    u: float,
+    x,
+    u,
     rho: JointEmpiricalMeasure,
     adj: AdjointTriplet,
     coeffs: CoefficientSet,
-) -> float:
-    """Pointwise Hamiltonian b.p + sigma.P + f + sum_j gamma_j K_j lambda_j."""
+) -> float | np.ndarray:
+    """Hamiltonian b.p + sigma.P + f + sum_j gamma_j K_j lambda_j.
+
+    Broadcasts over array ``x``, ``u`` and adjoint values (``adj.K`` of shape
+    ``(..., n_marks)``); scalar arguments give a float.
+    """
     rho.require_kind("strict")
-    _check_adjoint(adj, coeffs.jumps)
-    value = (
-        coeffs.drift(x, rho, u) * adj.p
-        + coeffs.diffusion(x, rho, u) * adj.P
-        + coeffs.running_cost(x, rho, u)
+    return _assemble(
+        (x, u), adj, coeffs.jumps,
+        coeffs.drift(x, rho, u),
+        coeffs.diffusion(x, rho, u),
+        coeffs.running_cost(x, rho, u),
+        lambda j: coeffs.jump(x, rho, u, j),
     )
-    for j in range(coeffs.jumps.n_marks):
-        value += coeffs.jump(x, rho, u, j) * adj.K[j] * coeffs.jumps.intensities[j]
-    return float(value)
 
 
 def delta_hamiltonian_strict(
-    x: float,
-    u: float,
+    x,
+    u,
     rho: JointEmpiricalMeasure,
-    xp: float,
-    up: float,
+    xp,
+    up,
     adj: AdjointTriplet,
     coeffs: CoefficientSet,
-) -> float:
-    """Linear-derivative Hamiltonian kernel evaluated at the new point (xp, up)."""
+) -> float | np.ndarray:
+    """Linear-derivative Hamiltonian kernel at (x, u) evaluated at the new point (xp, up).
+
+    ``adj`` is the adjoint at (x, u).  Broadcasts like :func:`hamiltonian_strict`
+    over ``x``, ``u``, ``xp``, ``up`` and the adjoint values.
+    """
     rho.require_kind("strict")
-    _check_adjoint(adj, coeffs.jumps)
     coeffs.require(
         "ddrho_drift", "ddrho_diffusion", "ddrho_jump", "ddrho_running_cost"
     )
-    value = (
-        coeffs.ddrho_drift(x, u, rho, xp, up) * adj.p
-        + coeffs.ddrho_diffusion(x, u, rho, xp, up) * adj.P
-        + coeffs.ddrho_running_cost(x, u, rho, xp, up)
+    return _assemble(
+        (x, u, xp, up), adj, coeffs.jumps,
+        coeffs.ddrho_drift(x, u, rho, xp, up),
+        coeffs.ddrho_diffusion(x, u, rho, xp, up),
+        coeffs.ddrho_running_cost(x, u, rho, xp, up),
+        lambda j: coeffs.ddrho_jump(x, u, rho, xp, up, j),
     )
-    for j in range(coeffs.jumps.n_marks):
-        value += (
-            coeffs.ddrho_jump(x, u, rho, xp, up, j)
-            * adj.K[j]
-            * coeffs.jumps.intensities[j]
-        )
-    return float(value)
 
 
 def hamiltonian_relaxed(
@@ -311,13 +330,8 @@ def hamiltonian_relaxed(
 ) -> float:
     """q-average of the strict Hamiltonian at the projected joint law."""
     xi.require_kind("relaxed")
-    rho = project(xi)
-    return float(
-        sum(
-            w * hamiltonian_strict(x, float(u[0]), rho, adj, coeffs)
-            for u, w in zip(q.atoms, q.weights)
-        )
-    )
+    values = hamiltonian_strict(x, q.atoms[:, 0], project(xi), adj, coeffs)
+    return float(q.weights @ values)
 
 
 def delta_hamiltonian_relaxed(
@@ -331,11 +345,7 @@ def delta_hamiltonian_relaxed(
 ) -> float:
     """Double q-average of the strict delta-Hamiltonian kernel."""
     xi.require_kind("relaxed")
-    rho = project(xi)
-    total = 0.0
-    for u, w in zip(q.atoms, q.weights):
-        for up, wp in zip(qp.atoms, qp.weights):
-            total += w * wp * delta_hamiltonian_strict(
-                x, float(u[0]), rho, xp, float(up[0]), adj, coeffs
-            )
-    return float(total)
+    kernel = delta_hamiltonian_strict(
+        x, q.atoms[:, :1], project(xi), xp, qp.atoms[:, 0], adj, coeffs
+    )
+    return float(q.weights @ kernel @ qp.weights)

@@ -87,6 +87,12 @@ def _check_integer(section: dict, name: str, key: str) -> None:
         raise ConfigError(f"{name}.{key} must be an integer, got {value!r}")
 
 
+def _check_count(section: dict, name: str, key: str, least: int) -> None:
+    _check_integer(section, name, key)
+    if section[key] < least:
+        raise ConfigError(f"{name}.{key} must be at least {least}, got {section[key]!r}")
+
+
 def _check_finite(section: dict, name: str, key: str) -> None:
     value = section[key]
     if (
@@ -154,8 +160,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     for key in ("b1", "b2", "b3", "sigma", "c", "T"):
         _check_finite(model, "model", key)
-    for key in ("particles", "scenarios", "seed"):
-        _check_integer(sim, "sim", key)
+    for key, least in (("particles", 2), ("scenarios", 1), ("seed", 0)):
+        _check_count(sim, "sim", key, least)
     _check_finite(sim, "sim", "dt")
     _check_marks(raw.get("jumps"))
 
@@ -164,16 +170,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"model/jumps section: {err}") from err
 
-    if sim["particles"] < 2:
-        raise ConfigError("sim.particles must be at least 2")
-    if sim["scenarios"] < 1:
-        raise ConfigError("sim.scenarios must be at least 1")
     if not sim["dt"] > 0:
         raise ConfigError("sim.dt must be positive")
     if sim["dt"] > model["T"]:
         raise ConfigError(f"sim.dt must not exceed model.T, got {sim['dt']!r} > {model['T']!r}")
-    if sim["seed"] < 0:
-        raise ConfigError("sim.seed must be nonnegative")
     mode = sim.get("mode", "common")
     if mode not in ("common", "idiosyncratic"):
         raise ConfigError(f"sim.mode must be common|idiosyncratic, got {mode!r}")
@@ -182,11 +182,19 @@ def parse_config(raw: dict) -> ExperimentConfig:
     for name, tol in verify["tolerances"].items():
         if tol is not None and not tol > 0:
             raise ConfigError(f"verify.tolerances.{name} must be positive")
-    if verify["u_grid"]["points"] < 3:
-        raise ConfigError("verify.u_grid.points must be at least 3")
-    _check_integer(verify, "verify", "riccati_steps")
-    if verify["riccati_steps"] < 16:
-        raise ConfigError("verify.riccati_steps must be at least 16")
+    grid = verify["u_grid"]
+    if not isinstance(grid, dict):
+        raise ConfigError("verify.u_grid must be an object")
+    _check_finite(grid, "verify.u_grid", "lo")
+    _check_finite(grid, "verify.u_grid", "hi")
+    if not grid["lo"] < grid["hi"]:
+        raise ConfigError(
+            f"verify.u_grid.lo must be below hi, got {grid['lo']!r} >= {grid['hi']!r}"
+        )
+    _check_count(grid, "verify.u_grid", "points", 3)
+    counts = {"riccati_steps": 16, "smp_samples": 1, "hjb_samples": 1, "hjb_max_atoms": 1}
+    for key, least in counts.items():
+        _check_count(verify, "verify", key, least)
 
     init_raw = sim.get("init", {"kind": "gaussian", "mean": 1.0, "std": 0.5})
     try:

@@ -202,12 +202,13 @@ def value_gradient(sol: RiccatiSolution, t, x, mean):
     return sol.beta_at(t) * np.asarray(x, dtype=float) + sol.eta_at(t) * mean
 
 
-def adjoint_profile(sol: RiccatiSolution, t, x, cond_mean):
-    """Vectorized adjoint pieces (p, P, k_scale) at states x.
+def adjoint_ansatz(sol: RiccatiSolution, t, x, cond_mean) -> AdjointTriplet:
+    """Adjoint triplet at states x; the control is the optimal feedback.
 
-    The per-mark jump loading is K_j = gamma(z_j) * k_scale with k_scale
-    mode-dependent: beta*alpha + eta*E[alpha|G] under common noise, beta*alpha
-    under idiosyncratic jumps.
+    Vectorized over states: ``p`` and ``P`` take the shape of ``x`` and ``K``
+    has shape ``x.shape + (n_marks,)``.  The per-mark jump loading is
+    K_j = gamma(z_j) * k_scale with k_scale mode-dependent: beta*alpha +
+    eta*E[alpha|G] under common noise, beta*alpha under idiosyncratic jumps.
     """
     params = sol.params
     beta, eta = sol.beta_eta_at(t)
@@ -219,15 +220,7 @@ def adjoint_profile(sol: RiccatiSolution, t, x, cond_mean):
         k_scale = beta * alpha + eta * mean_optimal_control(sol, t, cond_mean)
     else:
         k_scale = beta * alpha
-    return p, big_p, k_scale
-
-
-def adjoint_ansatz(sol: RiccatiSolution, t, x: float, cond_mean: float) -> AdjointTriplet:
-    """Adjoint triplet at one state; the control is the optimal feedback."""
-    p, big_p, k_scale = adjoint_profile(sol, t, float(x), float(cond_mean))
-    return AdjointTriplet(
-        float(p), float(big_p), sol.params.jumps.gamma_values * float(k_scale)
-    )
+    return AdjointTriplet(p, big_p, np.multiply.outer(k_scale, params.jumps.gamma_values))
 
 
 class LQValueEvaluator:

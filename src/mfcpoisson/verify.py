@@ -29,10 +29,18 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .coefficients import CoefficientSet, JumpSpec, LQParams, lq_coefficients
+from .coefficients import (
+    AdjointTriplet,
+    CoefficientSet,
+    JumpSpec,
+    LQParams,
+    delta_hamiltonian_strict,
+    hamiltonian_strict,
+    lq_coefficients,
+)
 from .lq import (
     RiccatiSolution,
-    adjoint_profile,
+    adjoint_ansatz,
     mean_optimal_control,
     optimal_control,
     quadratic_minimizer,
@@ -217,36 +225,6 @@ def simulate_optimal(
 # Stochastic maximum principle
 # ---------------------------------------------------------------------------
 
-def _hamiltonian_on_grid(coeffs, x, u_grid, rho, p, big_p, k_row):
-    lam = coeffs.jumps.intensities
-    vals = (
-        np.asarray(coeffs.drift(x, rho, u_grid), dtype=float) * p
-        + np.asarray(coeffs.diffusion(x, rho, u_grid), dtype=float) * big_p
-        + np.asarray(coeffs.running_cost(x, rho, u_grid), dtype=float)
-    )
-    for j in range(coeffs.jumps.n_marks):
-        vals = vals + np.asarray(coeffs.jump(x, rho, u_grid, j), dtype=float) * (
-            k_row[j] * lam[j]
-        )
-    return np.broadcast_to(vals, np.asarray(u_grid).shape)
-
-
-def _delta_cross_term(coeffs, xs, us, rho, x_new, u_new, p_arr, big_p_arr, k_arr):
-    """Mean over copies of the delta-Hamiltonian kernel at new point (x_new, u_new)."""
-    coeffs.require("ddrho_drift", "ddrho_diffusion", "ddrho_jump", "ddrho_running_cost")
-    vals = (
-        np.asarray(coeffs.ddrho_drift(xs, us, rho, x_new, u_new), dtype=float) * p_arr
-        + np.asarray(coeffs.ddrho_diffusion(xs, us, rho, x_new, u_new), dtype=float)
-        * big_p_arr
-        + np.asarray(coeffs.ddrho_running_cost(xs, us, rho, x_new, u_new), dtype=float)
-    )
-    for j in range(coeffs.jumps.n_marks):
-        vals = vals + np.asarray(
-            coeffs.ddrho_jump(xs, us, rho, x_new, u_new, j), dtype=float
-        ) * (k_arr[:, j] * coeffs.jumps.intensities[j])
-    return float(np.broadcast_to(vals, xs.shape).mean())
-
-
 def check_smp(
     cloud: ParticleCloud,
     sol: RiccatiSolution,
@@ -264,7 +242,12 @@ def check_smp(
     """
     coeffs = lq_coefficients(sol.params)
     u_grid = np.asarray(u_grid, dtype=float)
-    cell = float(np.max(np.diff(u_grid)))
+    steps = np.diff(u_grid)
+    if u_grid.ndim != 1 or steps.size == 0 or not np.all((steps > 0) & np.isfinite(steps)):
+        raise ValueError("u_grid must be a finite, strictly increasing 1-D grid")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    cell = float(np.max(steps))
     gen = np.random.default_rng(sample_seed)
     n_steps = cloud.grid.n_steps
     nodes = gen.integers(0, n_steps, size=n_samples)
@@ -276,27 +259,19 @@ def check_smp(
         t = float(cloud.times[node])
         xs = cloud.states[node]
         us = cloud.controls[node]
-        m = float(xs.mean())
         rho = cloud.joint_at(node)
-        p_arr, pp_arr, k_scale = adjoint_profile(sol, t, xs, m)
-        k_arr = k_scale[:, None] * coeffs.jumps.gamma_values[None, :]
+        adj = adjoint_ansatz(sol, t, xs, float(xs.mean()))
+        own_adj = AdjointTriplet(adj.p[i], adj.P[i], adj.K[i])
+        x_i = float(xs[i])
 
         def phi(u):
-            own = _hamiltonian_on_grid(
-                coeffs, float(xs[i]), u, rho, p_arr[i], pp_arr[i], k_arr[i]
-            )
-            cross = np.array(
-                [
-                    _delta_cross_term(
-                        coeffs, xs, us, rho, float(xs[i]), uu, p_arr, pp_arr, k_arr
-                    )
-                    for uu in np.atleast_1d(u)
-                ]
-            )
-            return own + cross
+            # own Hamiltonian plus the copy-mean of the kernel at (x_i, u)
+            own = hamiltonian_strict(x_i, u, rho, own_adj, coeffs)
+            cross = delta_hamiltonian_strict(xs, us, rho, x_i, u[:, None], adj, coeffs)
+            return own + cross.mean(axis=-1)
 
         grid_vals = phi(u_grid)
-        candidate = float(phi(np.array([us[i]]))[0])
+        candidate = float(phi(us[i : i + 1])[0])
         max_undercut = max(max_undercut, candidate - float(grid_vals.min()))
         argmin_u = float(u_grid[int(np.argmin(grid_vals))])
         max_cells_off = max(max_cells_off, abs(argmin_u - float(us[i])) / cell)

@@ -2,8 +2,9 @@
 
 Nothing here imports the implementation paths it validates: the Fortet-Mourier
 oracle is an exact dynamic program over lattice-valued test functions, the
-Riccati oracle is an adaptive high-order integrator, and the quadratic
-minimizer oracle is a parameter grid search.
+Riccati oracle is an adaptive high-order integrator, the quadratic
+minimizer oracle is a parameter grid search, and the SMP oracle evaluates the
+Hamiltonian from the raw coefficient evaluators one control at a time.
 """
 from __future__ import annotations
 
@@ -150,3 +151,38 @@ def riccati_rk4_reference(b1, b2, b3, sigma, c, big_t, gamma_l2, mode, n_steps):
         if ill_posed(beta[k], eta[k]):
             return beta, eta, k
     return beta, eta, None
+
+
+def smp_phi_reference(coeffs, rho, xs, us, i, u_values, p, big_p, k):
+    """H + E'[delta H] of particle i at each control in u_values, point by point.
+
+    (xs, us) are the N particles of the strict joint law rho; ``p`` and
+    ``big_p`` (shape (N,)) and ``k`` (shape (N, n_marks)) their adjoint values.
+    The own Hamiltonian uses particle i's adjoint; the mean-field term is the
+    copy-mean of the linear-derivative kernel, evaluated one control at a
+    time with each term summed in the order drift, diffusion, running cost,
+    then marks, so a vectorized evaluation must reproduce it bit for bit.
+    """
+    lam = coeffs.jumps.intensities
+    x = float(xs[i])
+    values = []
+    for u in np.asarray(u_values, dtype=float):
+        own = (
+            np.asarray(coeffs.drift(x, rho, u), dtype=float) * p[i]
+            + np.asarray(coeffs.diffusion(x, rho, u), dtype=float) * big_p[i]
+            + np.asarray(coeffs.running_cost(x, rho, u), dtype=float)
+        )
+        cross = (
+            np.asarray(coeffs.ddrho_drift(xs, us, rho, x, u), dtype=float) * p
+            + np.asarray(coeffs.ddrho_diffusion(xs, us, rho, x, u), dtype=float) * big_p
+            + np.asarray(coeffs.ddrho_running_cost(xs, us, rho, x, u), dtype=float)
+        )
+        for j in range(coeffs.jumps.n_marks):
+            own = own + np.asarray(coeffs.jump(x, rho, u, j), dtype=float) * (
+                k[i, j] * lam[j]
+            )
+            cross = cross + np.asarray(
+                coeffs.ddrho_jump(xs, us, rho, x, u, j), dtype=float
+            ) * (k[:, j] * lam[j])
+        values.append(float(own) + float(np.broadcast_to(cross, xs.shape).mean()))
+    return np.array(values)

@@ -175,6 +175,45 @@ class TestConfigFieldTypes:
         assert main(["cost", "--config", path]) == 2
         assert "sim.init.std" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "grid, field",
+        [
+            ({"lo": 4.0, "hi": -4.0}, "verify.u_grid.lo"),
+            ({"lo": 1.0, "hi": 1.0}, "verify.u_grid.lo"),
+            ({"lo": math.nan}, "verify.u_grid.lo"),
+            ({"hi": math.inf}, "verify.u_grid.hi"),
+            ({"hi": "4"}, "verify.u_grid.hi"),
+            ({"points": 3.5}, "verify.u_grid.points"),
+            ({"points": 2}, "verify.u_grid.points"),
+            ([-4.0, 4.0, 321], "verify.u_grid"),
+        ],
+    )
+    def test_bad_u_grid_exits_2_naming_the_field(self, tmp_path, capsys, grid, field):
+        cfg = small_config()
+        cfg["verify"]["u_grid"] = grid
+        path = write_config(tmp_path, cfg)
+        assert main(["verify", "smp", "--config", path]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("smp_samples", 0),
+            ("smp_samples", "30"),
+            ("hjb_samples", 0),
+            ("hjb_samples", 2.5),
+            ("hjb_max_atoms", 0),
+            ("hjb_max_atoms", True),
+        ],
+    )
+    def test_bad_sample_count_exits_2_naming_it(self, tmp_path, capsys, key, value):
+        cfg = small_config()
+        cfg["verify"][key] = value
+        path = write_config(tmp_path, cfg)
+        command = "smp" if key == "smp_samples" else "hjb"
+        assert main(["verify", command, "--config", path]) == 2
+        assert f"verify.{key}" in capsys.readouterr().err
+
     def test_integer_model_field_and_zero_seed_accepted(self):
         cfg = small_config()
         cfg["model"]["T"] = 1

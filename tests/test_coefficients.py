@@ -135,6 +135,57 @@ class TestDeltaHamiltonianStrict:
             )
 
 
+class TestBroadcasting:
+    """Array calls equal the scalar calls element by element, bit for bit."""
+
+    def _setup(self, rng):
+        spec = JumpSpec([1.0, 2.0], [0.8, 0.3], [0.4, -0.7])
+        params = make_params(b1=0.7, b2=-0.3, b3=1.2, sigma=0.5, jumps=spec)
+        rho = strict_joint(rng.normal(size=(6, 1)), rng.normal(size=(6, 1)))
+        adj = AdjointTriplet(rng.normal(size=7), rng.normal(size=7), rng.normal(size=(7, 2)))
+        return lq_coefficients(params), rho, adj
+
+    @staticmethod
+    def _row(adj, k):
+        return AdjointTriplet(float(adj.p[k]), float(adj.P[k]), adj.K[k])
+
+    def test_pointwise_arrays(self, rng):
+        coeffs, rho, adj = self._setup(rng)
+        x, u, xp, up = rng.normal(size=(4, 7))
+        h = hamiltonian_strict(x, u, rho, adj, coeffs)
+        d = delta_hamiltonian_strict(x, u, rho, xp, up, adj, coeffs)
+        assert h.shape == d.shape == (7,)
+        for k in range(7):
+            row = self._row(adj, k)
+            want_h = hamiltonian_strict(float(x[k]), float(u[k]), rho, row, coeffs)
+            want_d = delta_hamiltonian_strict(
+                float(x[k]), float(u[k]), rho, float(xp[k]), float(up[k]), row, coeffs
+            )
+            assert type(want_h) is float and type(want_d) is float
+            assert h[k] == want_h and d[k] == want_d
+
+    def test_grid_against_copies(self, rng):
+        # (G, 1) new controls against N copies with their own adjoints: (G, N)
+        coeffs, rho, adj = self._setup(rng)
+        xs, us = rng.normal(size=(2, 7))
+        grid = np.linspace(-2.0, 2.0, 5)
+        d = delta_hamiltonian_strict(xs, us, rho, 0.3, grid[:, None], adj, coeffs)
+        h = hamiltonian_strict(0.3, grid, rho, self._row(adj, 2), coeffs)
+        assert d.shape == (5, 7) and h.shape == (5,)
+        for g, up in enumerate(grid):
+            assert h[g] == hamiltonian_strict(0.3, float(up), rho, self._row(adj, 2), coeffs)
+            for k in range(7):
+                assert d[g, k] == delta_hamiltonian_strict(
+                    float(xs[k]), float(us[k]), rho, 0.3, float(up), self._row(adj, k), coeffs
+                )
+
+    def test_mark_axis_is_last(self, rng):
+        coeffs, rho, adj = self._setup(rng)
+        bad = AdjointTriplet(adj.p, adj.P, adj.K[:, :1])
+        with pytest.raises(ValueError, match="2 marks"):
+            hamiltonian_strict(np.zeros(7), np.zeros(7), rho, bad, coeffs)
+
+
 class TestHamiltonianRelaxed:
     def _setup(self, rng):
         spec = JumpSpec([1.0], [0.8], [0.4])

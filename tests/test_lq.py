@@ -237,6 +237,20 @@ class TestAdjointAnsatz:
             ks[mode] = adj.K[0]
         assert ks["common"] != pytest.approx(ks["idiosyncratic"], abs=1e-6)
 
+    @pytest.mark.parametrize("mode", ["common", "idiosyncratic"])
+    def test_array_states_equal_scalar_calls(self, rng, mode):
+        spec = JumpSpec([1.0, 2.0], [1.0, 0.4], [0.5, -0.3])
+        p = params(b1=0.3, b2=0.5, b3=1.0, sigma=0.8, jumps=spec)
+        sol = solve_riccati(p, mode, 256)
+        xs = rng.normal(size=9)
+        m = float(xs.mean())
+        adj = adjoint_ansatz(sol, 0.4, xs, m)
+        assert adj.p.shape == adj.P.shape == (9,) and adj.K.shape == (9, 2)
+        for k, x in enumerate(xs):
+            one = adjoint_ansatz(sol, 0.4, float(x), m)
+            assert adj.p[k] == one.p and adj.P[k] == one.P
+            assert np.array_equal(adj.K[k], one.K)
+
 
 class TestQuadraticMinimizer:
     def test_zero_linear_terms(self):

@@ -12,7 +12,13 @@ from mfcpoisson.coefficients import (
     hamiltonian_strict,
     lq_coefficients,
 )
-from mfcpoisson.lq import lq_value_evaluator, optimal_control, solve_riccati
+from mfcpoisson.lq import (
+    adjoint_ansatz,
+    lq_value_evaluator,
+    mean_optimal_control,
+    optimal_control,
+    solve_riccati,
+)
 from mfcpoisson.measureflow import ito_residual
 from mfcpoisson.measures import EmpiricalMeasure, JointEmpiricalMeasure
 from mfcpoisson.simulate import (
@@ -43,6 +49,8 @@ from mfcpoisson.verify import (
     scenario_costs,
     simulate_optimal,
 )
+
+from _oracles import smp_phi_reference
 
 
 def make_params(**kw):
@@ -145,6 +153,110 @@ class TestSmp:
 
         shift = argmin_with(1.0) - argmin_with(0.0)
         assert shift == pytest.approx(-params.b3, abs=3e-3)
+
+
+def written_out_adjoint(sol, t, xs):
+    """(p, P, K) at states xs: p = beta x + eta m, P = beta sigma x, K_j = gamma_j k_scale."""
+    m = float(xs.mean())
+    beta, eta = sol.beta_at(t), sol.eta_at(t)
+    k_scale = beta * optimal_control(sol, t, xs, m)
+    if sol.mode == "common":
+        k_scale = k_scale + eta * mean_optimal_control(sol, t, m)
+    gamma = sol.params.jumps.gamma_values
+    return beta * xs + eta * m, beta * sol.params.sigma * xs, k_scale[:, None] * gamma
+
+
+def smp_stats_reference(cloud, sol, u_grid, n_samples, sample_seed=0):
+    """(max_undercut, max_argmin_cells_off) of check_smp's samples, via the oracle."""
+    coeffs = lq_coefficients(sol.params)
+    gen = np.random.default_rng(sample_seed)
+    nodes = gen.integers(0, cloud.grid.n_steps, size=n_samples)
+    particles = gen.integers(0, cloud.n_particles, size=n_samples)
+    cell = float(np.max(np.diff(u_grid)))
+    undercut = cells_off = 0.0
+    for node, i in zip(nodes, particles):
+        xs, us = cloud.states[node], cloud.controls[node]
+        adjoint = written_out_adjoint(sol, float(cloud.times[node]), xs)
+        rho = cloud.joint_at(node)
+        grid_vals = smp_phi_reference(coeffs, rho, xs, us, i, u_grid, *adjoint)
+        candidate = smp_phi_reference(coeffs, rho, xs, us, i, [us[i]], *adjoint)[0]
+        undercut = max(undercut, candidate - float(grid_vals.min()))
+        argmin_u = float(u_grid[int(np.argmin(grid_vals))])
+        cells_off = max(cells_off, abs(argmin_u - float(us[i])) / cell)
+    return undercut, cells_off
+
+
+class TestSmpMatchesOracle:
+    """check_smp through the public Hamiltonians equals the per-point oracle."""
+
+    CASES = {
+        "common": (JumpSpec([1.0], [1.0], [0.3]), "common"),
+        "two-marks": (JumpSpec([1.0, 2.0], [0.7, 1.9], [0.3, -0.2]), "common"),
+        "idiosyncratic": (JumpSpec([1.0], [1.0], [0.3]), "idiosyncratic"),
+    }
+    U_GRID = np.linspace(-3, 3, 121)
+
+    def _cloud(self, case, detuned):
+        spec, mode = self.CASES[case]
+        params = make_params(jumps=spec)
+        sol = solve_riccati(params, mode, 2048)
+        mc = MonteCarloSettings(
+            particles=150, scenarios=1, dt=2e-3, seed=11, mode=mode,
+            init=InitSpec("gaussian", 1.0, 0.5), riccati_steps=2048,
+        )
+        # a detuned feedback (terminal weight 3c) gives controls off the argmin
+        driver = sol
+        if detuned:
+            driver = solve_riccati(make_params(c=3.0, jumps=spec), mode, 2048)
+        return simulate_optimal(params, driver, mc, 0), sol
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("detuned", [False, True])
+    def test_stats_equal_the_oracle(self, case, detuned):
+        cloud, sol = self._cloud(case, detuned)
+        rep = check_smp(cloud, sol, self.U_GRID, 1e-8, n_samples=25, sample_seed=5)
+        undercut, cells_off = smp_stats_reference(cloud, sol, self.U_GRID, 25, sample_seed=5)
+        assert rep.stats["max_undercut"] == undercut
+        assert rep.stats["max_argmin_cells_off"] == cells_off
+        assert rep.passed != detuned
+        if detuned:
+            assert undercut > 1e-4 and cells_off > 1.0
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_grid_values_equal_the_oracle(self, case):
+        # the (G,) own call plus the copy-mean of the (G, N) kernel call, bit for bit
+        cloud, sol = self._cloud(case, detuned=True)
+        coeffs = lq_coefficients(sol.params)
+        grid = self.U_GRID
+        for node, i in [(0, 0), (137, 42), (cloud.grid.n_steps - 1, 149)]:
+            t = float(cloud.times[node])
+            xs, us = cloud.states[node], cloud.controls[node]
+            p, big_p, k = written_out_adjoint(sol, t, xs)
+            adj = adjoint_ansatz(sol, t, xs, float(xs.mean()))
+            assert all(map(np.array_equal, (adj.p, adj.P, adj.K), (p, big_p, k)))
+            rho = cloud.joint_at(node)
+            own = hamiltonian_strict(
+                float(xs[i]), grid, rho, AdjointTriplet(p[i], big_p[i], k[i]), coeffs
+            )
+            cross = delta_hamiltonian_strict(
+                xs, us, rho, float(xs[i]), grid[:, None], adj, coeffs
+            )
+            want = smp_phi_reference(coeffs, rho, xs, us, i, grid, p, big_p, k)
+            assert np.array_equal(own + cross.mean(axis=-1), want)
+
+    @pytest.mark.parametrize(
+        "u_grid",
+        [np.linspace(3, -3, 11), np.full(5, 1.0), np.array([0.0, np.nan, 1.0]), np.zeros(1)],
+    )
+    def test_bad_grid_raises(self, lq_setup, u_grid):
+        _, sol, clouds = lq_setup
+        with pytest.raises(ValueError, match="u_grid"):
+            check_smp(clouds[0], sol, u_grid, 1e-8, n_samples=5)
+
+    def test_no_samples_raises(self, lq_setup):
+        _, sol, clouds = lq_setup
+        with pytest.raises(ValueError, match="n_samples"):
+            check_smp(clouds[0], sol, np.linspace(-3, 3, 11), 1e-8, n_samples=0)
 
 
 class TestBsde:
