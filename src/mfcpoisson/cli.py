@@ -1,7 +1,8 @@
 """Command-line experiment driver.
 
 Exit codes: 0 = success / all checks passed, 1 = a check failed,
-2 = configuration or usage error.
+2 = configuration or usage error, 3 = numerical failure (an ill-posed
+Riccati system or a diverging particle cloud).
 """
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import sys
 
 from . import __version__
 from .config import ConfigError, load_config
+from .errors import DivergenceError, IllPosedError
 from .experiments import (
     VERIFY_KINDS,
     run_chattering,
@@ -76,6 +78,9 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
+    except (DivergenceError, IllPosedError) as err:
+        print(f"numerical failure: {err}", file=sys.stderr)
+        return 3
     print(line)
     return code
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .coefficients import LQParams
 from .simulate import InitSpec
-from .verify import MonteCarloSettings, Perturbation
+from .verify import PERTURBATION_KINDS, MonteCarloSettings, Perturbation
 
 
 class ConfigError(ValueError):
@@ -75,7 +75,13 @@ def config_hash(raw: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _check_object(value, name: str) -> None:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be an object, got {value!r}")
+
+
 def _require(section: dict, name: str, keys) -> None:
+    _check_object(section, name)
     missing = [k for k in keys if k not in section]
     if missing:
         raise ConfigError(f"section '{name}' lacks field(s): {', '.join(missing)}")
@@ -93,14 +99,60 @@ def _check_count(section: dict, name: str, key: str, least: int) -> None:
         raise ConfigError(f"{name}.{key} must be at least {least}, got {section[key]!r}")
 
 
+def _is_finite(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _check_finite(section: dict, name: str, key: str) -> None:
     value = section[key]
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not math.isfinite(value)
-    ):
+    if not _is_finite(value):
         raise ConfigError(f"{name}.{key} must be a finite number, got {value!r}")
+
+
+def _check_tolerances(tolerances) -> None:
+    _check_object(tolerances, "verify.tolerances")
+    known = _DEFAULT_VERIFY["tolerances"]
+    for name, tol in tolerances.items():
+        if name not in known:
+            raise ConfigError(
+                f"verify.tolerances.{name} is not a known check; "
+                f"choose from {', '.join(sorted(known))}"
+            )
+        if tol is None and known[name] is None:
+            continue  # derived from the Riccati solution
+        _check_finite(tolerances, "verify.tolerances", name)
+        if not tol > 0:
+            raise ConfigError(f"verify.tolerances.{name} must be positive, got {tol!r}")
+
+
+def _check_perturbations(rows) -> None:
+    if not isinstance(rows, list):
+        raise ConfigError(f"verify.perturbations must be a list, got {rows!r}")
+    for i, row in enumerate(rows):
+        name = f"verify.perturbations[{i}]"
+        _require(row, name, ["kind", "amount"])
+        if row["kind"] not in PERTURBATION_KINDS:
+            raise ConfigError(
+                f"{name}.kind must be one of {', '.join(PERTURBATION_KINDS)}, "
+                f"got {row['kind']!r}"
+            )
+        _check_finite(row, name, "amount")
+
+
+def _check_ratio_band(band) -> None:
+    if not (
+        isinstance(band, list) and len(band) == 2
+        and all(_is_finite(v) for v in band) and 0 < band[0] < band[1]
+    ):
+        raise ConfigError(
+            f"verify.fp_ratio_band must be two finite numbers lo, hi with "
+            f"0 < lo < hi, got {band!r}"
+        )
 
 
 def _check_init_atoms(init: InitSpec) -> None:
@@ -119,15 +171,14 @@ def _check_init_atoms(init: InitSpec) -> None:
 
 
 def _check_marks(jumps) -> None:
-    if not isinstance(jumps, dict):
+    if jumps is None:
         return
+    _check_object(jumps, "jumps")
     rows = jumps.get("marks", [])
     if not isinstance(rows, list):
         raise ConfigError("jumps.marks must be a list")
     for i, row in enumerate(rows):
         name = f"jumps.marks[{i}]"
-        if not isinstance(row, dict):
-            raise ConfigError(f"{name} must be an object")
         _require(row, name, ["z", "lambda", "gamma"])
         for key in ("z", "lambda", "gamma"):
             _check_finite(row, name, key)
@@ -178,13 +229,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if mode not in ("common", "idiosyncratic"):
         raise ConfigError(f"sim.mode must be common|idiosyncratic, got {mode!r}")
 
+    _check_object(raw.get("verify", {}), "verify")
+    _check_object(raw.get("output", {}), "output")
     verify = _merge_defaults(raw.get("verify", {}), _DEFAULT_VERIFY)
-    for name, tol in verify["tolerances"].items():
-        if tol is not None and not tol > 0:
-            raise ConfigError(f"verify.tolerances.{name} must be positive")
+    _check_tolerances(verify["tolerances"])
+    _check_perturbations(verify["perturbations"])
+    _check_ratio_band(verify["fp_ratio_band"])
     grid = verify["u_grid"]
-    if not isinstance(grid, dict):
-        raise ConfigError("verify.u_grid must be an object")
+    _check_object(grid, "verify.u_grid")
     _check_finite(grid, "verify.u_grid", "lo")
     _check_finite(grid, "verify.u_grid", "hi")
     if not grid["lo"] < grid["hi"]:
@@ -197,17 +249,19 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _check_count(verify, "verify", key, least)
 
     init_raw = sim.get("init", {"kind": "gaussian", "mean": 1.0, "std": 0.5})
-    try:
-        init = InitSpec.from_config(init_raw)
-    except (KeyError, TypeError, ValueError) as err:
-        raise ConfigError(f"sim.init section: {err}") from err
-    if init.kind == "atoms":
-        _check_init_atoms(init)
-    else:
+    _check_object(init_raw, "sim.init")
+    if init_raw.get("kind", "gaussian") == "gaussian":
+        _require(init_raw, "sim.init", ["mean", "std"])
         _check_finite(init_raw, "sim.init", "mean")
         _check_finite(init_raw, "sim.init", "std")
         if init_raw["std"] < 0:
             raise ConfigError(f"sim.init.std must be nonnegative, got {init_raw['std']!r}")
+    try:
+        init = InitSpec.from_config(init_raw)
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
+        raise ConfigError(f"sim.init section: {err}") from err
+    if init.kind == "atoms":
+        _check_init_atoms(init)
 
     mc = MonteCarloSettings(
         particles=int(sim["particles"]),

@@ -51,7 +51,12 @@ def _quoted(text: str) -> str:
 
 
 def write_csv(path, cfg: ExperimentConfig, header, rows, extra_comment="") -> int:
-    """Write ``rows`` (any iterable) as they come; returns the row count."""
+    """Write ``rows`` (any iterable) as they come; returns the row count.
+
+    A row is a tuple of values, formatted one by one (floats as ``.17g``),
+    or a ``str`` of whole lines already formatted that way, such as the
+    trajectory writer's block of one grid node.
+    """
     n_rows = 0
     with open(path, "w") as fh:
         fh.write(f"# {_provenance(cfg)}\n")
@@ -59,15 +64,16 @@ def write_csv(path, cfg: ExperimentConfig, header, rows, extra_comment="") -> in
             fh.write(f"# {extra_comment}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(
-                ",".join(
+            if isinstance(row, str):
+                fh.write(row)
+                n_rows += row.count("\n")
+            else:
+                fh.write(",".join(
                     format(v, ".17g") if isinstance(v, (float, np.floating))
                     else _quoted(v) if isinstance(v, str) else str(v)
                     for v in row
-                )
-                + "\n"
-            )
-            n_rows += 1
+                ) + "\n")
+                n_rows += 1
     return n_rows
 
 
@@ -88,24 +94,34 @@ def run_riccati(cfg: ExperimentConfig, out: str):
     return 0, f"riccati: {len(rows)} nodes -> {out}"
 
 
-def _trajectory_rows(cfg: ExperimentConfig):
-    """Trajectory rows, one scenario's cloud in memory at a time."""
+def _trajectory_blocks(cfg: ExperimentConfig):
+    """Trajectory CSV text, one string per grid node of one scenario.
+
+    One scenario's cloud is in memory at a time.  A node's rows come from
+    one ``%`` format of the scenario's template, its ``scenario,particle,``
+    prefixes written once; ``"%.17g" % v`` of a Python float is
+    ``format(v, ".17g")``, so the bytes are those of row-by-row writing.
+    """
     params, mc = cfg.params, cfg.mc
     sol = solve_riccati(params, mc.mode, mc.riccati_steps)
+    n = mc.particles
+    values = [None] * (3 * n)
     for scenario in range(mc.scenarios):
         cloud = simulate_optimal(params, sol, mc, scenario)
-        n_steps = cloud.grid.n_steps
+        template = "".join(f"{scenario},{i},%s,%.17g,%.17g\n" for i in range(n))
+        last_step = cloud.grid.n_steps - 1
         for k, t in enumerate(cloud.times.tolist()):
-            controls = cloud.controls[min(k, n_steps - 1)].tolist()
-            for i, (x, u) in enumerate(zip(cloud.states[k].tolist(), controls)):
-                yield scenario, i, t, x, u
+            values[0::3] = [format(t, ".17g")] * n
+            values[1::3] = cloud.states[k].tolist()
+            values[2::3] = cloud.controls[min(k, last_step)].tolist()
+            yield template % tuple(values)
 
 
 def run_simulate(cfg: ExperimentConfig, out: str):
     n_rows = write_csv(
         out, cfg,
         ["scenario", "particle", "time", "state", "control"],
-        _trajectory_rows(cfg),
+        _trajectory_blocks(cfg),
         extra_comment="control column holds the value applied on the step starting at `time`",
     )
     return 0, f"simulate: {n_rows} rows -> {out}"

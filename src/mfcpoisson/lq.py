@@ -137,9 +137,12 @@ def solve_riccati(params: LQParams, mode: str, n_steps: int) -> RiccatiSolution:
     # RK4 on Python floats: the stages are 2-vectors, and numpy round trips
     # would dominate.  Each expression mirrors ``riccati_rhs`` term by term
     # (``beta * beta`` is numpy's square), so every node keeps its bits.
-    b3_sq = params.b3**2
-    sigma_sq = params.sigma**2
-    b23_sq = (params.b2 + params.b3) ** 2
+    try:
+        b3_sq = params.b3**2
+        sigma_sq = params.sigma**2
+        b23_sq = (params.b2 + params.b3) ** 2
+    except OverflowError:
+        raise IllPosedError(params.T, "finite sigma^2, b3^2 and (b2+b3)^2") from None
     two_b1 = 2.0 * params.b1
     common = mode == "common"
 

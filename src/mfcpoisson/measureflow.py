@@ -22,7 +22,7 @@ realizes those objects exactly on finite atom clouds:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -65,6 +65,15 @@ class RelaxedKernel:
         return cls(u, np.ones_like(u))
 
     @classmethod
+    def trusted(cls, supports, weights) -> "RelaxedKernel":
+        """Unvalidated kernel over (N, A) float arrays whose rows are
+        probability weights, for hot loops."""
+        kernel = object.__new__(cls)
+        object.__setattr__(kernel, "supports", supports)
+        object.__setattr__(kernel, "weights", weights)
+        return kernel
+
+    @classmethod
     def shared(cls, n_rows: int, support, weights) -> "RelaxedKernel":
         support = np.asarray(support, dtype=float).reshape(-1)
         weights = np.asarray(weights, dtype=float).reshape(-1)
@@ -96,12 +105,23 @@ class SignedAtomMeasure:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Scalar C^2 test function with explicit first and second derivatives."""
+    """Scalar C^2 test function with explicit first and second derivatives.
+
+    ``dx_dxx``, when given, returns ``(dx(x), dxx(x))`` bit for bit in one
+    call, sharing the work the two have in common.
+    """
 
     name: str
     value: Callable
     dx: Callable
     dxx: Callable
+    dx_dxx: Optional[Callable] = None
+
+    def derivatives(self, x) -> tuple:
+        """``(dx(x), dxx(x))``."""
+        if self.dx_dxx is not None:
+            return self.dx_dxx(x)
+        return self.dx(x), self.dxx(x)
 
 
 class TestFunctionDictionary:
@@ -147,15 +167,21 @@ def _monomial(k: int) -> TestFunction:
 def _gaussian(center: float, width: float) -> TestFunction:
     inv2 = 1.0 / width**2
 
-    def value(x):
-        return np.exp(-0.5 * inv2 * (np.asarray(x, dtype=float) - center) ** 2)
+    def parts(x):
+        offset = np.asarray(x, dtype=float) - center
+        offset_sq = offset**2
+        return offset, offset_sq, np.exp(-0.5 * inv2 * offset_sq)
+
+    def derivatives(x):
+        offset, offset_sq, value = parts(x)
+        return -inv2 * offset * value, (inv2**2 * offset_sq - inv2) * value
 
     return TestFunction(
         name=f"gauss({center},{width})",
-        value=value,
-        dx=lambda x: -inv2 * (np.asarray(x, dtype=float) - center) * value(x),
-        dxx=lambda x: (inv2**2 * (np.asarray(x, dtype=float) - center) ** 2 - inv2)
-        * value(x),
+        value=lambda x: parts(x)[2],
+        dx=lambda x: derivatives(x)[0],
+        dxx=lambda x: derivatives(x)[1],
+        dx_dxx=derivatives,
     )
 
 
@@ -164,11 +190,17 @@ def _soft_clamp(level: float) -> TestFunction:
     def th(x):
         return np.tanh(np.asarray(x, dtype=float) / level)
 
+    def derivatives(x):
+        t = th(x)
+        slope = 1.0 - t**2
+        return slope, -2.0 * t * slope / level
+
     return TestFunction(
         name=f"clamp({level})",
         value=lambda x: level * th(x),
-        dx=lambda x: 1.0 - th(x) ** 2,
-        dxx=lambda x: -2.0 * th(x) * (1.0 - th(x) ** 2) / level,
+        dx=lambda x: derivatives(x)[0],
+        dxx=lambda x: derivatives(x)[1],
+        dx_dxx=derivatives,
     )
 
 
@@ -188,7 +220,8 @@ def joint_with_kernel(mu: EmpiricalMeasure, kernel: RelaxedKernel) -> JointEmpir
     """Bayes product: joint law with atoms (x_i, u_ia), weights w_i * k_ia."""
     kernel.require_cover(mu)
     n, a = kernel.supports.shape
-    return JointEmpiricalMeasure.strict(
+    # both factors are probability measures, so the product needs no check
+    return JointEmpiricalMeasure.trusted(
         np.repeat(mu.atoms[:, 0], a),
         kernel.supports.reshape(-1),
         (mu.weights[:, None] * kernel.weights).reshape(-1),
@@ -215,7 +248,10 @@ def aggregate_coeffs(
     sup, kw = kernel.supports, kernel.weights
 
     def avg(vals):
-        return (np.broadcast_to(np.asarray(vals, dtype=float), sup.shape) * kw).sum(axis=1)
+        vals = np.asarray(vals, dtype=float)
+        if vals.shape != sup.shape:
+            vals = np.broadcast_to(vals, sup.shape)
+        return (vals * kw).sum(axis=1)
 
     bhat = avg(coeffs.drift(x, rho, sup))
     diff_sq = avg(np.asarray(coeffs.diffusion(x, rho, sup), dtype=float) ** 2)
@@ -269,17 +305,29 @@ def apply_A1(
     )
 
 
-def _pair_A0_aggregated(
-    phi: TestFunction, mu: EmpiricalMeasure, agg: AggregatedCoefficients,
-    coeffs: CoefficientSet,
-) -> float:
+def drift_pairings(
+    mu: EmpiricalMeasure, agg: AggregatedCoefficients, coeffs: CoefficientSet,
+    dictionary,
+) -> list:
+    """<A0 phi, mu> for every entry of ``dictionary``, from averaged coefficients.
+
+    The compensated drift and half the squared diffusion are formed once;
+    each entry keeps its own ``weights @ integrand`` dot, so it has the bits
+    of a one-entry call (a stacked matrix product would sum differently).
+    """
     x = mu.atoms[:, 0]
     compensator = (
         agg.jump @ coeffs.jumps.intensities if coeffs.jumps.n_marks else 0.0
     )
-    integrand = (agg.drift - compensator) * np.asarray(phi.dx(x), dtype=float)
-    integrand = integrand + 0.5 * agg.diffusion_sq * np.asarray(phi.dxx(x), dtype=float)
-    return float(mu.weights @ integrand)
+    drift = agg.drift - compensator
+    half_diffusion = 0.5 * agg.diffusion_sq
+    pairings = []
+    for phi in dictionary:
+        d1, d2 = phi.derivatives(x)
+        pairings.append(float(mu.weights @ (
+            drift * np.asarray(d1, dtype=float) + half_diffusion * np.asarray(d2, dtype=float)
+        )))
+    return pairings
 
 
 def pair_A0(
@@ -287,7 +335,7 @@ def pair_A0(
     coeffs: CoefficientSet,
 ) -> float:
     """Weak-form drift generator: <(bhat - <gammahat, lambda>) phi' + diff phi''/2, mu>."""
-    return _pair_A0_aggregated(phi, mu, aggregate_coeffs(mu, kernel, coeffs), coeffs)
+    return drift_pairings(mu, aggregate_coeffs(mu, kernel, coeffs), coeffs, (phi,))[0]
 
 
 def fp_step(
@@ -306,18 +354,21 @@ def fp_step(
     supplied, else at (mu, kernel).
     """
     jump_mu, jump_kernel = jump_state if jump_state is not None else (mu, kernel)
-    agg = aggregate_coeffs(mu, kernel, coeffs)
+    drift_terms = drift_pairings(
+        mu, aggregate_coeffs(mu, kernel, coeffs), coeffs, dictionary
+    )
     jump_pairings = {}
     for mark in events:
         signed = apply_A1(jump_mu, jump_kernel, mark, coeffs)
         for phi in dictionary:
-            jump_pairings[phi.name] = jump_pairings.get(phi.name, 0.0) + signed.pairing(
-                phi.value
+            jump_pairings[phi.name] = (
+                jump_pairings.get(phi.name, 0.0) + signed.pairing(phi.value)
             )
+    x = mu.atoms[:, 0]
     out = {}
-    for phi in dictionary:
-        predicted = float(mu.weights @ np.asarray(phi.value(mu.atoms[:, 0]), dtype=float))
-        predicted += dt * _pair_A0_aggregated(phi, mu, agg, coeffs)
+    for phi, drift_term in zip(dictionary, drift_terms):
+        predicted = float(mu.weights @ np.asarray(phi.value(x), dtype=float))
+        predicted += dt * drift_term
         out[phi.name] = predicted + jump_pairings.get(phi.name, 0.0)
     return out
 
@@ -358,18 +409,13 @@ def ito_residual(evaluator, path: MeasurePath, coeffs: CoefficientSet) -> np.nda
         t, t_next = times[k], times[k + 1]
         h = t_next - t
         mu, kernel = path.measures[k], path.kernels[k]
-        agg = aggregate_coeffs(mu, kernel, coeffs)
-        x = mu.atoms[:, 0]
-        compensator = (
-            agg.jump @ coeffs.jumps.intensities if coeffs.jumps.n_marks else 0.0
+        lifted = TestFunction(
+            "dmu", value=None,
+            dx=lambda x: evaluator.dmu(t, mu, x), dxx=lambda x: evaluator.dx_dmu(t, mu, x),
         )
-        drift = evaluator.dt(t, mu) + float(
-            mu.weights
-            @ (
-                (agg.drift - compensator) * np.asarray(evaluator.dmu(t, mu, x), dtype=float)
-                + 0.5 * agg.diffusion_sq * np.asarray(evaluator.dx_dmu(t, mu, x), dtype=float)
-            )
-        )
+        drift = evaluator.dt(t, mu) + drift_pairings(
+            mu, aggregate_coeffs(mu, kernel, coeffs), coeffs, (lifted,)
+        )[0]
         jump_part = 0.0
         for mark, pre_mu, pre_kernel in path.jumps.get(k + 1, ()):
             shifted = shift_adjoint(pre_mu, pre_kernel, mark, coeffs)

@@ -206,6 +206,19 @@ class EmpiricalMeasure(_AtomMeasure):
         n = atoms.shape[0]
         return cls(atoms, np.full(n, 1.0 / n))
 
+    @classmethod
+    def trusted(cls, samples, weights) -> "EmpiricalMeasure":
+        """Unvalidated measure over a 1-D float sample array.
+
+        For hot loops, as :meth:`JointEmpiricalMeasure.trusted`: the caller
+        guarantees equal lengths and probability weights, and the atoms are
+        the contiguous (N, 1) view :func:`_as_atoms` would make.
+        """
+        mu = object.__new__(cls)
+        object.__setattr__(mu, "atoms", np.ascontiguousarray(samples).reshape(-1, 1))
+        object.__setattr__(mu, "weights", weights)
+        return mu
+
     def second_moment_raw(self) -> float:
         """Integral of |x|^2."""
         return float(self.weights @ np.sum(self.atoms**2, axis=1))

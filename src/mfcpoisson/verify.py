@@ -51,10 +51,11 @@ from .measureflow import (
     MeasurePath,
     RelaxedKernel,
     TestFunctionDictionary,
-    _pair_A0_aggregated,
     aggregate_coeffs,
     apply_A1,
     default_dictionary,
+    drift_pairings,
+    fp_step,
     shift_adjoint,
 )
 from .measures import EmpiricalMeasure
@@ -146,6 +147,9 @@ def copy_expectation(
 
 def optimal_feedback_rule(sol: RiccatiSolution) -> FeedbackRule:
     return FeedbackRule(lambda t, x, m: optimal_control(sol, t, x, m))
+
+
+PERTURBATION_KINDS = ("offset", "gain", "time-shift")
 
 
 @dataclass(frozen=True)
@@ -583,6 +587,39 @@ def check_optimality(
 # Fokker-Planck consistency
 # ---------------------------------------------------------------------------
 
+def _events_by_node(cloud: ParticleCloud) -> dict:
+    """Marks of the common events landing at each node (none when idiosyncratic)."""
+    events = {}
+    if cloud.mode == "common":
+        for node, mark, _ in cloud.event_log:
+            events.setdefault(node, []).append(mark)
+    return events
+
+
+def _step_laws(cloud: ParticleCloud, events: dict):
+    """Per step k of a strict cloud: (k, h, law at node k, Dirac kernel of the
+    step's controls, pre-jump law at node k + 1 or None).
+
+    The laws and kernels are trusted views of the cloud's arrays: the
+    uniform weights and the unit kernel weights are built once per cloud.
+    """
+    n = cloud.n_particles
+    weights = np.full(n, 1.0 / n)
+    ones = np.ones((n, 1))
+    times = cloud.times
+    for k in range(cloud.grid.n_steps):
+        pre_mu = None
+        if k + 1 in events:
+            pre_mu = EmpiricalMeasure.trusted(cloud.pre_jump_states[k + 1], weights)
+        yield (
+            k,
+            float(times[k + 1] - times[k]),
+            EmpiricalMeasure.trusted(cloud.states[k], weights),
+            RelaxedKernel.trusted(cloud.controls[k].reshape(-1, 1), ones),
+            pre_mu,
+        )
+
+
 def _fp_terminal_error(
     params: LQParams,
     sol: RiccatiSolution,
@@ -593,37 +630,25 @@ def _fp_terminal_error(
     """Per-dictionary-entry gap between accumulated predictions and the cloud."""
     coeffs = lq_coefficients(params)
     cloud = simulate_optimal(params, sol, mc, scenario)
-    events = {}
-    if cloud.mode == "common":
-        for node, mark, _ in cloud.event_log:
-            events.setdefault(node, []).append(mark)
-
-    predicted = {}
-    for phi in dictionary:
-        predicted[phi.name] = float(
-            np.mean(np.asarray(phi.value(cloud.states[0]), dtype=float))
-        )
-    for k in range(cloud.grid.n_steps):
-        h = float(cloud.times[k + 1] - cloud.times[k])
-        mu = EmpiricalMeasure.from_samples(cloud.states[k])
-        kernel = RelaxedKernel.dirac(cloud.controls[k])
+    events = _events_by_node(cloud)
+    predicted = [
+        float(np.mean(np.asarray(phi.value(cloud.states[0]), dtype=float)))
+        for phi in dictionary
+    ]
+    for k, h, mu, kernel, pre_mu in _step_laws(cloud, events):
         agg = aggregate_coeffs(mu, kernel, coeffs)
-        for phi in dictionary:
-            predicted[phi.name] += h * _pair_A0_aggregated(phi, mu, agg, coeffs)
-        node = k + 1
-        if node in events:
-            pre_mu = EmpiricalMeasure.from_samples(cloud.pre_jump_states[node])
-            pre_kernel = RelaxedKernel.dirac(cloud.controls[k])
-            for mark in events[node]:
-                signed = apply_A1(pre_mu, pre_kernel, mark, coeffs)
-                for phi in dictionary:
-                    predicted[phi.name] += signed.pairing(phi.value)
+        for j, a0 in enumerate(drift_pairings(mu, agg, coeffs, dictionary)):
+            predicted[j] += h * a0
+        for mark in events.get(k + 1, ()):
+            signed = apply_A1(pre_mu, kernel, mark, coeffs)
+            for j, phi in enumerate(dictionary):
+                predicted[j] += signed.pairing(phi.value)
 
     x_T = cloud.states[-1]
     return np.array(
         [
-            predicted[phi.name] - float(np.mean(np.asarray(phi.value(x_T), dtype=float)))
-            for phi in dictionary
+            p - float(np.mean(np.asarray(phi.value(x_T), dtype=float)))
+            for p, phi in zip(predicted, dictionary)
         ]
     )
 
@@ -826,27 +851,14 @@ def pairing_table(
     Rows are (step, phi-id, predicted, observed, residual); event steps use
     the recorded pre-jump cloud for the jump contribution.
     """
-    from .measureflow import fp_step
-
     dictionary = dictionary or default_dictionary()
-    events = {}
-    if cloud.mode == "common":
-        for node, mark, _ in cloud.event_log:
-            events.setdefault(node, []).append(mark)
+    events = _events_by_node(cloud)
     rows = []
-    for k in range(cloud.grid.n_steps):
-        h = float(cloud.times[k + 1] - cloud.times[k])
-        mu = cloud.measure_at(k)
-        kernel = RelaxedKernel.dirac(cloud.controls[k])
-        node = k + 1
-        jump_state = None
-        marks = events.get(node, [])
-        if marks:
-            jump_state = (
-                EmpiricalMeasure.from_samples(cloud.pre_jump_states[node]), kernel
-            )
+    for k, h, mu, kernel, pre_mu in _step_laws(cloud, events):
+        marks = events.get(k + 1, [])
+        jump_state = (pre_mu, kernel) if marks else None
         preds = fp_step(mu, kernel, h, marks, coeffs, dictionary, jump_state)
-        x_next = cloud.states[node]
+        x_next = cloud.states[k + 1]
         for phi in dictionary:
             observed = float(np.mean(np.asarray(phi.value(x_next), dtype=float)))
             predicted = preds[phi.name]

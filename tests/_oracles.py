@@ -4,7 +4,10 @@ Nothing here imports the implementation paths it validates: the Fortet-Mourier
 oracle is an exact dynamic program over lattice-valued test functions, the
 Riccati oracle is an adaptive high-order integrator, the quadratic
 minimizer oracle is a parameter grid search, and the SMP oracle evaluates the
-Hamiltonian from the raw coefficient evaluators one control at a time.
+Hamiltonian from the raw coefficient evaluators one control at a time.  The
+trajectory-writer oracle formats one row, and one value, at a time; the
+Fokker-Planck oracles pair one dictionary entry at a time through validated
+measures, with the test functions written out as plain formulas.
 """
 from __future__ import annotations
 
@@ -186,3 +189,203 @@ def smp_phi_reference(coeffs, rho, xs, us, i, u_values, p, big_p, k):
             ) * (k[:, j] * lam[j])
         values.append(float(own) + float(np.broadcast_to(cross, xs.shape).mean()))
     return np.array(values)
+
+
+# ---------------------------------------------------------------------------
+# Trajectory CSV, one row and one value at a time
+# ---------------------------------------------------------------------------
+
+def trajectory_csv_reference(cfg, path):
+    """Write ``simulate``'s trajectory CSV row by row, each value by ``format``."""
+    from mfcpoisson import __version__
+    from mfcpoisson.lq import solve_riccati
+    from mfcpoisson.verify import simulate_optimal
+
+    params, mc = cfg.params, cfg.mc
+    sol = solve_riccati(params, mc.mode, mc.riccati_steps)
+    with open(path, "w") as fh:
+        fh.write(f"# mfcpoisson {__version__} config_hash={cfg.config_hash}\n")
+        fh.write(
+            "# control column holds the value applied on the step starting at `time`\n"
+        )
+        fh.write("scenario,particle,time,state,control\n")
+        for scenario in range(mc.scenarios):
+            cloud = simulate_optimal(params, sol, mc, scenario)
+            n_steps = cloud.grid.n_steps
+            for k, t in enumerate(cloud.times.tolist()):
+                controls = cloud.controls[min(k, n_steps - 1)].tolist()
+                for i, (x, u) in enumerate(zip(cloud.states[k].tolist(), controls)):
+                    fh.write(",".join(
+                        format(v, ".17g") if isinstance(v, float) else str(v)
+                        for v in (scenario, i, t, x, u)
+                    ) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# Fokker-Planck pairings, one dictionary entry at a time
+# ---------------------------------------------------------------------------
+
+class _Entry:
+    def __init__(self, name, value, dx, dxx):
+        self.name, self.value, self.dx, self.dxx = name, value, dx, dxx
+
+
+def _as_float(x):
+    return np.asarray(x, dtype=float)
+
+
+def dictionary_reference():
+    """The default test functions, each value and derivative its own formula."""
+    entries = []
+    for k in range(5):
+        entries.append(_Entry(
+            f"x^{k}",
+            lambda x, k=k: _as_float(x) ** k,
+            lambda x, k=k: k * _as_float(x) ** (k - 1) if k else 0.0 * np.asarray(x),
+            lambda x, k=k: k * (k - 1) * _as_float(x) ** (k - 2)
+            if k >= 2 else 0.0 * np.asarray(x),
+        ))
+    for center, width in ((0.0, 1.0), (1.0, 0.5)):
+        inv2 = 1.0 / width**2
+
+        def value(x, center=center, inv2=inv2):
+            return np.exp(-0.5 * inv2 * (_as_float(x) - center) ** 2)
+
+        entries.append(_Entry(
+            f"gauss({center},{width})",
+            value,
+            lambda x, c=center, i=inv2, v=value: -i * (_as_float(x) - c) * v(x),
+            lambda x, c=center, i=inv2, v=value: (i**2 * (_as_float(x) - c) ** 2 - i)
+            * v(x),
+        ))
+    level = 2.0
+
+    def th(x):
+        return np.tanh(_as_float(x) / level)
+
+    entries.append(_Entry(
+        f"clamp({level})",
+        lambda x: level * th(x),
+        lambda x: 1.0 - th(x) ** 2,
+        lambda x: -2.0 * th(x) * (1.0 - th(x) ** 2) / level,
+    ))
+    return entries
+
+
+def aggregate_reference(mu, kernel, coeffs):
+    """(drift, diffusion_sq, jump) kernel averages through a validated joint law."""
+    from mfcpoisson.measures import JointEmpiricalMeasure
+
+    n, a = kernel.supports.shape
+    rho = JointEmpiricalMeasure.strict(
+        np.repeat(mu.atoms[:, 0], a),
+        kernel.supports.reshape(-1),
+        (mu.weights[:, None] * kernel.weights).reshape(-1),
+    )
+    x = mu.atoms[:, 0][:, None]
+    sup, kw = kernel.supports, kernel.weights
+
+    def avg(vals):
+        return (np.broadcast_to(_as_float(vals), sup.shape) * kw).sum(axis=1)
+
+    drift = avg(coeffs.drift(x, rho, sup))
+    diff_sq = avg(_as_float(coeffs.diffusion(x, rho, sup)) ** 2)
+    jump = np.stack(
+        [avg(coeffs.jump(x, rho, sup, j)) for j in range(coeffs.jumps.n_marks)],
+        axis=1,
+    ) if coeffs.jumps.n_marks else np.zeros((mu.n_atoms, 0))
+    return drift, diff_sq, jump
+
+
+def pair_A0_reference(phi, mu, aggregated, coeffs):
+    """<A0 phi, mu> of one entry, the compensator formed for this entry alone."""
+    drift, diff_sq, jump = aggregated
+    x = mu.atoms[:, 0]
+    compensator = jump @ coeffs.jumps.intensities if coeffs.jumps.n_marks else 0.0
+    integrand = (drift - compensator) * _as_float(phi.dx(x))
+    integrand = integrand + 0.5 * diff_sq * _as_float(phi.dxx(x))
+    return float(mu.weights @ integrand)
+
+
+def _jump_pairing(signed, phi):
+    return float(signed.weights @ _as_float(phi.value(signed.atoms[:, 0])))
+
+
+def fp_step_reference(mu, kernel, dt, events, coeffs, dictionary, jump_state=None):
+    """One-step predicted pairings, entry by entry."""
+    from mfcpoisson.measureflow import apply_A1
+
+    jump_mu, jump_kernel = jump_state if jump_state is not None else (mu, kernel)
+    aggregated = aggregate_reference(mu, kernel, coeffs)
+    jump_pairings = {}
+    for mark in events:
+        signed = apply_A1(jump_mu, jump_kernel, mark, coeffs)
+        for phi in dictionary:
+            jump_pairings[phi.name] = (
+                jump_pairings.get(phi.name, 0.0) + _jump_pairing(signed, phi)
+            )
+    out = {}
+    for phi in dictionary:
+        predicted = float(mu.weights @ _as_float(phi.value(mu.atoms[:, 0])))
+        predicted += dt * pair_A0_reference(phi, mu, aggregated, coeffs)
+        out[phi.name] = predicted + jump_pairings.get(phi.name, 0.0)
+    return out
+
+
+def _cloud_events(cloud):
+    events = {}
+    if cloud.mode == "common":
+        for node, mark, _ in cloud.event_log:
+            events.setdefault(node, []).append(mark)
+    return events
+
+
+def pairing_table_reference(cloud, coeffs, dictionary):
+    """(step, name, predicted, observed, residual) rows through validated laws."""
+    from mfcpoisson.measureflow import RelaxedKernel
+    from mfcpoisson.measures import EmpiricalMeasure
+
+    events = _cloud_events(cloud)
+    rows = []
+    for k in range(cloud.grid.n_steps):
+        h = float(cloud.times[k + 1] - cloud.times[k])
+        mu = EmpiricalMeasure.from_samples(cloud.states[k])
+        kernel = RelaxedKernel.dirac(cloud.controls[k])
+        marks = events.get(k + 1, [])
+        jump_state = None
+        if marks:
+            jump_state = (EmpiricalMeasure.from_samples(cloud.pre_jump_states[k + 1]), kernel)
+        preds = fp_step_reference(mu, kernel, h, marks, coeffs, dictionary, jump_state)
+        for phi in dictionary:
+            observed = float(np.mean(_as_float(phi.value(cloud.states[k + 1]))))
+            rows.append((k, phi.name, preds[phi.name], observed, preds[phi.name] - observed))
+    return rows
+
+
+def fp_terminal_error_reference(cloud, coeffs, dictionary):
+    """Accumulated one-step predictions minus the terminal cloud, entry by entry."""
+    from mfcpoisson.measureflow import RelaxedKernel, apply_A1
+    from mfcpoisson.measures import EmpiricalMeasure
+
+    events = _cloud_events(cloud)
+    predicted = {
+        phi.name: float(np.mean(_as_float(phi.value(cloud.states[0]))))
+        for phi in dictionary
+    }
+    for k in range(cloud.grid.n_steps):
+        h = float(cloud.times[k + 1] - cloud.times[k])
+        mu = EmpiricalMeasure.from_samples(cloud.states[k])
+        kernel = RelaxedKernel.dirac(cloud.controls[k])
+        aggregated = aggregate_reference(mu, kernel, coeffs)
+        for phi in dictionary:
+            predicted[phi.name] += h * pair_A0_reference(phi, mu, aggregated, coeffs)
+        for mark in events.get(k + 1, ()):
+            pre_mu = EmpiricalMeasure.from_samples(cloud.pre_jump_states[k + 1])
+            signed = apply_A1(pre_mu, RelaxedKernel.dirac(cloud.controls[k]), mark, coeffs)
+            for phi in dictionary:
+                predicted[phi.name] += _jump_pairing(signed, phi)
+    x_T = cloud.states[-1]
+    return np.array([
+        predicted[phi.name] - float(np.mean(_as_float(phi.value(x_T))))
+        for phi in dictionary
+    ])

@@ -3,21 +3,29 @@ import json
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mfcpoisson import simulate
 from mfcpoisson.cli import main
 from mfcpoisson.coefficients import lq_coefficients
 from mfcpoisson.config import ConfigError, config_hash, default_config, load_config, parse_config
 from mfcpoisson.errors import DivergenceError, IllPosedError
-from mfcpoisson.experiments import write_csv
+from mfcpoisson.experiments import run_simulate, write_csv
 from mfcpoisson.lq import solve_riccati
+
+from _oracles import trajectory_csv_reference
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_config(**sim_overrides):
@@ -214,6 +222,50 @@ class TestConfigFieldTypes:
         assert main(["verify", command, "--config", path]) == 2
         assert f"verify.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "update, field",
+        [
+            ({"tolerances": [1e-8]}, "verify.tolerances"),
+            ({"tolerances": {"smp": "1e-8"}}, "verify.tolerances.smp"),
+            ({"tolerances": {"smp": math.inf}}, "verify.tolerances.smp"),
+            ({"tolerances": {"bsde": None}}, "verify.tolerances.bsde"),
+            ({"tolerances": {"fp": 0.1}}, "verify.tolerances.fp"),
+            ({"perturbations": [{"kind": "gain", "amount": math.nan}]},
+             "verify.perturbations[0].amount"),
+            ({"perturbations": [{"kind": "gain", "amount": "0.5"}]},
+             "verify.perturbations[0].amount"),
+            ({"perturbations": [{"kind": "scale", "amount": 0.5}]},
+             "verify.perturbations[0].kind"),
+            ({"perturbations": [{"kind": "gain"}]}, "verify.perturbations[0]"),
+            ({"perturbations": {"kind": "gain", "amount": 0.5}}, "verify.perturbations"),
+            ({"fp_ratio_band": [0.7, 0.3]}, "verify.fp_ratio_band"),
+            ({"fp_ratio_band": [0.0, 0.7]}, "verify.fp_ratio_band"),
+            ({"fp_ratio_band": [0.3, math.nan]}, "verify.fp_ratio_band"),
+            ({"fp_ratio_band": [0.3]}, "verify.fp_ratio_band"),
+        ],
+    )
+    def test_bad_verify_field_exits_2_naming_it(self, tmp_path, capsys, update, field):
+        cfg = small_config()
+        cfg["verify"].update(update)
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            parse_config(cfg)
+        path = write_config(tmp_path, cfg)
+        assert main(["verify", "fp", "--config", path]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_null_hjb_tolerance_is_derived_and_accepted(self):
+        cfg = small_config()
+        cfg["verify"]["tolerances"] = {"hjb": None, "smp": 1e-9}
+        assert parse_config(cfg).tolerance("hjb") is None
+
+    @pytest.mark.parametrize("section", ["model", "sim", "verify", "output", "jumps"])
+    def test_section_that_is_not_an_object_exits_2_naming_it(self, tmp_path, capsys, section):
+        cfg = small_config()
+        cfg[section] = [1.0, 2.0]
+        path = write_config(tmp_path, cfg)
+        assert main(["riccati", "--config", path, "--out", str(tmp_path / "r.csv")]) == 2
+        assert section in capsys.readouterr().err
+
     def test_integer_model_field_and_zero_seed_accepted(self):
         cfg = small_config()
         cfg["model"]["T"] = 1
@@ -330,6 +382,54 @@ class TestSimulateCommand:
         assert peaks[8] < 2 * peaks[2]
 
 
+def _simulate_variant(variant: str):
+    """lq_small at 2 scenarios, changed as ``variant`` says."""
+    raw = json.loads((CONFIGS / "lq_small.json").read_text())
+    raw["sim"]["scenarios"] = 2
+    if variant == "idiosyncratic":
+        raw["sim"]["mode"] = "idiosyncratic"
+    elif variant == "37-particles":
+        raw["sim"]["particles"] = 37
+    elif variant == "jump-nodes":
+        raw["sim"]["particles"] = 20
+        raw["jumps"]["marks"] = [
+            {"z": 1.0, "lambda": 20.0, "gamma": 0.3},
+            {"z": 2.0, "lambda": 5.0, "gamma": -0.2},
+        ]
+    elif variant == "2-particles":  # the smallest cloud with an empirical law
+        raw["sim"]["particles"] = 2
+    return parse_config(raw)
+
+
+class TestTrajectoryWriterBytes:
+    @pytest.mark.parametrize(
+        "variant", ["lq_small", "idiosyncratic", "2-particles", "37-particles", "jump-nodes"]
+    )
+    def test_file_equals_row_by_row_oracle(self, tmp_path, variant):
+        cfg = _simulate_variant(variant)
+        out, ref = tmp_path / "traj.csv", tmp_path / "ref.csv"
+        code, line = run_simulate(cfg, str(out))
+        trajectory_csv_reference(cfg, ref)
+        assert out.read_bytes() == ref.read_bytes()
+        n_rows = len(ref.read_text().splitlines()) - 3
+        assert (code, line) == (0, f"simulate: {n_rows} rows -> {out}")
+        if variant == "jump-nodes":  # the common events add nodes to the grid
+            uniform_nodes = round(cfg.params.T / cfg.mc.dt) + 1
+            assert n_rows > cfg.mc.scenarios * cfg.mc.particles * uniform_nodes
+
+    @settings(max_examples=500, database=None, derandomize=True)
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    @example(-0.0)
+    @example(5e-324)
+    @example(-5e-324)
+    @example(1.7976931348623157e308)
+    @example(math.nan)
+    @example(math.inf)
+    @example(-math.inf)
+    def test_percent_format_is_format_17g(self, v):
+        assert "%.17g" % v == format(v, ".17g")
+
+
 class TestVerifyCommands:
     def test_bsde_passes_and_is_deterministic(self, tmp_path):
         path = write_config(tmp_path, small_config())
@@ -416,16 +516,45 @@ class TestPoolErrors:
         assert isinstance(ill, IllPosedError)
         assert (ill.time, ill.constraint) == (0.5, "a > 0")
 
-    def test_divergence_in_a_worker_keeps_its_type_and_step(self, tmp_path):
+    def test_divergence_in_a_worker_exits_3_naming_the_same_step(self, tmp_path, capsys):
         cfg = small_config(particles=20, scenarios=2, dt=0.05)
         cfg["model"]["sigma"] = 60.0
         path = write_config(tmp_path, cfg)
-        steps = []
+        lines = []
         for threads in ("1", "2"):
-            with pytest.raises(DivergenceError) as err, np.errstate(over="ignore", invalid="ignore"):
-                main(["cost", "--config", path, "--threads", threads])
-            steps.append(err.value.step)
-        assert steps[0] == steps[1]
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert main(["cost", "--config", path, "--threads", threads]) == 3
+            lines.append(capsys.readouterr().err.strip().splitlines())
+        assert lines[0] == lines[1]
+        assert len(lines[0]) == 1
+        assert lines[0][0].startswith("numerical failure: non-finite state at step ")
+        assert "(t=" in lines[0][0]
+
+
+class TestNumericalFailureExitCode:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize(
+        "sigma, message",
+        [
+            (60.0, "numerical failure: non-finite state at step 1 (t=0.002)"),
+            (1e200, "numerical failure: finite sigma^2, b3^2 and (b2+b3)^2 violated at t=1"),
+        ],
+    )
+    def test_lq_small_probe_exits_3_with_one_line(self, tmp_path, capsys, sigma, message, threads):
+        cfg = json.loads((CONFIGS / "lq_small.json").read_text())
+        cfg["model"]["sigma"] = sigma
+        path = write_config(tmp_path, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["cost", "--config", path, "--threads", threads]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [message]
+        assert captured.out == ""
+
+    def test_overflowing_coefficient_is_ill_posed(self):
+        params = parse_config(small_config()).params
+        with pytest.raises(IllPosedError) as err:
+            solve_riccati(replace(params, b3=1e200), "common", 64)
+        assert err.value.time == params.T
 
 
 class TestThreadInvariance:
