@@ -15,7 +15,7 @@ from . import __version__
 from .coefficients import lq_coefficients
 from .config import ConfigError, ExperimentConfig
 from .lq import solve_riccati
-from .simulate import RelaxedRule, map_scenarios
+from .simulate import RelaxedRule, map_scenarios, standard_error
 from .verify import (
     CheckReport,
     check_bsde,
@@ -135,18 +135,15 @@ def run_cost(cfg: ExperimentConfig, out: str, threads: int = 1):
         lambda s: scenario_costs(coeffs, [rule], params.T, mc, s)[0],
         mc.scenarios, threads,
     ))
-    stderr = (
-        float(costs.std(ddof=1) / np.sqrt(len(costs))) if len(costs) > 1 else 0.0
-    )
     payload = {
         "mean": float(costs.mean()),
-        "std_error": stderr,
+        "std_error": standard_error(costs),
         "scenarios": int(cfg.mc.scenarios),
         "per_scenario": [float(c) for c in costs],
     }
     if out:
         write_json(out, cfg, payload)
-    return 0, f"cost: {payload['mean']:.6g} +/- {stderr:.2g}"
+    return 0, f"cost: {payload['mean']:.6g} +/- {payload['std_error']:.2g}"
 
 
 def run_chattering(cfg: ExperimentConfig, out: str, threads: int = 1):

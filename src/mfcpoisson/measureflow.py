@@ -81,6 +81,13 @@ class RelaxedKernel:
             np.tile(support, (n_rows, 1)), np.tile(weights / weights.sum(), (n_rows, 1))
         )
 
+    def average(self, vals) -> np.ndarray:
+        """Row averages of values given per atom, (N, A) or broadcastable to it."""
+        vals = np.asarray(vals, dtype=float)
+        if vals.shape != self.supports.shape:
+            vals = np.broadcast_to(vals, self.supports.shape)
+        return (vals * self.weights).sum(axis=1)
+
     def require_cover(self, mu: EmpiricalMeasure):
         if self.n_rows != mu.n_atoms:
             raise CoverageError(
@@ -242,24 +249,29 @@ def aggregate_coeffs(
     mu: EmpiricalMeasure, kernel: RelaxedKernel, coeffs: CoefficientSet
 ) -> AggregatedCoefficients:
     """Pointwise kernel averages of the model coefficients at the atoms."""
-    kernel.require_cover(mu)
     rho = joint_with_kernel(mu, kernel)
     x = mu.atoms[:, 0][:, None]
-    sup, kw = kernel.supports, kernel.weights
-
-    def avg(vals):
-        vals = np.asarray(vals, dtype=float)
-        if vals.shape != sup.shape:
-            vals = np.broadcast_to(vals, sup.shape)
-        return (vals * kw).sum(axis=1)
-
-    bhat = avg(coeffs.drift(x, rho, sup))
-    diff_sq = avg(np.asarray(coeffs.diffusion(x, rho, sup), dtype=float) ** 2)
+    sup = kernel.supports
+    bhat = kernel.average(coeffs.drift(x, rho, sup))
+    diff_sq = kernel.average(np.asarray(coeffs.diffusion(x, rho, sup), dtype=float) ** 2)
     gam = np.stack(
-        [avg(coeffs.jump(x, rho, sup, j)) for j in range(coeffs.jumps.n_marks)],
+        [kernel.average(coeffs.jump(x, rho, sup, j)) for j in range(coeffs.jumps.n_marks)],
         axis=1,
     ) if coeffs.jumps.n_marks else np.zeros((mu.n_atoms, 0))
     return AggregatedCoefficients(bhat, diff_sq, gam, rho)
+
+
+def _jumped_atoms(
+    mu: EmpiricalMeasure, kernel: RelaxedKernel, mark: int, coeffs: CoefficientSet
+) -> tuple[np.ndarray, JointEmpiricalMeasure]:
+    """(N, A) post-jump atoms x_i + jump(x_i, rho, u_ia, z) and the joint rho."""
+    rho = joint_with_kernel(mu, kernel)
+    x = mu.atoms[:, 0][:, None]
+    sup = kernel.supports
+    gamma = np.broadcast_to(
+        np.asarray(coeffs.jump(x, rho, sup, mark), dtype=float), sup.shape
+    )
+    return x + gamma, rho
 
 
 def apply_shift(
@@ -267,31 +279,16 @@ def apply_shift(
     coeffs: CoefficientSet,
 ) -> np.ndarray:
     """Test-function shift operator: the kernel average of fn(x + jump) at each atom."""
-    kernel.require_cover(mu)
-    rho = joint_with_kernel(mu, kernel)
-    x = mu.atoms[:, 0][:, None]
-    sup, kw = kernel.supports, kernel.weights
-    gamma = np.broadcast_to(
-        np.asarray(coeffs.jump(x, rho, sup, mark), dtype=float), sup.shape
-    )
-    return (np.asarray(fn(x + gamma), dtype=float) * kw).sum(axis=1)
+    return kernel.average(fn(_jumped_atoms(mu, kernel, mark, coeffs)[0]))
 
 
 def shift_adjoint(
     mu: EmpiricalMeasure, kernel: RelaxedKernel, mark: int, coeffs: CoefficientSet
 ) -> EmpiricalMeasure:
     """Post-jump law: atom x_i expands to x_i + jump(x_i, rho, u_ia, z) with
-    weight w_i * k_ia."""
-    kernel.require_cover(mu)
-    rho = joint_with_kernel(mu, kernel)
-    x = mu.atoms[:, 0][:, None]
-    sup, kw = kernel.supports, kernel.weights
-    gamma = np.broadcast_to(
-        np.asarray(coeffs.jump(x, rho, sup, mark), dtype=float), sup.shape
-    )
-    return EmpiricalMeasure(
-        (x + gamma).reshape(-1), (mu.weights[:, None] * kw).reshape(-1)
-    )
+    weight w_i * k_ia, the weight of (x_i, u_ia) in the joint rho."""
+    atoms, rho = _jumped_atoms(mu, kernel, mark, coeffs)
+    return EmpiricalMeasure(atoms.reshape(-1), rho.weights)
 
 
 def apply_A1(

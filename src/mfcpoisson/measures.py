@@ -62,6 +62,18 @@ def _as_weights(weights, n_atoms: int, tol: float = _WEIGHT_TOL) -> np.ndarray:
     return w
 
 
+def _load_weights(data: dict) -> np.ndarray:
+    """Serialized weights rescaled to total one; a total off by more than
+    ``_LOAD_TOL`` is rejected."""
+    w = np.asarray(data["weights"], dtype=float).reshape(-1)
+    total = float(w.sum())
+    if abs(total - 1.0) > _LOAD_TOL:
+        raise ValueError(
+            f"serialized weights sum to {total!r}; off by more than {_LOAD_TOL}"
+        )
+    return w / total
+
+
 def transport_cost(
     weights_a: np.ndarray,
     weights_b: np.ndarray,
@@ -167,17 +179,6 @@ class _AtomMeasure:
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
 
-    @classmethod
-    def _load_arrays(cls, data: dict) -> tuple[np.ndarray, np.ndarray]:
-        atoms = _as_atoms(data["atoms"])
-        w = np.asarray(data["weights"], dtype=float).reshape(-1)
-        total = float(w.sum())
-        if abs(total - 1.0) > _LOAD_TOL:
-            raise ValueError(
-                f"serialized weights sum to {total!r}; off by more than {_LOAD_TOL}"
-            )
-        return atoms, w / total
-
 
 @dataclass(frozen=True)
 class EmpiricalMeasure(_AtomMeasure):
@@ -194,7 +195,7 @@ class EmpiricalMeasure(_AtomMeasure):
 
     @classmethod
     def from_dict(cls, data: dict) -> "EmpiricalMeasure":
-        return cls(*cls._load_arrays(data))
+        return cls(_as_atoms(data["atoms"]), _load_weights(data))
 
     @classmethod
     def from_json(cls, text: str) -> "EmpiricalMeasure":
@@ -254,8 +255,7 @@ class ControlMeasure(_AtomMeasure):
 
     @classmethod
     def from_dict(cls, data: dict, box: Box | None = None) -> "ControlMeasure":
-        atoms, weights = cls._load_arrays(data)
-        return cls(atoms, weights, box)
+        return cls(_as_atoms(data["atoms"]), _load_weights(data), box)
 
     @classmethod
     def from_json(cls, text: str, box: Box | None = None) -> "ControlMeasure":
@@ -400,13 +400,7 @@ class JointEmpiricalMeasure:
     def from_dict(cls, data: dict) -> "JointEmpiricalMeasure":
         atoms = _as_atoms(data["atoms"])
         n_state = int(data["state_dim"])
-        w = np.asarray(data["weights"], dtype=float).reshape(-1)
-        total = float(w.sum())
-        if abs(total - 1.0) > _LOAD_TOL:
-            raise ValueError(
-                f"serialized weights sum to {total!r}; off by more than {_LOAD_TOL}"
-            )
-        return cls.strict(atoms[:, :n_state], atoms[:, n_state:], w / total)
+        return cls.strict(atoms[:, :n_state], atoms[:, n_state:], _load_weights(data))
 
     @classmethod
     def from_json(cls, text: str) -> "JointEmpiricalMeasure":

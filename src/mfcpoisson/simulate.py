@@ -32,7 +32,8 @@ on the (R, N) arrays.  Coefficient evaluators must therefore be elementwise,
 and they see ``rho.mean_state[0]`` and ``rho.mean_control[0]`` as (R, 1)
 columns.  Each row's means are the same dot products that a run of its rule
 alone forms, so every paired cost equals :func:`simulate_cost` of its rule
-bit for bit.
+bit for bit.  When a lock-step run fails, the rules are replayed one by one,
+and the first rule that fails alone reports the failure.
 """
 from __future__ import annotations
 
@@ -46,6 +47,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet
 from .errors import DivergenceError
+from .measureflow import RelaxedKernel, joint_with_kernel
 from .measures import EmpiricalMeasure, JointEmpiricalMeasure
 
 _PURPOSES = {"init": 0, "brownian": 1, "poisson": 2}
@@ -328,7 +330,7 @@ class ParticleCloud:
 
     ``states[k]`` holds the cloud at node k (post-jump).  ``controls[k]`` is
     the strict control on [t_k, t_{k+1}); for relaxed runs
-    ``relaxed_controls[k]`` keeps the (support, weights) pair instead.
+    ``relaxed_controls[k]`` keeps the step's :class:`RelaxedKernel` instead.
     ``pre_jump_states[k]`` stores the cloud right before the jumps applied at
     node k, so measure-level jump operators can be checked exactly, and
     ``event_log`` holds one (node, mark, shift of the cloud mean) entry per
@@ -362,13 +364,13 @@ class ParticleCloud:
     def joint_at(self, node: int) -> JointEmpiricalMeasure:
         """Validated strict joint of the cloud and its control at a node."""
         node = min(node, self.grid.n_steps - 1)
-        if self.controls is not None:
-            control = self.controls[node]
-        else:
-            control = self.relaxed_controls[node]
         n = self.n_particles
-        rho = _law_view(self.states[node], control, np.full(n, 1.0 / n))
+        rho = _law_view(self.states[node], self.control_at(node), np.full(n, 1.0 / n))
         return JointEmpiricalMeasure.strict(rho.states, rho.controls, rho.weights)
+
+    def control_at(self, k: int):
+        """The strict control array or the relaxed kernel of step k."""
+        return self.controls[k] if self.controls is not None else self.relaxed_controls[k]
 
     def conditional_means(self) -> np.ndarray:
         return self.states.mean(axis=1)
@@ -394,18 +396,13 @@ class _PairedLaw:
 def _law_view(x, control, w_cloud):
     """Joint law of the cloud and its control on one step, unvalidated.
 
-    ``control`` is the strict control array or the relaxed (support, weights)
-    pair; ``w_cloud`` is the uniform particle weight vector.  A relaxed
-    control is projected: atom (x_i, u_ia) carries weight w_i q_ia.  A 2-D
-    ``x`` holds paired clouds, one per row, and gets a :class:`_PairedLaw`.
+    ``control`` is the strict control array or a :class:`RelaxedKernel`;
+    ``w_cloud`` is the uniform particle weight vector.  A relaxed control
+    gets the Bayes product of :func:`joint_with_kernel`.  A 2-D ``x`` holds
+    paired clouds, one per row, and gets a :class:`_PairedLaw`.
     """
-    if isinstance(control, tuple):
-        support, qw = control
-        return JointEmpiricalMeasure.trusted(
-            np.repeat(x, support.shape[1]),
-            support.reshape(-1),
-            (w_cloud[:, None] * qw).reshape(-1),
-        )
+    if isinstance(control, RelaxedKernel):
+        return joint_with_kernel(EmpiricalMeasure.trusted(x, w_cloud), control)
     if x.ndim == 2:
         return _PairedLaw(x, control, w_cloud)
     return JointEmpiricalMeasure.trusted(x, control, w_cloud)
@@ -413,12 +410,8 @@ def _law_view(x, control, w_cloud):
 
 def _per_particle(fn, x, rho, control, *extra) -> np.ndarray:
     """Coefficient value per particle; relaxed controls average over their atoms."""
-    if isinstance(control, tuple):
-        support, qw = control
-        vals = fn(x[:, None], rho, support, *extra)
-        if np.shape(vals) != support.shape:
-            vals = np.broadcast_to(vals, support.shape)
-        return (vals * qw).sum(axis=1)
+    if isinstance(control, RelaxedKernel):
+        return control.average(fn(x[:, None], rho, control.supports, *extra))
     vals = np.asarray(fn(x, rho, control, *extra), dtype=float)
     return vals if vals.shape == x.shape else np.broadcast_to(vals, x.shape)
 
@@ -468,18 +461,14 @@ def _simulate(
     sample costs, summing the running cost step by step in the order
     :func:`cost_of_cloud` sums it.
 
-    A failure is the one that running the rules one after another would
-    raise first: a row that fails is dropped with every row above it, the
-    lower rows run on, and the lowest failed row's error is raised at the
-    end.
+    The first error of any row is raised at once; :func:`paired_costs`
+    replays the rules one by one to tell which of them failed.
     """
     if mode not in ("common", "idiosyncratic"):
         raise ValueError("mode must be 'common' or 'idiosyncratic'")
     if n_particles < 2:
         raise ValueError("need at least two particles for an empirical law")
     relaxed = rules[0].kind == "relaxed"
-    if len(rules) > 1 and (history or any(r.kind != "strict" for r in rules)):
-        raise ValueError("only strict rules run paired, and without history")
 
     jumps = coeffs.jumps
     if mode == "common":
@@ -513,12 +502,12 @@ def _simulate(
 
     gen_init = substream(seed, scenario, "init")
     gen_brownian = substream(seed, scenario, "brownian")
-    # the live rows are rules 0..live-1; one live row is kept 1-D, as a
-    # single rule's cloud, and ``x[r]`` is contiguous either way
-    live = len(rules)
+    # one rule's cloud is kept 1-D, paired rules are the rows of an (R, N)
+    # cloud, and ``x[r]`` is contiguous either way
+    n_rules = len(rules)
     x = init.sample(n_particles, gen_init)
-    if live > 1:
-        x = np.tile(x, (live, 1))
+    if n_rules > 1:
+        x = np.tile(x, (n_rules, 1))
 
     m_steps = grid.n_steps
     if history:
@@ -528,17 +517,28 @@ def _simulate(
         relaxed_controls = [] if relaxed else None
     pre_jump_states: dict = {}
     event_log: list = []
-    running = np.zeros(live)
-    failure = None
+    running = np.zeros(n_rules)
     lam = jumps.intensities
     w_cloud = np.full(n_particles, 1.0 / n_particles)
     times = grid.times
 
-    def first_rows(arr, n_rows):
-        return arr[0] if n_rows == 1 else arr[:n_rows]
+    for k in range(m_steps):
+        t = times[k]
+        h = times[k + 1] - times[k]
+        node = k + 1
 
-    def advance(x, control, h, noise, node):
-        """States at ``node`` and the running-cost rate of this step."""
+        rows = x.reshape(n_rules, n_particles)
+        cond_means = rows.mean(axis=1).tolist()  # each row's bits, as rows[r].mean()
+        row_controls = [
+            rule.evaluate(t, row, m) for rule, row, m in zip(rules, rows, cond_means)
+        ]
+        if relaxed:
+            # evaluate has validated and normalized the rows
+            control = RelaxedKernel.trusted(*row_controls[0])
+        else:
+            control = row_controls[0] if n_rules == 1 else np.stack(row_controls)
+
+        noise = gen_brownian.standard_normal(n_particles)
         rho = _law_view(x, control, w_cloud)
         drift = _per_particle(coeffs.drift, x, rho, control)
         for j in range(jumps.n_marks):
@@ -573,55 +573,9 @@ def _simulate(
                     event_log.extend(zip(
                         [node] * (hi - lo), marks.tolist(), (shifts / n_particles).tolist()
                     ))
-        return x_new, rate
 
-    for k in range(m_steps):
-        t = times[k]
-        h = times[k + 1] - times[k]
-        node = k + 1
-
-        rows = x.reshape(live, n_particles)
-        cond_means = rows.mean(axis=1).tolist()  # each row's bits, as rows[r].mean()
-        row_controls = []
-        for r in range(live):
-            try:
-                row_controls.append(rules[r].evaluate(t, rows[r], cond_means[r]))
-            except Exception as err:
-                if r == 0:
-                    raise
-                failure, live = err, r
-                x = first_rows(x, live)
-                break
-        control = row_controls[0] if live == 1 else np.stack(row_controls)
-
-        noise = gen_brownian.standard_normal(n_particles)
-        try:
-            x_new, rate = advance(x, control, h, noise, node)
-        except Exception:
-            if live == 1:
-                raise
-            # the lowest row whose own step raises, as its run alone would
-            for r in range(live):
-                try:
-                    advance(x[r], control[r], h, noise, node)
-                except Exception as err:
-                    if r == 0:
-                        raise
-                    failure, live = err, r
-                    break
-            else:
-                raise
-            x, control = first_rows(x, live), first_rows(control, live)
-            x_new, rate = advance(x, control, h, noise, node)
-
-        finite = np.isfinite(x_new).reshape(live, -1).all(axis=1)
-        if not finite.all():
-            err = DivergenceError(node, float(times[node]))
-            bad = int(np.argmin(finite))
-            if bad == 0:
-                raise err
-            failure, live = err, bad
-            x_new, rate = first_rows(x_new, live), rate[:live]
+        if not np.isfinite(x_new).all():
+            raise DivergenceError(node, float(times[node]))
         if history:
             if relaxed:
                 relaxed_controls.append(control)
@@ -629,15 +583,12 @@ def _simulate(
                 controls[k] = control
             states[node] = x_new
         else:
-            running[:live] += h * rate
+            running += h * rate
         x = x_new
 
     if not history:
-        rows = x.reshape(live, n_particles)
-        costs = [running[r] + _terminal_cost(coeffs, rows[r]) for r in range(live)]
-        if failure is not None:
-            raise failure
-        return costs
+        rows = x.reshape(n_rules, n_particles)
+        return [running[r] + _terminal_cost(coeffs, rows[r]) for r in range(n_rules)]
     return ParticleCloud(
         grid=grid,
         states=states,
@@ -745,16 +696,29 @@ def paired_costs(
     rules run as the rows of one cloud, so each cost equals
     :func:`simulate_cost` of its rule alone bit for bit; a relaxed rule must
     come alone.
+
+    A failure is what running the rules one after another raises first: when
+    the lock-step run raises, the rules are replayed one by one and the first
+    that fails alone raises its own error.  If every rule succeeds alone, the
+    lock-step error is raised.
     """
     if not rules:
         raise ValueError("need at least one rule")
     for rule in rules:
         if rule.kind not in ("strict", "relaxed"):
             raise TypeError(f"unknown control rule kind {rule.kind!r}")
-    return _simulate(
-        coeffs, list(rules), n_particles, T, dt, mode, seed, scenario, init, path,
-        paths, history=False,
-    )
+    if len(rules) > 1 and any(rule.kind != "strict" for rule in rules):
+        raise ValueError("only strict rules run paired")
+    run = (n_particles, T, dt, mode, seed, scenario, init, path, paths)
+    try:
+        return _simulate(coeffs, list(rules), *run, history=False)
+    except Exception as err:
+        if len(rules) == 1:
+            raise
+        lock_step_error = err
+    for rule in rules:
+        _simulate(coeffs, [rule], *run, history=False)
+    raise lock_step_error
 
 
 def cost_of_cloud(cloud: ParticleCloud, coeffs: CoefficientSet) -> float:
@@ -765,10 +729,7 @@ def cost_of_cloud(cloud: ParticleCloud, coeffs: CoefficientSet) -> float:
     for k in range(cloud.grid.n_steps):
         h = times[k + 1] - times[k]
         x = cloud.states[k]
-        if cloud.controls is not None:
-            control = cloud.controls[k]
-        else:
-            control = cloud.relaxed_controls[k]
+        control = cloud.control_at(k)
         total += h * _running_cost_rate(coeffs, x, _law_view(x, control, w_cloud), control)
     return total + _terminal_cost(coeffs, cloud.states[-1])
 
@@ -811,15 +772,15 @@ def map_scenarios(task: Callable, n_scenarios: int, workers: int = 1) -> list:
         return list(pool.map(_run_task, range(n_scenarios)))
 
 
+def standard_error(samples: np.ndarray) -> float:
+    """Monte Carlo standard error of the mean of ``samples``; 0.0 for one sample."""
+    n = len(samples)
+    return float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+
+
 def estimate_cost(clouds: Sequence[ParticleCloud], coeffs: CoefficientSet):
     """Mean cost over scenarios and its Monte Carlo standard error."""
     if not clouds:
         raise ValueError("need at least one scenario")
     samples = np.array([cost_of_cloud(c, coeffs) for c in clouds])
-    mean = float(samples.mean())
-    stderr = (
-        float(samples.std(ddof=1) / math.sqrt(len(samples)))
-        if len(samples) > 1
-        else 0.0
-    )
-    return mean, stderr
+    return float(samples.mean()), standard_error(samples)

@@ -23,7 +23,6 @@ the residual statistics, the tolerance and the pass flag.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -68,6 +67,7 @@ from .simulate import (
     map_scenarios,
     paired_costs,
     simulate_strict,
+    standard_error,
 )
 
 
@@ -543,13 +543,13 @@ def check_optimality(
     worst_margin = np.inf
     for pert in perturbations:
         diff = costs[pert.label] - costs["optimal"]
-        sigma = float(diff.std(ddof=1) / math.sqrt(mc.scenarios)) if not inconclusive else 0.0
+        sigma = standard_error(diff)
         gaps[pert.label] = float(diff.mean())
         gap_sigmas[pert.label] = sigma
         worst_margin = min(worst_margin, gaps[pert.label] + 3.0 * sigma)
 
     base = costs["optimal"]
-    base_sigma = float(base.std(ddof=1) / math.sqrt(mc.scenarios)) if not inconclusive else 0.0
+    base_sigma = standard_error(base)
     bias = abs(float(base.mean() - coarse.mean()))
     if mc.init.kind == "gaussian":
         second = mc.init.mean**2 + mc.init.std**2
@@ -714,10 +714,7 @@ def compare_noise_modes(
 ) -> CheckReport:
     """Shared vs per-particle jumps: Riccati agreement without jumps, and the
     conditional-mean jump statistic dominance with them."""
-    stripped = LQParams(
-        b1=params.b1, b2=params.b2, b3=params.b3, sigma=params.sigma,
-        c=params.c, T=params.T, jumps=JumpSpec.empty(),
-    )
+    stripped = replace(params, jumps=JumpSpec.empty())
     sol_c0 = solve_riccati(stripped, "common", mc.riccati_steps)
     sol_i0 = solve_riccati(stripped, "idiosyncratic", mc.riccati_steps)
     riccati_gap = float(
@@ -809,14 +806,11 @@ def check_chattering(
         lambda s: scenario_costs(coeffs, rules, horizon, mc, s), mc.scenarios, workers
     )).T
     relaxed_costs = table[0]
-    scenarios = mc.scenarios
     gaps, sigmas = [], []
     for costs in table[1:]:
         diffs = costs - relaxed_costs
         gaps.append(abs(float(diffs.mean())))
-        sigmas.append(
-            float(diffs.std(ddof=1) / math.sqrt(scenarios)) if scenarios > 1 else 0.0
-        )
+        sigmas.append(standard_error(diffs))
     final_sigma = max(sigmas[-1], 1e-15)
     decreased = gaps[-1] < gaps[0] + 3.0 * sigmas[0]
     small = gaps[-1] <= sigma_factor * final_sigma
@@ -833,7 +827,7 @@ def check_chattering(
         },
         seed=mc.seed,
         config_hash=config_hash,
-        inconclusive=scenarios < 2,
+        inconclusive=mc.scenarios < 2,
     )
 
 

@@ -7,7 +7,9 @@ minimizer oracle is a parameter grid search, and the SMP oracle evaluates the
 Hamiltonian from the raw coefficient evaluators one control at a time.  The
 trajectory-writer oracle formats one row, and one value, at a time; the
 Fokker-Planck oracles pair one dictionary entry at a time through validated
-measures, with the test functions written out as plain formulas.
+measures, with the test functions written out as plain formulas.  The relaxed
+Euler oracle takes only the grid and the random draws from the simulator and
+forms each step's joint law and kernel averages itself.
 """
 from __future__ import annotations
 
@@ -389,3 +391,81 @@ def fp_terminal_error_reference(cloud, coeffs, dictionary):
         predicted[phi.name] - float(np.mean(_as_float(phi.value(x_T))))
         for phi in dictionary
     ])
+
+
+# ---------------------------------------------------------------------------
+# Relaxed Euler loop, one step at a time through validated joints
+# ---------------------------------------------------------------------------
+
+def relaxed_euler_reference(coeffs, rule, n, T, dt, mode, seed, scenario, init):
+    """States and sample cost of a relaxed rule's run, written out step by step.
+
+    Each step forms the Bayes product of the cloud and the rule's
+    (support, weights) rows as a validated strict joint, atom (x_i, u_ia)
+    with weight q_ia / n, and averages every coefficient over a particle's
+    atoms row by row.  Randomness is drawn as the simulator draws it.
+    """
+    from mfcpoisson.measures import EmpiricalMeasure, JointEmpiricalMeasure
+    from mfcpoisson.simulate import build_grid, sample_poisson_path, substream
+
+    jumps = coeffs.jumps
+    gen = substream(seed, scenario, "poisson")
+    if mode == "common":
+        path = sample_poisson_path(jumps, T, gen)
+        times = build_grid(T, dt, path.times).times
+        events = [(t, mark, None) for t, mark in zip(path.times, path.marks)]
+    else:
+        paths = [sample_poisson_path(jumps, T, gen) for _ in range(n)]
+        times = build_grid(T, dt).times
+        events = sorted(
+            ((t, mark, i) for i, p in enumerate(paths) for t, mark in zip(p.times, p.marks)),
+            key=lambda event: event[0],
+        )
+    by_node = {}
+    for t, mark, owner in events:
+        node = int(np.searchsorted(times, t, side="left"))
+        by_node.setdefault(node, []).append((int(mark), owner))
+
+    w = np.full(n, 1.0 / n)
+
+    def joint(x, support, qw):
+        a = support.shape[1]
+        return JointEmpiricalMeasure.strict(
+            np.repeat(x, a), support.reshape(-1), (w[:, None] * qw).reshape(-1)
+        )
+
+    def per_particle(fn, x, rho, support, qw, *extra):
+        vals = np.broadcast_to(_as_float(fn(x[:, None], rho, support, *extra)), support.shape)
+        return (vals * qw).sum(axis=1)
+
+    gen_brownian = substream(seed, scenario, "brownian")
+    x = init.sample(n, substream(seed, scenario, "init"))
+    states = [x]
+    cost = 0.0
+    for k in range(len(times) - 1):
+        h = times[k + 1] - times[k]
+        support, qw = rule.evaluate(times[k], x, float(x.mean()))
+        rho = joint(x, support, qw)
+        drift = per_particle(coeffs.drift, x, rho, support, qw)
+        for j in range(jumps.n_marks):
+            drift = drift - jumps.intensities[j] * per_particle(
+                coeffs.jump, x, rho, support, qw, j
+            )
+        diffusion = per_particle(coeffs.diffusion, x, rho, support, qw)
+        cost += h * per_particle(coeffs.running_cost, x, rho, support, qw).mean()
+        noise = gen_brownian.standard_normal(n)
+        x = x + drift * h + diffusion * np.sqrt(h) * noise
+        node_events = by_node.get(k + 1, [])
+        if mode == "common":
+            for mark, _ in node_events:
+                x = x + per_particle(coeffs.jump, x, joint(x, support, qw), support, qw, mark)
+        elif node_events:
+            # every jump of the step reads the end-of-step cloud and law
+            pre, rho_minus = x, joint(x, support, qw)
+            x = pre.copy()
+            for mark, owner in node_events:
+                x[owner] += per_particle(coeffs.jump, pre, rho_minus, support, qw, mark)[owner]
+        states.append(x)
+    terminal = coeffs.terminal_cost(x, EmpiricalMeasure.from_samples(x))
+    cost += float(np.broadcast_to(_as_float(terminal), x.shape).mean())
+    return np.array(states), cost

@@ -607,6 +607,93 @@ class TestPairedFailures:
             paired_costs(lq(), [FeedbackRule.constant(0.0), relaxed], **self.RUN)
 
 
+class _CountingRule(FeedbackRule):
+    def __init__(self, fn, box=None):
+        super().__init__(fn, box)
+        self.calls = 0
+
+    def evaluate(self, t, states, cond_mean):
+        self.calls += 1
+        return super().evaluate(t, states, cond_mean)
+
+
+class TestReplay:
+    """A lock-step failure is told apart by replaying the rules one by one."""
+
+    RUN = dict(n_particles=20, T=1.0, dt=0.01, seed=3, scenario=3)
+    COEFFS = lq(jumps=JumpSpec([1.0], [2.0], [0.3]))
+
+    def test_a_successful_run_calls_each_rule_once_per_step(self):
+        rules = [_CountingRule(lambda t, x, m: -0.5 * x), _CountingRule(lambda t, x, m: 0.2 + 0.0 * x)]
+        paired_costs(self.COEFFS, rules, **self.RUN)
+        n_steps = simulate_strict(self.COEFFS, FeedbackRule.constant(0.0), **self.RUN).grid.n_steps
+        assert n_steps > 100  # the grid holds event nodes
+        assert [rule.calls for rule in rules] == [n_steps, n_steps]
+
+    def test_a_lock_step_only_error_is_raised_when_every_rule_succeeds_alone(self):
+        def drift(x, rho, u):
+            if np.ndim(x) == 2:
+                raise FloatingPointError("lock-step input")
+            return u + 0.0 * x
+
+        coeffs = CoefficientSet(
+            jumps=JumpSpec.empty(),
+            drift=drift,
+            diffusion=lambda x, rho, u: 0.1 + 0.0 * x,
+            jump=lambda x, rho, u, mark: 0.0 * x,
+            running_cost=lambda x, rho, u: 0.5 * u**2,
+            terminal_cost=lambda x, mu: 0.0 * x,
+        )
+        rules = [FeedbackRule.constant(0.5), FeedbackRule.constant(-0.5)]
+        alone = [simulate_cost(coeffs, rule, **self.RUN) for rule in rules]
+        assert np.isfinite(alone).all()
+        with pytest.raises(FloatingPointError, match="lock-step input"):
+            paired_costs(coeffs, rules, **self.RUN)
+
+    def test_a_failing_last_rule_reports_its_serial_step_and_time(self):
+        rules = [FeedbackRule.constant(0.1), FeedbackRule.constant(-0.2), _blows_up_from(0.3)]
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError) as alone:
+                simulate_cost(self.COEFFS, rules[-1], **self.RUN)
+            with pytest.raises(DivergenceError) as paired:
+                paired_costs(self.COEFFS, rules, **self.RUN)
+        assert (paired.value.step, paired.value.time) == (alone.value.step, alone.value.time)
+        assert paired.value.time > 0.3
+
+
+class TestRelaxedLoopOracle:
+    """The relaxed loop equals a step-by-step run through validated joints."""
+
+    @staticmethod
+    def rule(atoms):
+        if atoms == "shared":
+            return RelaxedRule.constant([-0.4, 0.3, 1.1], [0.2, 0.5, 0.3])
+        return RelaxedRule(lambda t, x, m: (
+            np.stack([-0.5 * x, 0.2 + 0.0 * x, m - x + np.sin(3.0 * t)], axis=1),
+            np.stack([1.0 + 0.0 * x, np.exp(-(x**2)), 0.5 + 0.25 * np.tanh(x)], axis=1),
+        ))
+
+    @pytest.mark.parametrize("marks", [1, 2])
+    @pytest.mark.parametrize("mode", ["common", "idiosyncratic"])
+    @pytest.mark.parametrize("atoms", ["shared", "per-row"])
+    def test_states_and_costs_equal_the_oracle(self, atoms, mode, marks):
+        from _oracles import relaxed_euler_reference
+
+        spec = JumpSpec([1.0], [2.0], [0.3]) if marks == 1 else JumpSpec(
+            [1.0, 2.0], [1.5, 1.0], [0.3, -0.2]
+        )
+        coeffs = lq(b1=0.5, b2=0.4, sigma=0.4, jumps=spec)
+        rule = self.rule(atoms)
+        run = dict(mode=mode, seed=4, scenario=2, init=InitSpec("gaussian", 1.0, 0.5))
+        states, cost = relaxed_euler_reference(coeffs, rule, 30, 1.0, 0.01, **run)
+        cloud = simulate_relaxed(coeffs, rule, 30, 1.0, 0.01, **run)
+        assert {mark for _, mark, _ in cloud.event_log} == set(range(marks))
+        assert cloud.states.shape == states.shape
+        assert np.array_equal(cloud.states, states)
+        assert cost_of_cloud(cloud, coeffs) == cost
+        assert simulate_cost(coeffs, rule, 30, 1.0, 0.01, **run) == cost
+
+
 class TestMapScenarios:
     def test_forked_workers_run_a_closure_in_scenario_order(self):
         offset = 10
