@@ -24,14 +24,13 @@ from .lq import (  # noqa: F401
 )
 from .measures import (  # noqa: F401
     Box,
-    ControlMeasure,
     EmpiricalMeasure,
     JointEmpiricalMeasure,
-    SecondMoment,
+    RelaxedKernel,
     extend,
     fm_distance,
+    joint_with_kernel,
     kr_distance,
-    project,
     second_moment,
 )
 from .simulate import (  # noqa: F401

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .measures import ControlMeasure, JointEmpiricalMeasure, project
+from .measures import EmpiricalMeasure, JointEmpiricalMeasure, RelaxedKernel, joint_with_kernel
 
 
 @dataclass(frozen=True)
@@ -284,7 +284,6 @@ def hamiltonian_strict(
     Broadcasts over array ``x``, ``u`` and adjoint values (``adj.K`` of shape
     ``(..., n_marks)``); scalar arguments give a float.
     """
-    rho.require_kind("strict")
     return _assemble(
         (x, u), adj, coeffs.jumps,
         coeffs.drift(x, rho, u),
@@ -308,7 +307,6 @@ def delta_hamiltonian_strict(
     ``adj`` is the adjoint at (x, u).  Broadcasts like :func:`hamiltonian_strict`
     over ``x``, ``u``, ``xp``, ``up`` and the adjoint values.
     """
-    rho.require_kind("strict")
     coeffs.require(
         "ddrho_drift", "ddrho_diffusion", "ddrho_jump", "ddrho_running_cost"
     )
@@ -323,29 +321,34 @@ def delta_hamiltonian_strict(
 
 def hamiltonian_relaxed(
     x: float,
-    q: ControlMeasure,
-    xi: JointEmpiricalMeasure,
+    q: tuple,
+    mu: EmpiricalMeasure,
+    kernel: RelaxedKernel,
     adj: AdjointTriplet,
     coeffs: CoefficientSet,
 ) -> float:
-    """q-average of the strict Hamiltonian at the projected joint law."""
-    xi.require_kind("relaxed")
-    values = hamiltonian_strict(x, q.atoms[:, 0], project(xi), adj, coeffs)
-    return float(q.weights @ values)
+    """q-average of the strict Hamiltonian at the projection of the relaxed
+    joint ``(mu, kernel)``; ``q`` is a kernel row's 1-D ``(support, weights)``."""
+    support, weights = q
+    return float(weights @ hamiltonian_strict(
+        x, support, joint_with_kernel(mu, kernel), adj, coeffs
+    ))
 
 
 def delta_hamiltonian_relaxed(
     x: float,
-    q: ControlMeasure,
-    xi: JointEmpiricalMeasure,
+    q: tuple,
+    mu: EmpiricalMeasure,
+    kernel: RelaxedKernel,
     xp: float,
-    qp: ControlMeasure,
+    qp: tuple,
     adj: AdjointTriplet,
     coeffs: CoefficientSet,
 ) -> float:
-    """Double q-average of the strict delta-Hamiltonian kernel."""
-    xi.require_kind("relaxed")
-    kernel = delta_hamiltonian_strict(
-        x, q.atoms[:, :1], project(xi), xp, qp.atoms[:, 0], adj, coeffs
+    """Double q-average of the strict delta-Hamiltonian kernel; ``q`` and
+    ``qp`` are ``(support, weights)`` rows as in :func:`hamiltonian_relaxed`."""
+    (support, weights), (support_p, weights_p) = q, qp
+    values = delta_hamiltonian_strict(
+        x, support[:, None], joint_with_kernel(mu, kernel), xp, support_p, adj, coeffs
     )
-    return float(q.weights @ kernel @ qp.weights)
+    return float(weights @ values @ weights_p)

@@ -19,6 +19,12 @@ class ConfigError(ValueError):
     """Malformed or schema-violating experiment configuration."""
 
 
+#: Upper bound on every count field (particles, scenarios, grid points, steps,
+#: samples, atoms): the shipped configs and the benchmark stay below 5000, and
+#: a count far beyond the bound would only try to allocate.
+MAX_COUNT = 10**6
+
+
 _DEFAULT_VERIFY = {
     "riccati_steps": 4096,
     "tolerances": {"smp": 1e-8, "bsde": 1e-6, "hjb": None},
@@ -97,6 +103,8 @@ def _check_count(section: dict, name: str, key: str, least: int) -> None:
     _check_integer(section, name, key)
     if section[key] < least:
         raise ConfigError(f"{name}.{key} must be at least {least}, got {section[key]!r}")
+    if section[key] > MAX_COUNT:
+        raise ConfigError(f"{name}.{key} must be at most {MAX_COUNT}, got {section[key]!r}")
 
 
 def _is_finite(value) -> bool:
@@ -211,8 +219,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     for key in ("b1", "b2", "b3", "sigma", "c", "T"):
         _check_finite(model, "model", key)
-    for key, least in (("particles", 2), ("scenarios", 1), ("seed", 0)):
+    for key, least in (("particles", 2), ("scenarios", 1)):
         _check_count(sim, "sim", key, least)
+    _check_integer(sim, "sim", "seed")
+    if sim["seed"] < 0:
+        raise ConfigError(f"sim.seed must be at least 0, got {sim['seed']!r}")
     _check_finite(sim, "sim", "dt")
     _check_marks(raw.get("jumps"))
 

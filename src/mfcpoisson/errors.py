@@ -5,10 +5,6 @@ class DimensionMismatchError(ValueError):
     """Measures live on different ambient spaces."""
 
 
-class MeasureKindError(TypeError):
-    """Strict joint used where a relaxed one is required, or vice versa."""
-
-
 class SizeLimitError(ValueError):
     """Transport instance exceeds the exact-LP atom budget."""
 

@@ -3,11 +3,13 @@
 The conditional state law evolves by a drift generator between Poisson events
 and by a generalized measure shift at events: conditioning on the common path
 turns every jump of the state into a jump of the law itself.  This module
-realizes those objects exactly on finite atom clouds:
+realizes those objects exactly on finite atom clouds.  A control enters as a
+``RelaxedKernel`` over the law's atoms (a strict control is the kernel of
+Dirac rows), the one relaxed-control form of :mod:`mfcpoisson.measures`,
+which also holds the Bayes product ``joint_with_kernel``:
 
-* ``aggregate_coeffs`` averages the model coefficients against a relaxed
-  transition kernel, with the joint law formed by the Bayes product
-  (law atoms) x (kernel rows);
+* ``aggregate_coeffs`` averages the model coefficients against the kernel,
+  with the joint law formed by the Bayes product (law atoms) x (kernel rows);
 * ``shift_adjoint`` is the post-jump law: every atom fans out along its
   kernel row and moves by the jump amplitude (adjoint of the test-function
   shift operator, realized by atom expansion);
@@ -27,72 +29,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .errors import CoverageError
-from .measures import EmpiricalMeasure, JointEmpiricalMeasure
-
-
-@dataclass(frozen=True)
-class RelaxedKernel:
-    """Transition kernel x -> probability on U, stored as aligned atom rows.
-
-    Row i carries the support and weights of the control measure attached to
-    the i-th atom of the accompanying state law.  Ragged supports are padded
-    with zero-weight entries.
-    """
-
-    supports: np.ndarray  # (N, A)
-    weights: np.ndarray  # (N, A), rows sum to 1
-
-    def __post_init__(self):
-        sup = np.atleast_2d(np.asarray(self.supports, dtype=float))
-        w = np.atleast_2d(np.asarray(self.weights, dtype=float))
-        if sup.shape != w.shape:
-            raise ValueError("supports and weights must share a shape")
-        if np.any(w < 0) or np.any(np.abs(w.sum(axis=1) - 1.0) > 1e-12):
-            raise ValueError("kernel rows must be probability weights")
-        sup.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "supports", sup)
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def n_rows(self) -> int:
-        return self.supports.shape[0]
-
-    @classmethod
-    def dirac(cls, controls) -> "RelaxedKernel":
-        u = np.asarray(controls, dtype=float).reshape(-1, 1)
-        return cls(u, np.ones_like(u))
-
-    @classmethod
-    def trusted(cls, supports, weights) -> "RelaxedKernel":
-        """Unvalidated kernel over (N, A) float arrays whose rows are
-        probability weights, for hot loops."""
-        kernel = object.__new__(cls)
-        object.__setattr__(kernel, "supports", supports)
-        object.__setattr__(kernel, "weights", weights)
-        return kernel
-
-    @classmethod
-    def shared(cls, n_rows: int, support, weights) -> "RelaxedKernel":
-        support = np.asarray(support, dtype=float).reshape(-1)
-        weights = np.asarray(weights, dtype=float).reshape(-1)
-        return cls(
-            np.tile(support, (n_rows, 1)), np.tile(weights / weights.sum(), (n_rows, 1))
-        )
-
-    def average(self, vals) -> np.ndarray:
-        """Row averages of values given per atom, (N, A) or broadcastable to it."""
-        vals = np.asarray(vals, dtype=float)
-        if vals.shape != self.supports.shape:
-            vals = np.broadcast_to(vals, self.supports.shape)
-        return (vals * self.weights).sum(axis=1)
-
-    def require_cover(self, mu: EmpiricalMeasure):
-        if self.n_rows != mu.n_atoms:
-            raise CoverageError(
-                f"kernel has {self.n_rows} rows for {mu.n_atoms} atoms"
-            )
+from .measures import EmpiricalMeasure, JointEmpiricalMeasure, RelaxedKernel, joint_with_kernel
 
 
 @dataclass(frozen=True)
@@ -222,18 +159,6 @@ def default_dictionary() -> TestFunctionDictionary:
 # ---------------------------------------------------------------------------
 # Aggregated coefficients and the shift operator
 # ---------------------------------------------------------------------------
-
-def joint_with_kernel(mu: EmpiricalMeasure, kernel: RelaxedKernel) -> JointEmpiricalMeasure:
-    """Bayes product: joint law with atoms (x_i, u_ia), weights w_i * k_ia."""
-    kernel.require_cover(mu)
-    n, a = kernel.supports.shape
-    # both factors are probability measures, so the product needs no check
-    return JointEmpiricalMeasure.trusted(
-        np.repeat(mu.atoms[:, 0], a),
-        kernel.supports.reshape(-1),
-        (mu.weights[:, None] * kernel.weights).reshape(-1),
-    )
-
 
 @dataclass(frozen=True)
 class AggregatedCoefficients:

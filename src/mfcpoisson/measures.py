@@ -1,11 +1,17 @@
-"""Finite-atom measures, optimal-transport metrics and the relaxed-to-strict projection.
+"""Finite-atom measures, relaxed kernels and optimal-transport metrics.
 
 Every probability object in the toolkit is a weighted finite atom cloud:
 
-* ``EmpiricalMeasure``   -- atoms in R^n (conditional state laws),
-* ``ControlMeasure``     -- atoms in the compact control box U (relaxed control values),
-* ``JointEmpiricalMeasure`` -- atoms in R^n x U (strict joints) or R^n x P(U)
-  (relaxed joints).
+* ``EmpiricalMeasure``      -- atoms in R^n (conditional state laws, and the
+  control measure of one kernel row);
+* ``JointEmpiricalMeasure`` -- atoms in R^n x U (strict joints);
+* ``RelaxedKernel``         -- a transition kernel x -> P(U) as aligned
+  (support, weights) rows, one per atom of a state law.
+
+A relaxed joint law on R^n x P(U) is the pair ``(mu, kernel)``: atom i of
+``mu`` carries the control measure of kernel row i.  ``joint_with_kernel``
+is its projection onto a strict joint (the Bayes product), and ``extend``
+evaluates strict-joint functionals through that projection.
 
 Distances are computed exactly: the Fortet-Mourier norm between probability
 measures equals optimal transport with ground cost ``min(d, 2)`` (Kantorovich
@@ -24,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatchError, MeasureKindError, SizeLimitError
+from .errors import CoverageError, DimensionMismatchError, SizeLimitError
 
 #: Largest atom count per side for the exact dense transport LP.
 MAX_EXACT_ATOMS = 64
@@ -135,53 +141,15 @@ class Box:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
-    @property
-    def dim(self) -> int:
-        return self.lower.shape[0]
-
     def contains(self, points: np.ndarray, tol: float = 1e-12) -> bool:
         pts = _as_atoms(points)
         return bool(
             np.all(pts >= self.lower - tol) and np.all(pts <= self.upper + tol)
         )
 
-    def grid(self, points_per_axis: int) -> np.ndarray:
-        """Uniform finite grid used for relaxed-control supports."""
-        axes = [
-            np.linspace(self.lower[k], self.upper[k], points_per_axis)
-            for k in range(self.dim)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=1)
-
-
-class _AtomMeasure:
-    """Shared atoms+weights plumbing for empirical and control measures."""
-
-    atoms: np.ndarray
-    weights: np.ndarray
-
-    @property
-    def n_atoms(self) -> int:
-        return self.atoms.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.atoms.shape[1]
-
-    @property
-    def mean(self) -> np.ndarray:
-        return self.weights @ self.atoms
-
-    def to_dict(self) -> dict:
-        return {"atoms": self.atoms.tolist(), "weights": self.weights.tolist()}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 @dataclass(frozen=True)
-class EmpiricalMeasure(_AtomMeasure):
+class EmpiricalMeasure:
     """Weighted atoms on R^n; stands in for a conditional state law."""
 
     atoms: np.ndarray
@@ -220,6 +188,18 @@ class EmpiricalMeasure(_AtomMeasure):
         object.__setattr__(mu, "weights", weights)
         return mu
 
+    @property
+    def n_atoms(self) -> int:
+        return self.atoms.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.atoms.shape[1]
+
+    @property
+    def mean(self) -> np.ndarray:
+        return self.weights @ self.atoms
+
     def second_moment_raw(self) -> float:
         """Integral of |x|^2."""
         return float(self.weights @ np.sum(self.atoms**2, axis=1))
@@ -228,100 +208,29 @@ class EmpiricalMeasure(_AtomMeasure):
         m = self.mean
         return float(self.weights @ np.sum((self.atoms - m) ** 2, axis=1))
 
+    def to_dict(self) -> dict:
+        return {"atoms": self.atoms.tolist(), "weights": self.weights.tolist()}
 
-@dataclass(frozen=True)
-class ControlMeasure(_AtomMeasure):
-    """Probability measure on the control box U with finite support."""
-
-    atoms: np.ndarray
-    weights: np.ndarray
-    box: Box | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "atoms", _as_atoms(self.atoms))
-        object.__setattr__(
-            self, "weights", _as_weights(self.weights, self.atoms.shape[0])
-        )
-        if self.box is not None and not self.box.contains(self.atoms):
-            raise ValueError("support points fall outside the declared control box")
-
-    @property
-    def support(self) -> np.ndarray:
-        return self.atoms
-
-    @classmethod
-    def dirac(cls, u, box: Box | None = None) -> "ControlMeasure":
-        return cls(_as_atoms(u), np.array([1.0]), box)
-
-    @classmethod
-    def from_dict(cls, data: dict, box: Box | None = None) -> "ControlMeasure":
-        return cls(_as_atoms(data["atoms"]), _load_weights(data), box)
-
-    @classmethod
-    def from_json(cls, text: str, box: Box | None = None) -> "ControlMeasure":
-        return cls.from_dict(json.loads(text), box)
-
-
-@dataclass(frozen=True)
-class SecondMoment:
-    """sqrt of the integral of |x|^2 + |u|^2 against a joint law."""
-
-    value: float
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("second moment is nonnegative")
-
-    def __float__(self) -> float:
-        return float(self.value)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
 
 @dataclass(frozen=True)
 class JointEmpiricalMeasure:
-    """Weighted atoms on R^n x U (strict) or R^n x P(U) (relaxed).
-
-    ``controls`` is an (N, m) array for the strict kind, or a sequence of N
-    ``ControlMeasure`` objects for the relaxed kind.  The second component is
-    homogeneous by construction.
-    """
+    """Weighted atoms (x_i, u_i) on R^n x U: a strict joint law."""
 
     states: np.ndarray
-    controls: np.ndarray | tuple
+    controls: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
         states = _as_atoms(self.states)
+        controls = _as_atoms(self.controls)
+        if controls.shape[0] != states.shape[0]:
+            raise ValueError("states and controls disagree on atom count")
         object.__setattr__(self, "states", states)
-        n = states.shape[0]
-        if isinstance(self.controls, (np.ndarray, list)) and not (
-            len(self.controls) > 0 and isinstance(self.controls[0], ControlMeasure)
-        ):
-            controls = _as_atoms(self.controls)
-            if controls.shape[0] != n:
-                raise ValueError("states and controls disagree on atom count")
-        else:
-            controls = tuple(self.controls)
-            if len(controls) != n:
-                raise ValueError("states and control measures disagree on atom count")
-            if not all(isinstance(q, ControlMeasure) for q in controls):
-                raise MeasureKindError(
-                    "second components must be all points or all ControlMeasure"
-                )
         object.__setattr__(self, "controls", controls)
-        object.__setattr__(self, "weights", _as_weights(self.weights, n))
-
-    # -- kind handling -----------------------------------------------------
-    @property
-    def kind(self) -> str:
-        return "strict" if isinstance(self.controls, np.ndarray) else "relaxed"
-
-    @property
-    def is_strict(self) -> bool:
-        return self.kind == "strict"
-
-    def require_kind(self, kind: str):
-        if self.kind != kind:
-            raise MeasureKindError(f"expected a {kind} joint, got {self.kind}")
+        object.__setattr__(self, "weights", _as_weights(self.weights, states.shape[0]))
 
     # -- constructors --------------------------------------------------------
     @classmethod
@@ -348,21 +257,6 @@ class JointEmpiricalMeasure:
         object.__setattr__(rho, "weights", weights)
         return rho
 
-    @classmethod
-    def relaxed(cls, states, control_measures, weights=None) -> "JointEmpiricalMeasure":
-        states = _as_atoms(states)
-        if weights is None:
-            n = states.shape[0]
-            weights = np.full(n, 1.0 / n)
-        return cls(states, tuple(control_measures), weights)
-
-    @classmethod
-    def dirac_lift(cls, rho: "JointEmpiricalMeasure") -> "JointEmpiricalMeasure":
-        """Lift a strict joint to the relaxed kind via Dirac control values."""
-        rho.require_kind("strict")
-        qs = tuple(ControlMeasure.dirac(u) for u in rho.controls)
-        return cls(rho.states, qs, rho.weights)
-
     # -- statistics ----------------------------------------------------------
     @property
     def n_atoms(self) -> int:
@@ -378,14 +272,10 @@ class JointEmpiricalMeasure:
 
     @cached_property
     def mean_control(self) -> np.ndarray:
-        if self.is_strict:
-            return self.weights @ self.controls
-        per_atom = np.stack([q.mean for q in self.controls])
-        return self.weights @ per_atom
+        return self.weights @ self.controls
 
-    # -- serialization (strict kind) ------------------------------------------
+    # -- serialization -------------------------------------------------------
     def to_dict(self) -> dict:
-        self.require_kind("strict")
         atoms = np.hstack([self.states, self.controls])
         return {
             "atoms": atoms.tolist(),
@@ -411,6 +301,99 @@ class JointEmpiricalMeasure:
 
 
 # ---------------------------------------------------------------------------
+# Relaxed controls
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RelaxedKernel:
+    """Transition kernel x -> probability on U, stored as aligned atom rows.
+
+    Row i carries the support and weights of the control measure attached to
+    the i-th atom of the accompanying state law.  Ragged supports are padded
+    with zero-weight entries.
+    """
+
+    supports: np.ndarray  # (N, A)
+    weights: np.ndarray  # (N, A), rows sum to 1
+
+    def __post_init__(self):
+        sup = np.atleast_2d(np.asarray(self.supports, dtype=float))
+        w = np.atleast_2d(np.asarray(self.weights, dtype=float))
+        if sup.shape != w.shape:
+            raise ValueError("supports and weights must share a shape")
+        if np.any(w < 0) or np.any(np.abs(w.sum(axis=1) - 1.0) > 1e-12):
+            raise ValueError("kernel rows must be probability weights")
+        sup.setflags(write=False)
+        w.setflags(write=False)
+        object.__setattr__(self, "supports", sup)
+        object.__setattr__(self, "weights", w)
+
+    @property
+    def n_rows(self) -> int:
+        return self.supports.shape[0]
+
+    @classmethod
+    def dirac(cls, controls) -> "RelaxedKernel":
+        u = np.asarray(controls, dtype=float).reshape(-1, 1)
+        return cls(u, np.ones_like(u))
+
+    @classmethod
+    def trusted(cls, supports, weights) -> "RelaxedKernel":
+        """Unvalidated kernel over (N, A) float arrays whose rows are
+        probability weights, for hot loops."""
+        kernel = object.__new__(cls)
+        object.__setattr__(kernel, "supports", supports)
+        object.__setattr__(kernel, "weights", weights)
+        return kernel
+
+    @classmethod
+    def shared(cls, n_rows: int, support, weights) -> "RelaxedKernel":
+        support = np.asarray(support, dtype=float).reshape(-1)
+        weights = np.asarray(weights, dtype=float).reshape(-1)
+        return cls(
+            np.tile(support, (n_rows, 1)), np.tile(weights / weights.sum(), (n_rows, 1))
+        )
+
+    def average(self, vals) -> np.ndarray:
+        """Row averages of values given per atom, (N, A) or broadcastable to it."""
+        vals = np.asarray(vals, dtype=float)
+        if vals.shape != self.supports.shape:
+            vals = np.broadcast_to(vals, self.supports.shape)
+        return (vals * self.weights).sum(axis=1)
+
+    def require_cover(self, mu: EmpiricalMeasure):
+        if self.n_rows != mu.n_atoms:
+            raise CoverageError(
+                f"kernel has {self.n_rows} rows for {mu.n_atoms} atoms"
+            )
+
+
+def joint_with_kernel(mu: EmpiricalMeasure, kernel: RelaxedKernel) -> JointEmpiricalMeasure:
+    """Bayes product: joint law with atoms (x_i, u_ia), weights w_i * k_ia.
+
+    The law must be scalar, as every state in the toolkit is.
+    """
+    kernel.require_cover(mu)
+    if mu.dim != 1:
+        raise DimensionMismatchError(f"the Bayes product takes a law on R^1, not R^{mu.dim}")
+    n, a = kernel.supports.shape
+    # both factors are probability measures, so the product needs no check
+    return JointEmpiricalMeasure.trusted(
+        np.repeat(mu.atoms[:, 0], a),
+        kernel.supports.reshape(-1),
+        (mu.weights[:, None] * kernel.weights).reshape(-1),
+    )
+
+
+def extend(
+    h: Callable[[JointEmpiricalMeasure], float], mu: EmpiricalMeasure, kernel: RelaxedKernel
+) -> float:
+    """Extension transformation: evaluate a strict-joint functional on the
+    relaxed joint ``(mu, kernel)`` through its projection."""
+    return h(joint_with_kernel(mu, kernel))
+
+
+# ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------
 
@@ -419,8 +402,8 @@ def _euclidean_cost(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(diff**2, axis=2))
 
 
-def fm_distance(a, b) -> float:
-    """Fortet-Mourier distance between two same-kind atom measures.
+def fm_distance(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
+    """Fortet-Mourier distance between two atom measures.
 
     Equals sup of integral f d(a-b) over 1-Lipschitz f with |f| <= 1, computed
     as exact transport with truncated ground cost min(|x-y|, 2).
@@ -433,54 +416,32 @@ def fm_distance(a, b) -> float:
     return transport_cost(a.weights, b.weights, cost)
 
 
-def kr_distance(a: JointEmpiricalMeasure, b: JointEmpiricalMeasure) -> float:
+def kr_distance(
+    mu_a: EmpiricalMeasure, kernel_a: RelaxedKernel,
+    mu_b: EmpiricalMeasure, kernel_b: RelaxedKernel,
+) -> float:
     """Kantorovich-Rubinstein (Wasserstein-1) distance between relaxed joints.
 
-    Ground metric between atoms (x, q) and (x', q') is |x - x'| + fm(q, q').
+    Ground metric between atoms (x, q) and (x', q') is |x - x'| + fm(q, q'),
+    where q and q' are the kernel rows of the two atoms.
     """
-    a.require_kind("relaxed")
-    b.require_kind("relaxed")
-    if a.state_dim != b.state_dim:
-        raise DimensionMismatchError(
-            f"joints live on R^{a.state_dim} and R^{b.state_dim}"
-        )
-    state_cost = _euclidean_cost(a.states, b.states)
-    q_cost = np.empty_like(state_cost)
-    for i, qa in enumerate(a.controls):
-        for j, qb in enumerate(b.controls):
-            q_cost[i, j] = fm_distance(qa, qb)
-    return transport_cost(a.weights, b.weights, state_cost + q_cost)
-
-
-def project(xi: JointEmpiricalMeasure) -> JointEmpiricalMeasure:
-    """Affine projection of a relaxed joint onto a strict joint.
-
-    Each atom (x, q) with weight w expands into atoms (x, u_a) with weights
-    w * q({u_a}) over the support of q.
-    """
-    xi.require_kind("relaxed")
-    states, controls, weights = [], [], []
-    for x, q, w in zip(xi.states, xi.controls, xi.weights):
-        for u, qw in zip(q.atoms, q.weights):
-            states.append(x)
-            controls.append(u)
-            weights.append(w * qw)
-    return JointEmpiricalMeasure.strict(
-        np.asarray(states), np.asarray(controls), np.asarray(weights)
+    kernel_a.require_cover(mu_a)
+    kernel_b.require_cover(mu_b)
+    if mu_a.dim != mu_b.dim:
+        raise DimensionMismatchError(f"joints live on R^{mu_a.dim} and R^{mu_b.dim}")
+    rows_a, rows_b = (
+        [EmpiricalMeasure.trusted(s, w) for s, w in zip(k.supports, k.weights)]
+        for k in (kernel_a, kernel_b)
     )
+    q_cost = np.array([[fm_distance(qa, qb) for qb in rows_b] for qa in rows_a])
+    cost = _euclidean_cost(mu_a.atoms, mu_b.atoms) + q_cost
+    return transport_cost(mu_a.weights, mu_b.weights, cost)
 
 
-def extend(h: Callable[[JointEmpiricalMeasure], float], xi: JointEmpiricalMeasure) -> float:
-    """Extension transformation: evaluate a strict-joint functional on a relaxed joint."""
-    return h(project(xi))
-
-
-def second_moment(rho: JointEmpiricalMeasure) -> SecondMoment:
+def second_moment(rho: JointEmpiricalMeasure) -> float:
     """Joint second moment sqrt(integral of |x|^2 + |u|^2)."""
-    if rho.kind == "relaxed":
-        rho = project(rho)
     total = float(
         rho.weights
         @ (np.sum(rho.states**2, axis=1) + np.sum(rho.controls**2, axis=1))
     )
-    return SecondMoment(float(np.sqrt(max(total, 0.0))))
+    return float(np.sqrt(max(total, 0.0)))

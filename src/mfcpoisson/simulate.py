@@ -47,8 +47,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet
 from .errors import DivergenceError
-from .measureflow import RelaxedKernel, joint_with_kernel
-from .measures import EmpiricalMeasure, JointEmpiricalMeasure
+from .measures import EmpiricalMeasure, JointEmpiricalMeasure, RelaxedKernel, joint_with_kernel
 
 _PURPOSES = {"init": 0, "brownian": 1, "poisson": 2}
 

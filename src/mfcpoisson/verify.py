@@ -48,7 +48,6 @@ from .lq import (
 )
 from .measureflow import (
     MeasurePath,
-    RelaxedKernel,
     TestFunctionDictionary,
     aggregate_coeffs,
     apply_A1,
@@ -57,7 +56,7 @@ from .measureflow import (
     fp_step,
     shift_adjoint,
 )
-from .measures import EmpiricalMeasure
+from .measures import EmpiricalMeasure, RelaxedKernel
 from .simulate import (
     FeedbackRule,
     InitSpec,
@@ -242,7 +241,9 @@ def check_smp(
 
     At sampled (time, particle) points the candidate control must attain the
     grid minimum up to one cell, and no grid point may undercut it by more
-    than the tolerance.
+    than the tolerance.  ``max_undercut`` is the signed worst case of
+    candidate minus grid minimum: negative when the candidate beats every
+    grid point at every sample.
     """
     coeffs = lq_coefficients(sol.params)
     u_grid = np.asarray(u_grid, dtype=float)
@@ -257,7 +258,7 @@ def check_smp(
     nodes = gen.integers(0, n_steps, size=n_samples)
     particles = gen.integers(0, cloud.n_particles, size=n_samples)
 
-    max_undercut = 0.0
+    max_undercut = -np.inf  # signed: a negative worst case is the margin
     max_cells_off = 0.0
     for node, i in zip(nodes, particles):
         t = float(cloud.times[node])
@@ -814,20 +815,28 @@ def check_chattering(
     final_sigma = max(sigmas[-1], 1e-15)
     decreased = gaps[-1] < gaps[0] + 3.0 * sigmas[0]
     small = gaps[-1] <= sigma_factor * final_sigma
+    stats = {
+        "levels": list(levels),
+        "gaps": gaps,
+        "gap_sigmas": sigmas,
+        "final_gap": gaps[-1],
+        "final_sigma": final_sigma,
+    }
+    # overflowed costs make a gap or its standard error inf or nan, and the
+    # comparisons above then decide nothing
+    non_finite = [
+        name for name in ("gaps", "gap_sigmas") if not np.all(np.isfinite(stats[name]))
+    ]
+    if non_finite:
+        stats["non_finite"] = non_finite
     return CheckReport(
         name="chattering",
-        passed=bool(decreased and small),
+        passed=bool(decreased and small and not non_finite),
         tolerance=sigma_factor,
-        stats={
-            "levels": list(levels),
-            "gaps": gaps,
-            "gap_sigmas": sigmas,
-            "final_gap": gaps[-1],
-            "final_sigma": final_sigma,
-        },
+        stats=stats,
         seed=mc.seed,
         config_hash=config_hash,
-        inconclusive=mc.scenarios < 2,
+        inconclusive=mc.scenarios < 2 or bool(non_finite),
     )
 
 

@@ -9,7 +9,8 @@ trajectory-writer oracle formats one row, and one value, at a time; the
 Fokker-Planck oracles pair one dictionary entry at a time through validated
 measures, with the test functions written out as plain formulas.  The relaxed
 Euler oracle takes only the grid and the random draws from the simulator and
-forms each step's joint law and kernel averages itself.
+forms each step's joint law and kernel averages itself, and the projection
+oracle expands a ragged relaxed joint one atom at a time.
 """
 from __future__ import annotations
 
@@ -469,3 +470,25 @@ def relaxed_euler_reference(coeffs, rule, n, T, dt, mode, seed, scenario, init):
     terminal = coeffs.terminal_cost(x, EmpiricalMeasure.from_samples(x))
     cost += float(np.broadcast_to(_as_float(terminal), x.shape).mean())
     return np.array(states), cost
+
+
+# ---------------------------------------------------------------------------
+# Relaxed-to-strict projection, one atom at a time
+# ---------------------------------------------------------------------------
+
+def project_reference(states, rows, weights):
+    """Strict projection of a ragged relaxed joint, as a validated joint.
+
+    Atom i is (states[i], q_i) with weight weights[i], where q_i is a
+    ``(support, weights)`` pair of any length; every (x_i, u_ia) becomes an
+    atom of weight weights[i] * q_i({u_ia}).
+    """
+    from mfcpoisson.measures import JointEmpiricalMeasure
+
+    xs, us, ws = [], [], []
+    for x, (support, q_weights), w in zip(states, rows, weights):
+        for u, qw in zip(support, q_weights):
+            xs.append(x)
+            us.append(u)
+            ws.append(w * qw)
+    return JointEmpiricalMeasure.strict(np.asarray(xs), np.asarray(us), np.asarray(ws))

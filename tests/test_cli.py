@@ -127,6 +127,12 @@ class TestConfigFieldTypes:
             ("model", "b1", math.nan),
             ("model", "sigma", None),
             ("model", "T", False),
+            ("sim", "particles", 10**6 + 1),
+            ("sim", "scenarios", 2**70),
+            ("verify", "riccati_steps", 10**6 + 1),
+            ("verify", "smp_samples", 2**70),
+            ("verify", "hjb_samples", 10**6 + 1),
+            ("verify", "hjb_max_atoms", 10**6 + 1),
         ],
     )
     def test_bad_field_is_a_config_error_naming_it(self, tmp_path, capsys, section, key, value):
@@ -194,6 +200,8 @@ class TestConfigFieldTypes:
             ({"points": 3.5}, "verify.u_grid.points"),
             ({"points": 2}, "verify.u_grid.points"),
             ([-4.0, 4.0, 321], "verify.u_grid"),
+            ({"points": 2**70}, "verify.u_grid.points"),
+            ({"points": 10**6 + 1}, "verify.u_grid.points"),
         ],
     )
     def test_bad_u_grid_exits_2_naming_the_field(self, tmp_path, capsys, grid, field):
@@ -446,6 +454,12 @@ class TestVerifyCommands:
         out = tmp_path / "smp.json"
         assert main(["verify", "smp", "--config", path, "--out", str(out)]) == 0
 
+    def test_smp_reports_the_signed_worst_undercut(self, tmp_path):
+        out = tmp_path / "smp.json"
+        path = str(CONFIGS / "lq_small.json")
+        assert main(["verify", "smp", "--config", path, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["report"]["stats"]["max_undercut"] < 0.0
+
     def test_hjb_passes(self, tmp_path):
         path = write_config(tmp_path, small_config())
         assert main(["verify", "hjb", "--config", path]) == 0
@@ -616,3 +630,16 @@ class TestChatteringCommand:
         assert report["stats"]["levels"] == [2, 8]
         assert len(report["stats"]["gaps"]) == 2
         assert code in (0, 1)
+
+    def test_overflowing_costs_are_inconclusive(self, tmp_path, capsys):
+        # lq_small at sigma 60: the costs overflow, every gap's standard error is inf
+        cfg = json.loads((CONFIGS / "lq_small.json").read_text())
+        cfg["model"]["sigma"] = 60.0
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "chat.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["chattering", "--config", path, "--out", str(out)]) == 1
+        assert capsys.readouterr().out == "chattering: INCONCLUSIVE\n"
+        report = json.loads(out.read_text())["report"]
+        assert report["passed"] is False and report["inconclusive"] is True
+        assert report["stats"]["non_finite"] == ["gap_sigmas"]

@@ -13,7 +13,7 @@ from mfcpoisson.coefficients import (
     lq_coefficients,
 )
 from mfcpoisson.errors import ConfigurationError
-from mfcpoisson.measures import ControlMeasure, JointEmpiricalMeasure
+from mfcpoisson.measures import JointEmpiricalMeasure, RelaxedKernel
 
 
 def make_params(**kw):
@@ -186,6 +186,16 @@ class TestBroadcasting:
             hamiltonian_strict(np.zeros(7), np.zeros(7), rho, bad, coeffs)
 
 
+def as_relaxed(rho):
+    """The relaxed joint (state law, Dirac kernel) of a strict joint."""
+    return rho.state_marginal(), RelaxedKernel.dirac(rho.controls)
+
+
+def dirac_row(u):
+    """The (support, weights) row of the Dirac control measure at u."""
+    return np.array([u]), np.array([1.0])
+
+
 class TestHamiltonianRelaxed:
     def _setup(self, rng):
         spec = JumpSpec([1.0], [0.8], [0.4])
@@ -200,21 +210,20 @@ class TestHamiltonianRelaxed:
     def test_dirac_matches_strict(self, rng):
         for _ in range(5):
             coeffs, rho, adj = self._setup(rng)
-            xi = JointEmpiricalMeasure.dirac_lift(rho)
+            xi = as_relaxed(rho)
             x, u = rng.normal(), rng.normal()
-            relaxed = hamiltonian_relaxed(x, ControlMeasure.dirac(u), xi, adj, coeffs)
+            relaxed = hamiltonian_relaxed(x, dirac_row(u), *xi, adj, coeffs)
             strict = hamiltonian_strict(x, u, rho, adj, coeffs)
             assert relaxed == pytest.approx(strict, abs=1e-12)
 
     def test_linear_in_q(self, rng):
         coeffs, rho, adj = self._setup(rng)
-        xi = JointEmpiricalMeasure.dirac_lift(rho)
+        xi = as_relaxed(rho)
         us = rng.normal(size=5)
         w = rng.uniform(0.1, 1.0, size=5)
         w /= w.sum()
-        q = ControlMeasure(us.reshape(-1, 1), w)
         x = rng.normal()
-        mixed = hamiltonian_relaxed(x, q, xi, adj, coeffs)
+        mixed = hamiltonian_relaxed(x, (us, w), *xi, adj, coeffs)
         parts = sum(
             wi * hamiltonian_strict(x, float(ui), rho, adj, coeffs)
             for ui, wi in zip(us, w)
@@ -224,19 +233,19 @@ class TestHamiltonianRelaxed:
     def test_zero_when_costless_and_adjoint_free(self, rng):
         coeffs = lq_coefficients(make_params(b3=0.0))
         rho = strict_joint([[0.3]], [[0.0]])
-        xi = JointEmpiricalMeasure.dirac_lift(rho)
+        xi = as_relaxed(rho)
         adj = AdjointTriplet(0.0, 0.0, np.zeros(0))
-        assert hamiltonian_relaxed(0.1, ControlMeasure.dirac(0.0), xi, adj, coeffs) == 0.0
+        assert hamiltonian_relaxed(0.1, dirac_row(0.0), *xi, adj, coeffs) == 0.0
 
 
 class TestDeltaHamiltonianRelaxed:
     def test_dirac_matches_strict(self, rng):
         coeffs = lq_coefficients(make_params(b1=0.4, b2=0.9))
         rho = strict_joint([[0.1], [0.9]], [[0.2], [-0.2]])
-        xi = JointEmpiricalMeasure.dirac_lift(rho)
+        xi = as_relaxed(rho)
         adj = AdjointTriplet(1.3, 0.0, np.zeros(0))
         got = delta_hamiltonian_relaxed(
-            0.0, ControlMeasure.dirac(0.5), xi, 2.0, ControlMeasure.dirac(1.5), adj, coeffs
+            0.0, dirac_row(0.5), *xi, 2.0, dirac_row(1.5), adj, coeffs
         )
         want = delta_hamiltonian_strict(0.0, 0.5, rho, 2.0, 1.5, adj, coeffs)
         assert got == pytest.approx(want, abs=1e-12)
@@ -244,12 +253,10 @@ class TestDeltaHamiltonianRelaxed:
     def test_mixture_averages(self):
         coeffs = lq_coefficients(make_params(b1=1.0, b2=1.0))
         rho = strict_joint([[0.0]], [[0.0]])
-        xi = JointEmpiricalMeasure.dirac_lift(rho)
+        xi = as_relaxed(rho)
         adj = AdjointTriplet(1.0, 0.0, np.zeros(0))
-        qp = ControlMeasure(np.array([[0.0], [2.0]]), np.array([0.5, 0.5]))
-        got = delta_hamiltonian_relaxed(
-            0.0, ControlMeasure.dirac(0.0), xi, 3.0, qp, adj, coeffs
-        )
+        qp = (np.array([0.0, 2.0]), np.array([0.5, 0.5]))
+        got = delta_hamiltonian_relaxed(0.0, dirac_row(0.0), *xi, 3.0, qp, adj, coeffs)
         # (b1*3 + b2*E[u']) * p = 3 + 1
         assert got == pytest.approx(4.0, abs=1e-12)
 

@@ -92,7 +92,7 @@ def test_mutated_config_parses_or_is_a_config_error(mutations):
         return
     assert isinstance(cfg, ExperimentConfig)
     # the views the subcommands read must work on whatever was accepted
-    assert cfg.verify["u_grid"]["points"] >= 3
+    assert 3 <= cfg.verify["u_grid"]["points"] == cfg.u_grid.size
     assert all(math.isfinite(p.amount) for p in cfg.perturbations)
     for name in ("smp", "bsde"):
         assert cfg.tolerance(name) > 0

@@ -1,21 +1,20 @@
 import numpy as np
 import pytest
 
-from mfcpoisson.errors import DimensionMismatchError, MeasureKindError, SizeLimitError
+from mfcpoisson.errors import CoverageError, DimensionMismatchError, SizeLimitError
 from mfcpoisson.measures import (
-    Box,
-    ControlMeasure,
     EmpiricalMeasure,
     JointEmpiricalMeasure,
+    RelaxedKernel,
     extend,
     fm_distance,
+    joint_with_kernel,
     kr_distance,
-    project,
     second_moment,
     transport_cost,
 )
 
-from _oracles import FM_LATTICE, fm_bruteforce_1d
+from _oracles import FM_LATTICE, fm_bruteforce_1d, project_reference
 from conftest import random_measure
 
 
@@ -40,20 +39,6 @@ class TestConstruction:
         mu = dirac(0.0)
         with pytest.raises(ValueError):
             mu.atoms[0, 0] = 1.0
-
-    def test_control_measure_outside_box(self):
-        box = Box(np.array([-1.0]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            ControlMeasure(np.array([[2.0]]), np.array([1.0]), box)
-        ControlMeasure(np.array([[0.5]]), np.array([1.0]), box)
-
-    def test_joint_kind_is_homogeneous(self):
-        with pytest.raises(MeasureKindError):
-            JointEmpiricalMeasure(
-                np.array([[0.0], [1.0]]),
-                (ControlMeasure.dirac(0.0), 1.0),
-                np.array([0.5, 0.5]),
-            )
 
 
 class TestSerialization:
@@ -138,52 +123,74 @@ class TestFmDistance:
             assert d02 <= d01 + d12 + 1e-9
 
 
-def relaxed_point(x, q):
-    return JointEmpiricalMeasure.relaxed(np.array([[float(x)]]), (q,))
+#: support value of the zero-weight atoms that pad ragged kernel rows
+PAD = 7.0
+
+
+def relaxed_point(x, support, weights=(1.0,)):
+    """The one-atom relaxed joint at x with control measure (support, weights)."""
+    return dirac(x), RelaxedKernel([support], [weights])
+
+
+def ragged_joint(states, rows, weights, width=None):
+    """(mu, kernel) of a relaxed joint whose (support, weights) rows have any
+    lengths, padded with zero-weight atoms at PAD to ``width`` columns (by
+    default the longest row)."""
+    width = width or max(len(support) for support, _ in rows)
+    supports = np.full((len(rows), width), PAD)
+    q = np.zeros((len(rows), width))
+    for i, (support, q_weights) in enumerate(rows):
+        supports[i, : len(support)] = np.ravel(support)
+        q[i, : len(q_weights)] = q_weights
+    return EmpiricalMeasure(states, weights), RelaxedKernel(supports, q)
+
+
+def random_ragged_rows(rng, n_atoms, lengths=(1, 2)):
+    rows = []
+    for _ in range(n_atoms):
+        k = int(rng.integers(lengths[0], lengths[1] + 1))
+        w = rng.uniform(0.2, 1.0, size=k)
+        rows.append((rng.uniform(-1, 1, size=k), w / w.sum()))
+    return rows
+
+
+def random_relaxed(rng, n_atoms=5):
+    rows = random_ragged_rows(rng, n_atoms)
+    w = rng.uniform(0.2, 1.0, size=n_atoms)
+    return ragged_joint(rng.uniform(-2, 2, size=(n_atoms, 1)), rows, w / w.sum())
 
 
 class TestKrDistance:
     def test_identity(self):
-        xi = relaxed_point(0.0, ControlMeasure.dirac(0.3))
-        assert kr_distance(xi, xi) == pytest.approx(0.0, abs=1e-12)
+        xi = relaxed_point(0.0, [0.3])
+        assert kr_distance(*xi, *xi) == pytest.approx(0.0, abs=1e-12)
 
     def test_state_shift_only(self):
-        q = ControlMeasure.dirac(0.7)
-        assert kr_distance(relaxed_point(0.0, q), relaxed_point(1.0, q)) == pytest.approx(
-            1.0, abs=1e-9
-        )
+        assert kr_distance(
+            *relaxed_point(0.0, [0.7]), *relaxed_point(1.0, [0.7])
+        ) == pytest.approx(1.0, abs=1e-9)
 
     def test_control_shift_only(self):
-        a = ControlMeasure.dirac(0.1)
-        b = ControlMeasure.dirac(0.4)
-        assert kr_distance(relaxed_point(0.0, a), relaxed_point(0.0, b)) == pytest.approx(
-            0.3, abs=1e-9
-        )
+        assert kr_distance(
+            *relaxed_point(0.0, [0.1]), *relaxed_point(0.0, [0.4])
+        ) == pytest.approx(0.3, abs=1e-9)
 
-    def test_rejects_strict_kind(self):
-        rho = JointEmpiricalMeasure.strict([[0.0]], [[0.0]])
-        xi = relaxed_point(0.0, ControlMeasure.dirac(0.0))
-        with pytest.raises(MeasureKindError):
-            kr_distance(rho, xi)
-
-    def _random_relaxed(self, rng, n_atoms=5):
-        qs = []
-        for _ in range(n_atoms):
-            k = int(rng.integers(1, 3))
-            w = rng.uniform(0.2, 1.0, size=k)
-            qs.append(ControlMeasure(rng.uniform(-1, 1, size=(k, 1)), w / w.sum()))
-        w = rng.uniform(0.2, 1.0, size=n_atoms)
-        return JointEmpiricalMeasure.relaxed(
-            rng.uniform(-2, 2, size=(n_atoms, 1)), qs, w / w.sum()
-        )
+    def test_rejects_kernel_not_covering_its_law(self):
+        mu = EmpiricalMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
+        kernel = RelaxedKernel.dirac([0.0])
+        xi = relaxed_point(0.0, [0.0])
+        with pytest.raises(CoverageError):
+            kr_distance(mu, kernel, *xi)
+        with pytest.raises(CoverageError):
+            kr_distance(*xi, mu, kernel)
 
     def test_metric_properties(self, rng):
         for _ in range(6):
-            xs = [self._random_relaxed(rng) for _ in range(3)]
-            d01 = kr_distance(xs[0], xs[1])
+            xs = [random_relaxed(rng) for _ in range(3)]
+            d01 = kr_distance(*xs[0], *xs[1])
             assert d01 >= -1e-12
-            assert d01 == pytest.approx(kr_distance(xs[1], xs[0]), abs=1e-9)
-            assert kr_distance(xs[0], xs[2]) <= d01 + kr_distance(xs[1], xs[2]) + 1e-9
+            assert d01 == pytest.approx(kr_distance(*xs[1], *xs[0]), abs=1e-9)
+            assert kr_distance(*xs[0], *xs[2]) <= d01 + kr_distance(*xs[1], *xs[2]) + 1e-9
 
     def test_dominates_projected_transport_for_dirac_controls(self, rng):
         # strict-joint FM transport with cost min(|dx|+|du|, 2) never exceeds kr
@@ -191,43 +198,33 @@ class TestKrDistance:
             n = int(rng.integers(1, 5))
             xis = []
             for _ in range(2):
-                us = rng.uniform(-1, 1, size=n)
-                qs = [ControlMeasure.dirac(u) for u in us]
+                kernel = RelaxedKernel.dirac(rng.uniform(-1, 1, size=n))
                 w = rng.uniform(0.2, 1.0, size=n)
-                xis.append(
-                    JointEmpiricalMeasure.relaxed(
-                        rng.uniform(-2, 2, size=(n, 1)), qs, w / w.sum()
-                    )
-                )
-            p0, p1 = project(xis[0]), project(xis[1])
+                mu = EmpiricalMeasure(rng.uniform(-2, 2, size=(n, 1)), w / w.sum())
+                xis.append((mu, kernel))
+            p0, p1 = joint_with_kernel(*xis[0]), joint_with_kernel(*xis[1])
             dx = np.abs(p0.states[:, None, 0] - p1.states[None, :, 0])
             du = np.abs(p0.controls[:, None, 0] - p1.controls[None, :, 0])
             proj_dist = transport_cost(p0.weights, p1.weights, np.minimum(dx + du, 2.0))
-            assert kr_distance(xis[0], xis[1]) >= proj_dist - 1e-9
+            assert kr_distance(*xis[0], *xis[1]) >= proj_dist - 1e-9
 
 
 class TestProject:
     def test_dirac_control(self):
-        xi = relaxed_point(1.5, ControlMeasure.dirac(0.25))
-        rho = project(xi)
+        rho = joint_with_kernel(*relaxed_point(1.5, [0.25]))
         assert rho.n_atoms == 1
         assert rho.states[0, 0] == 1.5
         assert rho.controls[0, 0] == 0.25
         assert rho.weights[0] == 1.0
 
     def test_two_point_expansion(self):
-        q = ControlMeasure(np.array([[-1.0], [1.0]]), np.array([0.5, 0.5]))
-        rho = project(relaxed_point(0.0, q))
+        rho = joint_with_kernel(*relaxed_point(0.0, [-1.0, 1.0], [0.5, 0.5]))
         np.testing.assert_allclose(rho.controls.ravel(), [-1.0, 1.0])
         np.testing.assert_allclose(rho.weights, [0.5, 0.5])
 
     def test_mixture_expands_to_four_atoms(self):
-        qa = ControlMeasure(np.array([[0.0], [1.0]]), np.array([0.3, 0.7]))
-        qb = ControlMeasure(np.array([[-1.0], [2.0]]), np.array([0.6, 0.4]))
-        xi = JointEmpiricalMeasure.relaxed(
-            np.array([[0.0], [5.0]]), (qa, qb), np.array([0.25, 0.75])
-        )
-        rho = project(xi)
+        rows = [([0.0, 1.0], [0.3, 0.7]), ([-1.0, 2.0], [0.6, 0.4])]
+        rho = joint_with_kernel(*ragged_joint([0.0, 5.0], rows, [0.25, 0.75]))
         assert rho.n_atoms == 4
         np.testing.assert_allclose(
             rho.weights, [0.25 * 0.3, 0.25 * 0.7, 0.75 * 0.6, 0.75 * 0.4]
@@ -236,27 +233,47 @@ class TestProject:
     def test_affine_in_the_measure(self, rng):
         # projecting a lambda-mixture equals the mixture of projections atomwise
         lam = 0.3
-        qs = [
-            ControlMeasure(rng.uniform(-1, 1, size=(2, 1)), np.array([0.4, 0.6]))
-            for _ in range(4)
-        ]
-        xi1 = JointEmpiricalMeasure.relaxed(
-            rng.normal(size=(2, 1)), qs[:2], np.array([0.5, 0.5])
+        rows = [(rng.uniform(-1, 1, size=2), [0.4, 0.6]) for _ in range(4)]
+        xi1 = ragged_joint(rng.normal(size=(2, 1)), rows[:2], [0.5, 0.5])
+        xi2 = ragged_joint(rng.normal(size=(2, 1)), rows[2:], [0.2, 0.8])
+        mix = ragged_joint(
+            np.vstack([xi1[0].atoms, xi2[0].atoms]),
+            rows,
+            np.concatenate([lam * xi1[0].weights, (1 - lam) * xi2[0].weights]),
         )
-        xi2 = JointEmpiricalMeasure.relaxed(
-            rng.normal(size=(2, 1)), qs[2:], np.array([0.2, 0.8])
-        )
-        mix = JointEmpiricalMeasure.relaxed(
-            np.vstack([xi1.states, xi2.states]),
-            tuple(xi1.controls) + tuple(xi2.controls),
-            np.concatenate([lam * xi1.weights, (1 - lam) * xi2.weights]),
-        )
-        got = project(mix)
-        p1, p2 = project(xi1), project(xi2)
+        got = joint_with_kernel(*mix)
+        p1, p2 = joint_with_kernel(*xi1), joint_with_kernel(*xi2)
         np.testing.assert_allclose(got.states, np.vstack([p1.states, p2.states]))
         np.testing.assert_allclose(
             got.weights, np.concatenate([lam * p1.weights, (1 - lam) * p2.weights])
         )
+
+    def test_rejects_a_law_that_is_not_scalar(self):
+        mu = EmpiricalMeasure(np.array([[1.0, 5.0], [2.0, -3.0]]), np.array([0.5, 0.5]))
+        with pytest.raises(DimensionMismatchError):
+            joint_with_kernel(mu, RelaxedKernel.dirac([0.0, 0.0]))
+
+    def test_equals_the_ragged_oracle_bit_for_bit(self, rng):
+        for n, a in ((1, 1), (3, 1), (4, 3), (7, 5)):
+            rows = random_ragged_rows(rng, n, lengths=(a, a))
+            w = rng.uniform(0.2, 1.0, size=n)
+            mu, kernel = ragged_joint(rng.normal(size=n), rows, w / w.sum())
+            got = joint_with_kernel(mu, kernel)
+            want = project_reference(mu.atoms[:, 0], rows, mu.weights)
+            for name in ("states", "controls", "weights"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    def test_padded_kernel_equals_the_oracle_without_its_padding(self, rng):
+        for n, width in ((2, 3), (5, 3), (6, 6)):
+            rows = random_ragged_rows(rng, n, lengths=(1, 3))
+            w = rng.uniform(0.2, 1.0, size=n)
+            mu, kernel = ragged_joint(rng.normal(size=n), rows, w / w.sum(), width)
+            got = joint_with_kernel(mu, kernel)
+            want = project_reference(mu.atoms[:, 0], rows, mu.weights)
+            real = (np.arange(width) < np.array([len(s) for s, _ in rows])[:, None]).ravel()
+            assert np.all(got.weights[~real] == 0.0)
+            for name in ("states", "controls", "weights"):
+                np.testing.assert_array_equal(getattr(got, name)[real], getattr(want, name))
 
 
 def clipped_m2sq(rho):
@@ -266,26 +283,23 @@ def clipped_m2sq(rho):
 
 class TestExtend:
     def test_total_mass(self):
-        xi = relaxed_point(3.0, ControlMeasure.dirac(-1.0))
-        assert extend(lambda rho: float(rho.weights.sum()), xi) == pytest.approx(1.0)
+        xi = relaxed_point(3.0, [-1.0])
+        assert extend(lambda rho: float(rho.weights.sum()), *xi) == pytest.approx(1.0)
 
     def test_dirac_control_consistency(self):
         # lifting a strict joint through Dirac controls changes nothing
         rho = JointEmpiricalMeasure.strict(
             [[0.5], [1.0], [-2.0]], [[0.1], [0.2], [0.3]], [0.2, 0.3, 0.5]
         )
-        xi = JointEmpiricalMeasure.dirac_lift(rho)
-        h = lambda r: float(second_moment(r)) ** 2
-        assert extend(h, xi) == pytest.approx(h(rho), abs=1e-12)
+        h = lambda r: second_moment(r) ** 2
+        xi = (rho.state_marginal(), RelaxedKernel.dirac(rho.controls))
+        assert extend(h, *xi) == pytest.approx(h(rho), abs=1e-12)
 
     def test_linear_functional_mixes(self):
         h = lambda r: float(r.weights @ r.controls[:, 0])
-        qa = ControlMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
-        qb = ControlMeasure.dirac(2.0)
-        xi = JointEmpiricalMeasure.relaxed(
-            np.zeros((2, 1)), (qa, qb), np.array([0.5, 0.5])
-        )
-        assert extend(h, xi) == pytest.approx(0.5 * 0.5 + 0.5 * 2.0)
+        rows = [([0.0, 1.0], [0.5, 0.5]), ([2.0], [1.0])]
+        xi = ragged_joint(np.zeros((2, 1)), rows, np.array([0.5, 0.5]))
+        assert extend(h, *xi) == pytest.approx(0.5 * 0.5 + 0.5 * 2.0)
 
     def test_lipschitz_transfer(self, rng):
         # clip(|x|^2+|u|^2, 1) is 2-Lipschitz and bounded by 1, so its measure
@@ -294,31 +308,55 @@ class TestExtend:
             xis = []
             for _ in range(2):
                 n = int(rng.integers(1, 4))
-                qs = [
-                    ControlMeasure(rng.uniform(-1, 1, size=(2, 1)), np.array([0.5, 0.5]))
-                    for _ in range(n)
-                ]
+                rows = [(rng.uniform(-1, 1, size=2), [0.5, 0.5]) for _ in range(n)]
                 w = rng.uniform(0.2, 1.0, size=n)
-                xis.append(
-                    JointEmpiricalMeasure.relaxed(
-                        rng.uniform(-1.5, 1.5, size=(n, 1)), qs, w / w.sum()
-                    )
-                )
-            gap = abs(extend(clipped_m2sq, xis[0]) - extend(clipped_m2sq, xis[1]))
-            assert gap <= 2.0 * kr_distance(xis[0], xis[1]) + 1e-9
+                states = rng.uniform(-1.5, 1.5, size=(n, 1))
+                xis.append(ragged_joint(states, rows, w / w.sum()))
+            gap = abs(extend(clipped_m2sq, *xis[0]) - extend(clipped_m2sq, *xis[1]))
+            assert gap <= 2.0 * kr_distance(*xis[0], *xis[1]) + 1e-9
+
+
+class TestZeroWeightPadding:
+    """Zero-weight atoms padding a kernel's rows leave the relaxed joint as it is."""
+
+    @staticmethod
+    def _forms(rng, n_atoms, lengths):
+        # one relaxed joint at its narrowest width, and padded two columns wider
+        rows = random_ragged_rows(rng, n_atoms, lengths)
+        w = rng.uniform(0.2, 1.0, size=n_atoms)
+        states = rng.uniform(-2, 2, size=(n_atoms, 1))
+        width = max(len(support) for support, _ in rows)
+        return [ragged_joint(states, rows, w / w.sum(), width + extra) for extra in (0, 2)]
+
+    @pytest.mark.parametrize("lengths", [(2, 2), (1, 3)], ids=["unpadded", "ragged"])
+    def test_kr_distance(self, rng, lengths):
+        for _ in range(4):
+            a, a_padded = self._forms(rng, 4, lengths)
+            b, b_padded = self._forms(rng, 3, lengths)
+            assert kr_distance(*a_padded, *b_padded) == pytest.approx(
+                kr_distance(*a, *b), abs=1e-12
+            )
+
+    @pytest.mark.parametrize("lengths", [(2, 2), (1, 3)], ids=["unpadded", "ragged"])
+    def test_extend(self, rng, lengths):
+        for _ in range(4):
+            xi, padded = self._forms(rng, 5, lengths)
+            assert extend(clipped_m2sq, *padded) == pytest.approx(
+                extend(clipped_m2sq, *xi), abs=1e-12
+            )
 
 
 class TestSecondMoment:
     def test_zero(self):
         rho = JointEmpiricalMeasure.strict([[0.0]], [[0.0]])
-        assert float(second_moment(rho)) == 0.0
+        assert second_moment(rho) == 0.0
 
     def test_pythagorean_point(self):
         rho = JointEmpiricalMeasure.strict([[3.0]], [[4.0]])
-        assert float(second_moment(rho)) == pytest.approx(5.0, abs=1e-12)
+        assert second_moment(rho) == pytest.approx(5.0, abs=1e-12)
 
     def test_two_point_average(self):
         rho = JointEmpiricalMeasure.strict(
             [[1.0], [0.0]], [[0.0], [1.0]], [0.5, 0.5]
         )
-        assert float(second_moment(rho)) == pytest.approx(1.0, abs=1e-12)
+        assert second_moment(rho) == pytest.approx(1.0, abs=1e-12)

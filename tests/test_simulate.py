@@ -5,7 +5,7 @@ import pytest
 
 from mfcpoisson.coefficients import CoefficientSet, JumpSpec, LQParams, lq_coefficients
 from mfcpoisson.errors import DivergenceError
-from mfcpoisson.measures import Box, ControlMeasure, fm_distance
+from mfcpoisson.measures import Box, EmpiricalMeasure, fm_distance
 from mfcpoisson.simulate import (
     FeedbackRule,
     InitSpec,
@@ -517,7 +517,8 @@ class TestChattering:
     def test_window_averaged_law_converges(self):
         # FM distance between window-averaged occupation and the target measure
         q = RelaxedRule.constant(np.array([0.2, 0.8]), np.array([0.5, 0.5]))
-        target = ControlMeasure(np.array([[0.2], [0.8]]), np.array([0.5, 0.5]))
+        # a control measure is a kernel row: its support carries the atoms
+        target = EmpiricalMeasure(np.array([0.2, 0.8]), np.array([0.5, 0.5]))
         ts = np.arange(0, 1, 1 / 1024)
         window = 3 / 16
 
@@ -528,7 +529,7 @@ class TestChattering:
             for j in range(int(1 / window)):
                 sel = us[(ts >= j * window) & (ts < (j + 1) * window)]
                 freq = np.array([np.mean(sel == 0.2), np.mean(sel == 0.8)])
-                emp = ControlMeasure(np.array([[0.2], [0.8]]), freq)
+                emp = EmpiricalMeasure(np.array([0.2, 0.8]), freq)
                 vals.append(fm_distance(emp, target))
             return max(vals)
 

@@ -173,7 +173,7 @@ def smp_stats_reference(cloud, sol, u_grid, n_samples, sample_seed=0):
     nodes = gen.integers(0, cloud.grid.n_steps, size=n_samples)
     particles = gen.integers(0, cloud.n_particles, size=n_samples)
     cell = float(np.max(np.diff(u_grid)))
-    undercut = cells_off = 0.0
+    undercut, cells_off = -np.inf, 0.0
     for node, i in zip(nodes, particles):
         xs, us = cloud.states[node], cloud.controls[node]
         adjoint = written_out_adjoint(sol, float(cloud.times[node]), xs)
