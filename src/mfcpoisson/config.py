@@ -93,18 +93,25 @@ def _require(section: dict, name: str, keys) -> None:
         raise ConfigError(f"section '{name}' lacks field(s): {', '.join(missing)}")
 
 
-def _check_integer(section: dict, name: str, key: str) -> None:
+def _field(name: str, key) -> str:
+    """``name.key`` for an object field, ``name[key]`` for a list entry."""
+    return f"{name}[{key}]" if isinstance(key, int) else f"{name}.{key}"
+
+
+def _check_integer(section, name: str, key) -> None:
     value = section[key]
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name}.{key} must be an integer, got {value!r}")
+        raise ConfigError(f"{_field(name, key)} must be an integer, got {value!r}")
 
 
-def _check_count(section: dict, name: str, key: str, least: int) -> None:
+def _check_count(section, name: str, key, least: int) -> None:
     _check_integer(section, name, key)
     if section[key] < least:
-        raise ConfigError(f"{name}.{key} must be at least {least}, got {section[key]!r}")
+        raise ConfigError(f"{_field(name, key)} must be at least {least}, got {section[key]!r}")
     if section[key] > MAX_COUNT:
-        raise ConfigError(f"{name}.{key} must be at most {MAX_COUNT}, got {section[key]!r}")
+        raise ConfigError(
+            f"{_field(name, key)} must be at most {MAX_COUNT}, got {section[key]!r}"
+        )
 
 
 def _is_finite(value) -> bool:
@@ -122,6 +129,12 @@ def _check_finite(section: dict, name: str, key: str) -> None:
         raise ConfigError(f"{name}.{key} must be a finite number, got {value!r}")
 
 
+def _check_positive(section: dict, name: str, key: str) -> None:
+    _check_finite(section, name, key)
+    if not section[key] > 0:
+        raise ConfigError(f"{name}.{key} must be positive, got {section[key]!r}")
+
+
 def _check_tolerances(tolerances) -> None:
     _check_object(tolerances, "verify.tolerances")
     known = _DEFAULT_VERIFY["tolerances"]
@@ -133,9 +146,7 @@ def _check_tolerances(tolerances) -> None:
             )
         if tol is None and known[name] is None:
             continue  # derived from the Riccati solution
-        _check_finite(tolerances, "verify.tolerances", name)
-        if not tol > 0:
-            raise ConfigError(f"verify.tolerances.{name} must be positive, got {tol!r}")
+        _check_positive(tolerances, "verify.tolerances", name)
 
 
 def _check_perturbations(rows) -> None:
@@ -161,6 +172,34 @@ def _check_ratio_band(band) -> None:
             f"verify.fp_ratio_band must be two finite numbers lo, hi with "
             f"0 < lo < hi, got {band!r}"
         )
+
+
+def _check_chattering(chat) -> None:
+    name = "verify.chattering"
+    _require(chat, name, ["support", "weights", "levels", "sigma_factor"])
+    for key in ("support", "weights"):
+        values = chat[key]
+        if not (isinstance(values, list) and values and all(_is_finite(v) for v in values)):
+            raise ConfigError(
+                f"{name}.{key} must be a non-empty list of finite numbers, got {values!r}"
+            )
+    support, weights = chat["support"], chat["weights"]
+    if len(weights) != len(support):
+        raise ConfigError(
+            f"{name}.weights needs one entry per support point: {len(weights)} weights "
+            f"for {len(support)} points"
+        )
+    total = float(np.sum(weights))
+    if any(w < 0 for w in weights) or not 0 < total < math.inf:
+        raise ConfigError(
+            f"{name}.weights must be nonnegative with a positive finite total, got {weights!r}"
+        )
+    levels = chat["levels"]
+    if not (isinstance(levels, list) and levels):
+        raise ConfigError(f"{name}.levels must be a non-empty list of slab counts, got {levels!r}")
+    for i in range(len(levels)):
+        _check_count(levels, f"{name}.levels", i, 1)
+    _check_positive(chat, name, "sigma_factor")
 
 
 def _check_init_atoms(init: InitSpec) -> None:
@@ -246,6 +285,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _check_tolerances(verify["tolerances"])
     _check_perturbations(verify["perturbations"])
     _check_ratio_band(verify["fp_ratio_band"])
+    _check_positive(verify, "verify", "noise_ratio_min")
+    _check_chattering(verify["chattering"])
     grid = verify["u_grid"]
     _check_object(grid, "verify.u_grid")
     _check_finite(grid, "verify.u_grid", "lo")

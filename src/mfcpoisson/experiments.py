@@ -150,10 +150,7 @@ def run_chattering(cfg: ExperimentConfig, out: str, threads: int = 1):
     chat = cfg.verify["chattering"]
     report = check_chattering(
         lq_coefficients(cfg.params),
-        RelaxedRule.constant(
-            np.asarray(chat["support"], dtype=float),
-            np.asarray(chat["weights"], dtype=float),
-        ),
+        RelaxedRule.constant(chat["support"], chat["weights"]),
         cfg.params.T, cfg.mc,
         levels=[int(n) for n in chat["levels"]],
         sigma_factor=float(chat["sigma_factor"]),

@@ -355,11 +355,24 @@ class RelaxedKernel:
         )
 
     def average(self, vals) -> np.ndarray:
-        """Row averages of values given per atom, (N, A) or broadcastable to it."""
+        """Row averages of values given per atom, (N, A) or broadcastable to it.
+
+        Below 8 atoms numpy's row sum adds the products in order, starting
+        from 0.0, so the sum is written out column by column with the same
+        bits and without the (N, A) product array; from 8 atoms on numpy
+        sums pairwise, and the row sum is kept.
+        """
         vals = np.asarray(vals, dtype=float)
         if vals.shape != self.supports.shape:
             vals = np.broadcast_to(vals, self.supports.shape)
-        return (vals * self.weights).sum(axis=1)
+        n_atoms = vals.shape[1]
+        if not 0 < n_atoms < 8:
+            return (vals * self.weights).sum(axis=1)
+        w = self.weights
+        total = 0.0 + vals[:, 0] * w[:, 0]
+        for a in range(1, n_atoms):
+            total += vals[:, a] * w[:, a]
+        return total
 
     def require_cover(self, mu: EmpiricalMeasure):
         if self.n_rows != mu.n_atoms:

@@ -201,6 +201,12 @@ class RelaxedRule:
     ``support`` is (A,) shared across particles or (N, A) per particle;
     ``weights`` likewise.  Weights must be nonnegative and rows are
     normalized; a nonpositive row total is a normalization failure.
+
+    A rule made by :meth:`constant` with shared atoms validates them on its
+    first call and keeps the result: later calls return the same read-only
+    normalized atoms, (N, A) rows built once per cloud size, and cumulative
+    weights for :class:`ChatteringRule`.  A rule built from a general ``fn``
+    calls it, and validates its result, on every call.
     """
 
     kind = "relaxed"
@@ -208,9 +214,30 @@ class RelaxedRule:
     def __init__(self, fn: Callable, box=None):
         self.fn = fn
         self.box = box
+        self._constant = False
+        self._shared = None  # (support, weights, cumulative weights), once validated
+        self._rows = {}  # cloud size -> read-only (N, A) support and weight rows
 
     def atoms(self, t, states, cond_mean):
         """Normalized (support, weights): 1-D when both are shared atoms, else rows."""
+        if self._shared is not None:
+            return self._shared[:2]
+        support, weights = self._validated_atoms(t, states, cond_mean)
+        if self._constant and support.ndim == 1:
+            cum = np.cumsum(weights)
+            for arr in (support, weights, cum):
+                arr.setflags(write=False)
+            self._shared = (support, weights, cum)
+        return support, weights
+
+    def slab_atoms(self, t, states, cond_mean):
+        """Normalized support and cumulative weights, for :class:`ChatteringRule`."""
+        support, weights = self.atoms(t, states, cond_mean)
+        if self._shared is not None:
+            return support, self._shared[2]
+        return support, np.cumsum(weights, axis=-1)
+
+    def _validated_atoms(self, t, states, cond_mean):
         support, weights = self.fn(t, states, cond_mean)
         support = np.atleast_1d(np.asarray(support, dtype=float))
         weights = np.atleast_1d(np.asarray(weights, dtype=float))
@@ -237,18 +264,36 @@ class RelaxedRule:
         return support, weights / totals[:, None]
 
     def evaluate(self, t, states, cond_mean):
-        """Per-particle (support, weights) rows, each of shape (N, A)."""
+        """Per-particle (support, weights) rows, each of shape (N, A).
+
+        Shared atoms come as broadcast views, or, for a constant rule, as
+        contiguous read-only rows built once per cloud size.
+        """
         support, weights = self.atoms(t, states, cond_mean)
-        if support.ndim == 1:
-            shape = (states.shape[0], support.shape[0])
+        if support.ndim == 2:
+            return support, weights
+        n = states.shape[0]
+        if self._shared is None:
+            shape = (n, support.shape[0])
             return np.broadcast_to(support, shape), np.broadcast_to(weights, shape)
-        return support, weights
+        rows = self._rows.get(n)
+        if rows is None:
+            rows = tuple(np.tile(arr, (n, 1)) for arr in (support, weights))
+            for arr in rows:
+                arr.setflags(write=False)
+            self._rows[n] = rows
+        return rows
 
     @classmethod
     def constant(cls, support, weights, box=None) -> "RelaxedRule":
-        support = np.asarray(support, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        return cls(lambda t, x, m: (support, weights), box)
+        """The rule playing the same atoms everywhere; it keeps copies of them."""
+        support = np.array(support, dtype=float)
+        weights = np.array(weights, dtype=float)
+        for arr in (support, weights):
+            arr.setflags(write=False)
+        rule = cls(lambda t, x, m: (support, weights), box)
+        rule._constant = True
+        return rule
 
 
 class ChatteringRule:
@@ -256,7 +301,8 @@ class ChatteringRule:
 
     The horizon splits into ``n_slabs`` equal slabs; inside a slab the atom
     whose cumulative weight bracket contains the slab phase is played, so each
-    atom occupies a sub-interval proportional to its weight.
+    atom occupies a sub-interval proportional to its weight.  Over a constant
+    relaxed rule the cumulative weights are the rule's cached ones.
     """
 
     kind = "strict"
@@ -269,13 +315,12 @@ class ChatteringRule:
         self.horizon = float(horizon)
 
     def evaluate(self, t, states, cond_mean):
-        support, weights = self.relaxed.atoms(t, states, cond_mean)
+        support, cum = self.relaxed.slab_atoms(t, states, cond_mean)
         slab = self.horizon / self.n_slabs
         theta = (t / slab) % 1.0
         if support.ndim == 1:
-            idx = min(int((np.cumsum(weights) <= theta).sum()), support.shape[0] - 1)
+            idx = min(int((cum <= theta).sum()), support.shape[0] - 1)
             return np.full(states.shape[0], support[idx])
-        cum = np.cumsum(weights, axis=1)
         idx = np.minimum((cum <= theta).sum(axis=1), support.shape[1] - 1)
         return support[np.arange(states.shape[0]), idx]
 

@@ -10,7 +10,8 @@ Fokker-Planck oracles pair one dictionary entry at a time through validated
 measures, with the test functions written out as plain formulas.  The relaxed
 Euler oracle takes only the grid and the random draws from the simulator and
 forms each step's joint law and kernel averages itself, and the projection
-oracle expands a ragged relaxed joint one atom at a time.
+oracle expands a ragged relaxed joint one atom at a time.  The slab-rule
+oracle sums a relaxed rule's cumulative weights afresh on every call.
 """
 from __future__ import annotations
 
@@ -492,3 +493,24 @@ def project_reference(states, rows, weights):
             us.append(u)
             ws.append(w * qw)
     return JointEmpiricalMeasure.strict(np.asarray(xs), np.asarray(us), np.asarray(ws))
+
+
+# ---------------------------------------------------------------------------
+# Slab (chattering) control, recomputed from the relaxed rule on every call
+# ---------------------------------------------------------------------------
+
+def chattering_reference(relaxed, n_slabs, horizon, t, states, cond_mean):
+    """Control of the slab rule at time t, from the rule's atoms on this call.
+
+    The atom whose cumulative-weight bracket holds the slab phase is played;
+    the cumulative weights are summed afresh from ``relaxed.atoms``.
+    """
+    support, weights = relaxed.atoms(t, states, cond_mean)
+    slab = horizon / n_slabs
+    theta = (t / slab) % 1.0
+    if support.ndim == 1:
+        idx = min(int((np.cumsum(weights) <= theta).sum()), support.shape[0] - 1)
+        return np.full(states.shape[0], support[idx])
+    cum = np.cumsum(weights, axis=1)
+    idx = np.minimum((cum <= theta).sum(axis=1), support.shape[1] - 1)
+    return support[np.arange(states.shape[0]), idx]

@@ -133,6 +133,17 @@ class TestConfigFieldTypes:
             ("verify", "smp_samples", 2**70),
             ("verify", "hjb_samples", 10**6 + 1),
             ("verify", "hjb_max_atoms", 10**6 + 1),
+            ("verify", "chattering", {"levels": []}),
+            ("verify", "chattering", {"levels": [0]}),
+            ("verify", "chattering", {"levels": [2, 10**6 + 1]}),
+            ("verify", "chattering", {"weights": [-0.5, 1.5]}),
+            ("verify", "chattering", {"weights": [0, 0]}),
+            ("verify", "chattering", {"support": [0.2]}),
+            ("verify", "chattering", {"support": [0.2, math.nan]}),
+            ("verify", "chattering", {"sigma_factor": "x"}),
+            ("verify", "chattering", {"sigma_factor": 0.0}),
+            ("verify", "noise_ratio_min", math.inf),
+            ("verify", "noise_ratio_min", -1.0),
         ],
     )
     def test_bad_field_is_a_config_error_naming_it(self, tmp_path, capsys, section, key, value):

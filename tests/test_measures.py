@@ -346,6 +346,37 @@ class TestZeroWeightPadding:
             )
 
 
+class TestKernelAverage:
+    """``RelaxedKernel.average`` has the bits of numpy's row sum of products."""
+
+    @staticmethod
+    def _values(rng, n, a):
+        vals = rng.standard_normal((n, a)) * 10.0 ** rng.integers(-6, 7, (n, a))
+        vals[rng.random((n, a)) < 0.25] = -0.0
+        return vals
+
+    @staticmethod
+    def _weights(rng, a):
+        w = rng.random(a)
+        w[rng.random(a) < 0.3] = 0.0
+        w[rng.integers(a)] += 0.5
+        return w / w.sum()
+
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    @pytest.mark.parametrize("a", range(1, 13))
+    def test_bits_equal_the_row_sum(self, rng, a, n):
+        for _ in range(4):
+            w = self._weights(rng, a)
+            for weights in (np.broadcast_to(w, (n, a)), np.tile(w, (n, 1))):
+                kernel = RelaxedKernel.trusted(np.zeros((n, a)), weights)
+                vals = self._values(rng, n, a)
+                for v in (vals, vals[:, :1], np.float64(-0.0)):
+                    expected = (np.broadcast_to(v, (n, a)) * weights).sum(axis=1)
+                    got = kernel.average(v)
+                    assert got.shape == expected.shape
+                    assert got.tobytes() == expected.tobytes()
+
+
 class TestSecondMoment:
     def test_zero(self):
         rho = JointEmpiricalMeasure.strict([[0.0]], [[0.0]])

@@ -539,6 +539,93 @@ class TestChattering:
         assert ds[1] <= ds[0] + 1e-12
 
 
+class TestChatteringOracle:
+    """Slab controls equal those summed afresh from the relaxed atoms each call."""
+
+    N = 12
+    SUPPORT = np.array([0.2, -0.3, 0.8])
+    WEIGHTS = np.array([0.25, 0.25, 0.5])  # exact cumulative edges at 1/4 and 1/2
+
+    def rules(self, atoms):
+        support, weights = self.SUPPORT, self.WEIGHTS
+        if atoms == "shared":
+            general = RelaxedRule(lambda t, x, m: (support, weights))
+            return RelaxedRule.constant(support, weights), general
+        if atoms == "per-row constant":
+            rows = np.tile(support, (self.N, 1)) + np.linspace(0.0, 1.0, self.N)[:, None]
+            qs = np.tile(weights, (self.N, 1))
+            return RelaxedRule.constant(rows, qs), RelaxedRule(lambda t, x, m: (rows, qs))
+        fn = lambda t, x, m: (  # noqa: E731
+            np.stack([x - m, 0.5 + 0.0 * x, -x], axis=1),
+            np.stack([1.0 + 0.0 * x, np.exp(-(x**2)), 0.5 + 0.25 * np.tanh(x)], axis=1),
+        )
+        return RelaxedRule(fn), RelaxedRule(fn)
+
+    @pytest.mark.parametrize("atoms", ["shared", "per-row constant", "per-row"])
+    def test_controls_at_every_node_equal_the_oracle(self, atoms):
+        from _oracles import chattering_reference
+
+        relaxed, fresh = self.rules(atoms)
+        coeffs = lq(b1=0.5, b2=0.4, sigma=0.4, jumps=JumpSpec([1.0], [2.0], [0.3]))
+        cloud = simulate_strict(coeffs, chattering(relaxed, 4, 1.0), self.N, 1.0, 1 / 64, seed=5)
+        thetas = set()
+        for k in range(cloud.grid.n_steps):
+            t, x = cloud.times[k], cloud.states[k]
+            expected = chattering_reference(fresh, 4, 1.0, t, x, x.mean())
+            assert cloud.controls[k].tobytes() == expected.tobytes()
+            thetas.add(float((t / 0.25) % 1.0))
+        assert {0.25, 0.5} <= thetas  # phases exactly on a cumulative-weight edge
+
+
+class TestConstantRuleCache:
+    RUN = dict(n_particles=16, T=1.0, dt=1 / 64, seed=2, scenario=1)
+    COEFFS = lq(b1=0.5, b2=0.4, sigma=0.4, jumps=JumpSpec([1.0], [2.0], [0.3]))
+
+    def test_mutating_the_inputs_after_a_run_keeps_the_cost(self):
+        support, weights = np.array([0.2, 0.8]), np.array([0.5, 0.5])
+        rule = RelaxedRule.constant(support, weights)
+        slabs = chattering(rule, 4, 1.0)
+        before = [simulate_cost(self.COEFFS, r, **self.RUN) for r in (rule, slabs)]
+        support[:] = 5.0
+        weights[:] = [1.0, 0.0]
+        after = [simulate_cost(self.COEFFS, r, **self.RUN) for r in (rule, slabs)]
+        assert after == before
+
+    def test_cached_rows_are_read_only_and_built_once_per_cloud_size(self):
+        rule = RelaxedRule.constant([0.2, 0.8], [1.0, 3.0])
+        rows = rule.evaluate(0.0, np.zeros(5), 0.0)
+        assert all(r.shape == (5, 2) and not r.flags.writeable for r in rows)
+        assert all(r.flags.c_contiguous for r in rows)
+        assert all(not a.flags.writeable for a in rule.atoms(0.0, np.zeros(5), 0.0))
+        np.testing.assert_array_equal(rows[1], np.tile([0.25, 0.75], (5, 1)))
+        again = rule.evaluate(0.5, np.ones(5), 1.0)
+        assert all(a is b for a, b in zip(rows, again))
+        assert rule.evaluate(0.0, np.zeros(3), 0.0)[0].shape == (3, 2)
+        with pytest.raises(ValueError):
+            rows[0][0, 0] = 1.0
+
+    def test_a_rejected_constant_rule_stays_rejected(self):
+        box = Box(np.array([-1.0]), np.array([1.0]))
+        rule = RelaxedRule.constant([0.0, 3.0], [0.5, 0.5], box=box)
+        for t in (0.0, 0.5):
+            with pytest.raises(ValueError, match=f"at t={t:.6g}"):
+                rule.evaluate(t, np.zeros(4), 0.0)
+
+    def test_a_general_rule_calls_its_function_once_per_step(self):
+        calls = []
+
+        def fn(t, x, m):
+            calls.append(t)
+            return np.array([0.2, 0.8]), np.array([0.5, 0.5])
+
+        n_steps = simulate_strict(self.COEFFS, FeedbackRule.constant(0.0), **self.RUN).grid.n_steps
+        simulate_cost(self.COEFFS, RelaxedRule(fn), **self.RUN)
+        assert len(calls) == n_steps
+        calls.clear()
+        simulate_cost(self.COEFFS, chattering(RelaxedRule(fn), 4, 1.0), **self.RUN)
+        assert len(calls) == n_steps
+
+
 def _blows_up_from(t_blow):
     """A control that turns infinite at ``t_blow``; the cloud diverges a step later."""
     return FeedbackRule(lambda t, x, m: np.full_like(x, np.inf if t >= t_blow else -0.5))
