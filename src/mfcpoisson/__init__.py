@@ -40,12 +40,14 @@ from .simulate import (  # noqa: F401
     ParticleCloud,
     PoissonPath,
     RelaxedRule,
+    ScenarioRecord,
     TimeGrid,
     chattering,
     estimate_cost,
     paired_costs,
     sample_poisson_path,
     simulate_cost,
+    simulate_record,
     simulate_relaxed,
     simulate_strict,
 )

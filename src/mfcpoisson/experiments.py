@@ -182,10 +182,11 @@ def run_verify(kind: str, cfg: ExperimentConfig, out: str, threads: int = 1):
             )
         elif kind == "bsde":
             sol = solve_riccati(params, mc.mode, mc.riccati_steps)
-            clouds = [
+            # one cloud at a time: check_bsde lets each go before the next
+            clouds = (
                 simulate_optimal(params, sol, mc, scenario=s)
                 for s in range(mc.scenarios)
-            ]
+            )
             report = check_bsde(
                 clouds, sol, cfg.tolerance("bsde"), config_hash=cfg.config_hash
             )

@@ -321,8 +321,11 @@ class RelaxedKernel:
         w = np.atleast_2d(np.asarray(self.weights, dtype=float))
         if sup.shape != w.shape:
             raise ValueError("supports and weights must share a shape")
-        if np.any(w < 0) or np.any(np.abs(w.sum(axis=1) - 1.0) > 1e-12):
+        # written so that NaN fails each test
+        if not (np.all(w >= 0) and np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-12)):
             raise ValueError("kernel rows must be probability weights")
+        if not np.isfinite(sup).all():
+            raise ValueError("kernel supports must be finite")
         sup.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "supports", sup)

@@ -34,6 +34,13 @@ columns.  Each row's means are the same dot products that a run of its rule
 alone forms, so every paired cost equals :func:`simulate_cost` of its rule
 bit for bit.  When a lock-step run fails, the rules are replayed one by one,
 and the first rule that fails alone reports the failure.
+
+Memory is bounded by one scenario.  Only :func:`simulate_strict` and
+:func:`simulate_relaxed` keep the ``(steps + 1) x N`` history of a
+:class:`ParticleCloud`; every other entry point runs history-free, holding
+the current cloud and returning a :class:`ScenarioRecord`: the sample costs,
+the cloud mean at every node and the event log, the same numbers a cloud's
+history gives.
 """
 from __future__ import annotations
 
@@ -199,8 +206,9 @@ class RelaxedRule:
     """Measure-valued control: fn(t, states, mean) -> (support, weights).
 
     ``support`` is (A,) shared across particles or (N, A) per particle;
-    ``weights`` likewise.  Weights must be nonnegative and rows are
-    normalized; a nonpositive row total is a normalization failure.
+    ``weights`` likewise.  Supports must be finite, weights finite and
+    nonnegative, and rows are normalized; a nonpositive row total is a
+    normalization failure.
 
     A rule made by :meth:`constant` with shared atoms validates them on its
     first call and keeps the result: later calls return the same read-only
@@ -241,15 +249,18 @@ class RelaxedRule:
         support, weights = self.fn(t, states, cond_mean)
         support = np.atleast_1d(np.asarray(support, dtype=float))
         weights = np.atleast_1d(np.asarray(weights, dtype=float))
+        if not np.isfinite(support).all():
+            raise ValueError(f"relaxed support must be finite at t={t:.6g}")
         if self.box is not None and not self.box.contains(support.reshape(-1, 1)):
             raise ValueError(f"relaxed support outside the declared box at t={t:.6g}")
-        if np.any(weights < 0):
-            raise ValueError("relaxed control weights must be nonnegative")
+        # written so that NaN fails each test
+        if not np.all((weights >= 0) & np.isfinite(weights)):
+            raise ValueError("relaxed control weights must be finite and nonnegative")
         if support.ndim == 1 and weights.ndim == 1:
             if support.shape != weights.shape:
                 raise ValueError("support/weights shapes do not match the cloud")
             total = weights.sum()
-            if total <= 0:
+            if not total > 0:
                 raise ValueError("relaxed control weights must have positive total")
             return support, weights / total
         if support.ndim == 1:
@@ -259,7 +270,7 @@ class RelaxedRule:
         if support.shape != weights.shape or support.shape[0] != states.shape[0]:
             raise ValueError("support/weights shapes do not match the cloud")
         totals = weights.sum(axis=1)
-        if np.any(totals <= 0):
+        if not np.all(totals > 0):
             raise ValueError("relaxed control weights must have positive total")
         return support, weights / totals[:, None]
 
@@ -380,6 +391,10 @@ class ParticleCloud:
     ``event_log`` holds one (node, mark, shift of the cloud mean) entry per
     event.  A common jump lands at its exact node; an idiosyncratic jump at
     the end of its step.
+
+    The history takes ``(steps + 1) x N`` floats for the states and as many
+    for the controls; a check that needs only costs, node means or the event
+    log reads the :class:`ScenarioRecord` of a history-free run instead.
     """
 
     grid: TimeGrid
@@ -416,8 +431,22 @@ class ParticleCloud:
         """The strict control array or the relaxed kernel of step k."""
         return self.controls[k] if self.controls is not None else self.relaxed_controls[k]
 
-    def conditional_means(self) -> np.ndarray:
-        return self.states.mean(axis=1)
+
+@dataclass
+class ScenarioRecord:
+    """What a history-free run keeps of one scenario.
+
+    ``costs`` holds one sample cost per rule.  ``means[k]`` is the cloud
+    mean at node k (post-jump), and ``event_log`` holds one (node, mark,
+    shift of the cloud mean) entry per event, as in :class:`ParticleCloud`.
+    Means and shifts have the cloud's leading shape: floats for one rule,
+    one value per rule for paired rules.  For one rule they equal the
+    cloud's ``states.mean(axis=1)`` and ``event_log`` bit for bit.
+    """
+
+    costs: list
+    means: np.ndarray
+    event_log: list
 
 
 class _PairedLaw:
@@ -501,9 +530,11 @@ def _simulate(
     relaxed rule runs alone (R = 1).
 
     With ``history`` (one rule) it returns the :class:`ParticleCloud`;
-    without, it keeps only the current clouds and returns the list of
-    sample costs, summing the running cost step by step in the order
-    :func:`cost_of_cloud` sums it.
+    without, it keeps only the current clouds and returns a
+    :class:`ScenarioRecord`: the sample costs, with the running cost summed
+    step by step in the order :func:`cost_of_cloud` sums it, the row means
+    the step already forms for the rules, and the event log.  Its memory
+    is then one cloud plus one mean per node and one entry per event.
 
     The first error of any row is raised at once; :func:`paired_costs`
     replays the rules one by one to tell which of them failed.
@@ -559,6 +590,7 @@ def _simulate(
         states[0] = x
         controls = None if relaxed else np.empty((m_steps, n_particles))
         relaxed_controls = [] if relaxed else None
+    means = np.empty((m_steps + 1, n_rules))
     pre_jump_states: dict = {}
     event_log: list = []
     running = np.zeros(n_rules)
@@ -572,7 +604,8 @@ def _simulate(
         node = k + 1
 
         rows = x.reshape(n_rules, n_particles)
-        cond_means = rows.mean(axis=1).tolist()  # each row's bits, as rows[r].mean()
+        means[k] = rows.mean(axis=1)  # each row's bits, as rows[r].mean()
+        cond_means = means[k].tolist()
         row_controls = [
             rule.evaluate(t, row, m) for rule, row, m in zip(rules, rows, cond_means)
         ]
@@ -600,8 +633,7 @@ def _simulate(
                     rho_minus = _law_view(x_new, control, w_cloud)
                     disp = _per_particle(coeffs.jump, x_new, rho_minus, control, mark)
                     x_new = x_new + disp
-                    if history:
-                        event_log.append((node, mark, float(disp.mean())))
+                    event_log.append((node, mark, disp.mean(axis=-1).tolist()))
             else:
                 # every jump of the step reads the end-of-step cloud and law;
                 # x_new is this step's own array, so the owners move in place
@@ -613,10 +645,9 @@ def _simulate(
                     disp = _per_particle(coeffs.jump, x_new, rho_minus, control, mark)
                     shifts[..., sel] = disp[..., owners[sel]]
                 np.add.at(x_new, (Ellipsis, owners), shifts)
-                if history:
-                    event_log.extend(zip(
-                        [node] * (hi - lo), marks.tolist(), (shifts / n_particles).tolist()
-                    ))
+                event_log.extend(zip(
+                    [node] * (hi - lo), marks.tolist(), (shifts / n_particles).T.tolist()
+                ))
 
         if not np.isfinite(x_new).all():
             raise DivergenceError(node, float(times[node]))
@@ -632,7 +663,12 @@ def _simulate(
 
     if not history:
         rows = x.reshape(n_rules, n_particles)
-        return [running[r] + _terminal_cost(coeffs, rows[r]) for r in range(n_rules)]
+        means[m_steps] = rows.mean(axis=1)
+        return ScenarioRecord(
+            costs=[running[r] + _terminal_cost(coeffs, rows[r]) for r in range(n_rules)],
+            means=means.reshape(means.shape[:1] + x.shape[:-1]),
+            event_log=event_log,
+        )
     return ParticleCloud(
         grid=grid,
         states=states,
@@ -721,6 +757,34 @@ def simulate_cost(
     )[0]
 
 
+def simulate_record(
+    coeffs: CoefficientSet,
+    rule,
+    n_particles: int,
+    T: float,
+    dt: float,
+    mode: str = "common",
+    seed: int = 0,
+    scenario: int = 0,
+    init: InitSpec = InitSpec(),
+    path: Optional[PoissonPath] = None,
+    paths: Optional[list] = None,
+) -> ScenarioRecord:
+    """History-free run of one rule: its cost, node means and event log.
+
+    The means and the event log equal those of the matching
+    :func:`simulate_strict` / :func:`simulate_relaxed` cloud bit for bit,
+    and ``costs[0]`` is :func:`simulate_cost`, while memory stays at one
+    cloud.
+    """
+    if rule.kind not in ("strict", "relaxed"):
+        raise TypeError(f"unknown control rule kind {rule.kind!r}")
+    return _simulate(
+        coeffs, [rule], n_particles, T, dt, mode, seed, scenario, init, path, paths,
+        history=False,
+    )
+
+
 def paired_costs(
     coeffs: CoefficientSet,
     rules: Sequence,
@@ -755,7 +819,7 @@ def paired_costs(
         raise ValueError("only strict rules run paired")
     run = (n_particles, T, dt, mode, seed, scenario, init, path, paths)
     try:
-        return _simulate(coeffs, list(rules), *run, history=False)
+        return _simulate(coeffs, list(rules), *run, history=False).costs
     except Exception as err:
         if len(rules) == 1:
             raise

@@ -24,7 +24,7 @@ the residual statistics, the tolerance and the pass flag.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -65,6 +65,7 @@ from .simulate import (
     chattering,
     map_scenarios,
     paired_costs,
+    simulate_record,
     simulate_strict,
     standard_error,
 )
@@ -301,8 +302,47 @@ def check_smp(
 # Adjoint BSDE identities
 # ---------------------------------------------------------------------------
 
+def _bsde_residuals(cloud: ParticleCloud, sol: RiccatiSolution, k_mode: str):
+    """Worst terminal, drift and jump-loading residuals along one cloud."""
+    params = sol.params
+    gamma_l2 = params.jumps.gamma_l2
+    x_T = cloud.states[-1]
+    m_T = float(x_T.mean())
+    p_T = sol.beta[-1] * x_T + sol.eta[-1] * m_T
+    terminal_worst = float(np.max(np.abs(p_T - params.c * (x_T - m_T))))
+    drift_worst = 0.0
+    fixed_point_worst = 0.0
+
+    n_steps = cloud.grid.n_steps
+    for node in range(0, n_steps, max(1, n_steps // 64)):
+        t = float(cloud.times[node])
+        xs = cloud.states[node]
+        us = cloud.controls[node]
+        m = float(xs.mean())
+        abar = float(us.mean())
+        beta, eta = float(sol.beta_at(t)), float(sol.eta_at(t))
+        dbeta, deta = sol.rhs_at(t)
+        p = beta * xs + eta * m
+        big_p = beta * params.sigma * xs
+        p_bar = float(p.mean())
+
+        lhs = -(params.sigma * big_p + params.b1 * p_bar)
+        rhs = (
+            dbeta * xs
+            + deta * m
+            + (beta + eta) * (params.b1 * m + params.b2 * abar)
+            + params.b3 * (beta * us + eta * abar)
+        )
+        drift_worst = max(drift_worst, float(np.max(np.abs(lhs - rhs))))
+
+        k_scale = beta * us + (eta * abar if k_mode == "common" else 0.0)
+        fp_res = us + gamma_l2 * k_scale + params.b2 * p_bar + params.b3 * p
+        fixed_point_worst = max(fixed_point_worst, float(np.max(np.abs(fp_res))))
+    return terminal_worst, drift_worst, fixed_point_worst
+
+
 def check_bsde(
-    clouds: Sequence[ParticleCloud],
+    clouds: Iterable[ParticleCloud],
     sol: RiccatiSolution,
     tolerance: float,
     k_mode: Optional[str] = None,
@@ -315,47 +355,27 @@ def check_bsde(
     solved Riccati coefficients, so the measured residual is pure integration
     and interpolation error.  ``k_mode`` overrides the jump-loading convention
     (used to demonstrate that the two noise regimes are not interchangeable).
+
+    ``clouds`` is any iterable of clouds, consumed once; the report's
+    ``paths`` counts them and its seed is the first cloud's.  Each cloud is
+    let go before the next is drawn, so a generator that simulates them one
+    by one keeps a single cloud in memory.
     """
-    params = sol.params
     k_mode = k_mode or sol.mode
-    gamma_l2 = params.jumps.gamma_l2
     terminal_worst = 0.0
     drift_worst = 0.0
     fixed_point_worst = 0.0
+    paths, seed = 0, 0
 
     for cloud in clouds:
-        x_T = cloud.states[-1]
-        m_T = float(x_T.mean())
-        p_T = sol.beta[-1] * x_T + sol.eta[-1] * m_T
-        terminal_worst = max(
-            terminal_worst, float(np.max(np.abs(p_T - params.c * (x_T - m_T))))
-        )
-
-        n_steps = cloud.grid.n_steps
-        for node in range(0, n_steps, max(1, n_steps // 64)):
-            t = float(cloud.times[node])
-            xs = cloud.states[node]
-            us = cloud.controls[node]
-            m = float(xs.mean())
-            abar = float(us.mean())
-            beta, eta = float(sol.beta_at(t)), float(sol.eta_at(t))
-            dbeta, deta = sol.rhs_at(t)
-            p = beta * xs + eta * m
-            big_p = beta * params.sigma * xs
-            p_bar = float(p.mean())
-
-            lhs = -(params.sigma * big_p + params.b1 * p_bar)
-            rhs = (
-                dbeta * xs
-                + deta * m
-                + (beta + eta) * (params.b1 * m + params.b2 * abar)
-                + params.b3 * (beta * us + eta * abar)
-            )
-            drift_worst = max(drift_worst, float(np.max(np.abs(lhs - rhs))))
-
-            k_scale = beta * us + (eta * abar if k_mode == "common" else 0.0)
-            fp_res = us + gamma_l2 * k_scale + params.b2 * p_bar + params.b3 * p
-            fixed_point_worst = max(fixed_point_worst, float(np.max(np.abs(fp_res))))
+        if not paths:
+            seed = cloud.seed
+        paths += 1
+        terminal, drift, fixed_point = _bsde_residuals(cloud, sol, k_mode)
+        del cloud  # before the iterable draws the next one
+        terminal_worst = max(terminal_worst, terminal)
+        drift_worst = max(drift_worst, drift)
+        fixed_point_worst = max(fixed_point_worst, fixed_point)
 
     passed = (
         terminal_worst <= 1e-12
@@ -370,10 +390,10 @@ def check_bsde(
             "terminal_residual": terminal_worst,
             "drift_residual": drift_worst,
             "k_fixed_point_residual": fixed_point_worst,
-            "paths": len(clouds),
+            "paths": paths,
             "k_mode": k_mode,
         },
-        seed=clouds[0].seed if clouds else 0,
+        seed=seed,
         config_hash=config_hash,
     )
 
@@ -714,7 +734,13 @@ def compare_noise_modes(
     workers: int = 1,
 ) -> CheckReport:
     """Shared vs per-particle jumps: Riccati agreement without jumps, and the
-    conditional-mean jump statistic dominance with them."""
+    conditional-mean jump statistic dominance with them.
+
+    Each scenario runs the optimal feedback history-free
+    (:func:`simulate.simulate_record`): its node means and event log give the
+    jump statistics, so memory holds one cloud per worker, not the
+    ``(steps + 1) x N`` history of a :class:`ParticleCloud`.
+    """
     stripped = replace(params, jumps=JumpSpec.empty())
     sol_c0 = solve_riccati(stripped, "common", mc.riccati_steps)
     sol_i0 = solve_riccati(stripped, "idiosyncratic", mc.riccati_steps)
@@ -731,17 +757,20 @@ def compare_noise_modes(
     has_jumps = params.jumps.n_marks > 0 and params.jumps.gamma_l2 > 0
 
     if has_jumps:
+        coeffs = lq_coefficients(params)
         mean_jumps, n_events, event_vs_quiet = {}, {}, {}
         for mode in ("common", "idiosyncratic"):
-            sol = solve_riccati(params, mode, mc.riccati_steps)
-            mode_mc = replace(mc, mode=mode)
+            rule = optimal_feedback_rule(solve_riccati(params, mode, mc.riccati_steps))
 
             def jump_statistics(scenario):
-                cloud = simulate_optimal(params, sol, mode_mc, scenario)
-                event_nodes = {node for node, _, _ in cloud.event_log}
-                incr = np.abs(np.diff(cloud.conditional_means()))
+                record = simulate_record(
+                    coeffs, rule, mc.particles, params.T, mc.dt, mode=mode,
+                    seed=mc.seed, scenario=scenario, init=mc.init,
+                )
+                event_nodes = {node for node, _, _ in record.event_log}
+                incr = np.abs(np.diff(record.means))
                 return (
-                    [abs(d) for _, _, d in cloud.event_log],
+                    [abs(d) for _, _, d in record.event_log],
                     [incr[k] for k in range(len(incr)) if (k + 1) not in event_nodes],
                     [incr[k] for k in range(len(incr)) if (k + 1) in event_nodes],
                 )

@@ -11,7 +11,9 @@ measures, with the test functions written out as plain formulas.  The relaxed
 Euler oracle takes only the grid and the random draws from the simulator and
 forms each step's joint law and kernel averages itself, and the projection
 oracle expands a ragged relaxed joint one atom at a time.  The slab-rule
-oracle sums a relaxed rule's cumulative weights afresh on every call.
+oracle sums a relaxed rule's cumulative weights afresh on every call.  The
+noise-mode oracle reads its jump statistics from the stored history of each
+scenario's cloud, serially.
 """
 from __future__ import annotations
 
@@ -514,3 +516,68 @@ def chattering_reference(relaxed, n_slabs, horizon, t, states, cond_mean):
     cum = np.cumsum(weights, axis=1)
     idx = np.minimum((cum <= theta).sum(axis=1), support.shape[1] - 1)
     return support[np.arange(states.shape[0]), idx]
+
+
+# ---------------------------------------------------------------------------
+# Noise-mode comparison from the stored cloud histories
+# ---------------------------------------------------------------------------
+
+def compare_noise_reference(params, mc, jump_ratio_min=5.0, config_hash=""):
+    """Report of ``compare_noise_modes``, its jump statistics read off each
+    scenario's full :class:`ParticleCloud`: the node means from the stored
+    states, the event entries from the cloud's event log.
+    """
+    from dataclasses import replace
+
+    from mfcpoisson.coefficients import JumpSpec
+    from mfcpoisson.lq import solve_riccati
+    from mfcpoisson.verify import CheckReport, simulate_optimal
+
+    stripped = replace(params, jumps=JumpSpec.empty())
+    sol_c0 = solve_riccati(stripped, "common", mc.riccati_steps)
+    sol_i0 = solve_riccati(stripped, "idiosyncratic", mc.riccati_steps)
+    riccati_gap = float(max(
+        np.max(np.abs(sol_c0.beta - sol_i0.beta)),
+        np.max(np.abs(sol_c0.eta - sol_i0.eta)),
+    ))
+    stats = {"riccati_gap_no_jumps": riccati_gap}
+    passed = riccati_gap <= 1e-10
+    inconclusive = False
+    if params.jumps.n_marks > 0 and params.jumps.gamma_l2 > 0:
+        mean_jumps, n_events, event_vs_quiet = {}, {}, {}
+        for mode in ("common", "idiosyncratic"):
+            sol = solve_riccati(params, mode, mc.riccati_steps)
+            mode_mc = replace(mc, mode=mode)
+            displacements, quiet_incr, event_incr = [], [], []
+            for scenario in range(mc.scenarios):
+                cloud = simulate_optimal(params, sol, mode_mc, scenario)
+                event_nodes = {node for node, _, _ in cloud.event_log}
+                incr = np.abs(np.diff(cloud.states.mean(axis=1)))
+                displacements += [abs(d) for _, _, d in cloud.event_log]
+                quiet_incr += [incr[k] for k in range(len(incr)) if (k + 1) not in event_nodes]
+                event_incr += [incr[k] for k in range(len(incr)) if (k + 1) in event_nodes]
+            mean_jumps[mode] = float(np.mean(displacements)) if displacements else 0.0
+            n_events[mode] = len(displacements)
+            event_vs_quiet[mode] = (
+                float(np.mean(event_incr) / np.mean(quiet_incr))
+                if event_incr and quiet_incr
+                else np.nan
+            )
+        ratio = (
+            mean_jumps["common"] / mean_jumps["idiosyncratic"]
+            if mean_jumps["idiosyncratic"] > 0
+            else np.inf
+        )
+        stats.update({
+            "mean_jump_common": mean_jumps["common"],
+            "mean_jump_idiosyncratic": mean_jumps["idiosyncratic"],
+            "jump_ratio": float(ratio),
+            "event_increment_ratio_common": event_vs_quiet["common"],
+            "event_increment_ratio_idiosyncratic": event_vs_quiet["idiosyncratic"],
+        })
+        inconclusive = n_events["common"] == 0
+        passed = passed and ratio >= jump_ratio_min and not inconclusive
+    return CheckReport(
+        name="noise-modes", passed=bool(passed), inconclusive=inconclusive,
+        tolerance=jump_ratio_min, stats=stats, seed=mc.seed, config_hash=config_hash,
+    ).to_dict()

@@ -401,6 +401,41 @@ class TestSimulateCommand:
         assert peaks[8] < 2 * peaks[2]
 
 
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestVerificationMemory:
+    """The verification paths hold one scenario, not the whole history."""
+
+    def test_verify_bsde_peak_does_not_grow_with_scenarios(self):
+        from mfcpoisson.experiments import run_verify
+
+        peaks = {}
+        for n in (2, 8):
+            cfg = parse_config(small_config(particles=200, scenarios=n, dt=0.01))
+            peaks[n] = _traced_peak(lambda: run_verify("bsde", cfg, ""))
+        assert peaks[8] < 1.25 * peaks[2]
+
+    def test_compare_noise_peak_does_not_grow_with_steps(self):
+        from mfcpoisson.verify import MonteCarloSettings, compare_noise_modes
+
+        params = parse_config(small_config()).params
+        peaks = {}
+        for dt in (0.01, 0.005):
+            mc = MonteCarloSettings(
+                particles=500, scenarios=2, dt=dt, seed=5,
+                init=simulate.InitSpec("gaussian", 1.0, 0.5), riccati_steps=256,
+            )
+            peaks[dt] = _traced_peak(lambda: compare_noise_modes(params, mc))
+        assert peaks[0.005] < 1.25 * peaks[0.01]
+
+
 def _simulate_variant(variant: str):
     """lq_small at 2 scenarios, changed as ``variant`` says."""
     raw = json.loads((CONFIGS / "lq_small.json").read_text())

@@ -65,6 +65,16 @@ class TestKernel:
         with pytest.raises(ValueError):
             RelaxedKernel(np.zeros((2, 2)), np.full((2, 2), 0.4))
 
+    @pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.inf, 1.0], [np.nan, np.nan]])
+    def test_non_finite_weights_rejected(self, weights):
+        with pytest.raises(ValueError, match="probability weights"):
+            RelaxedKernel([[0.2, 0.8]], [weights])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_supports_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            RelaxedKernel([[0.2, bad]], [[0.5, 0.5]])
+
     def test_coverage(self):
         mu = measure([0.0, 1.0, 2.0])
         kernel = RelaxedKernel.dirac([0.5, 0.5])

@@ -5,6 +5,7 @@ import pytest
 
 from mfcpoisson.coefficients import CoefficientSet, JumpSpec, LQParams, lq_coefficients
 from mfcpoisson.errors import DivergenceError
+from mfcpoisson import simulate
 from mfcpoisson.measures import Box, EmpiricalMeasure, fm_distance
 from mfcpoisson.simulate import (
     FeedbackRule,
@@ -20,6 +21,7 @@ from mfcpoisson.simulate import (
     paired_costs,
     sample_poisson_path,
     simulate_cost,
+    simulate_record,
     simulate_relaxed,
     simulate_strict,
     substream,
@@ -310,6 +312,56 @@ class TestIdiosyncraticCostIsLinear:
         assert sum(a.nbytes for a in cloud.pre_jump_states.values()) <= steps * n * 8
 
 
+class TestScenarioRecord:
+    """A history-free run keeps the means and events of the stored history."""
+
+    COEFFS = lq(b1=0.5, b2=0.4, sigma=0.4, jumps=JumpSpec([1.0, 2.0], [2.0, 1.5], [0.3, -0.2]))
+    RUN = dict(n_particles=40, T=1.0, dt=1 / 64, seed=5, scenario=2)
+
+    @pytest.mark.parametrize("mode", ["common", "idiosyncratic"])
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            FeedbackRule(lambda t, x, m: -0.7 * x + 0.2 * m),
+            RelaxedRule.constant([-0.4, 0.9], [0.3, 0.7]),
+        ],
+        ids=["strict", "relaxed"],
+    )
+    def test_record_matches_the_cloud_bit_for_bit(self, mode, rule):
+        run = dict(self.RUN, mode=mode)
+        full = simulate_strict if rule.kind == "strict" else simulate_relaxed
+        cloud = full(self.COEFFS, rule, **run)
+        record = simulate_record(self.COEFFS, rule, **run)
+        assert cloud.event_log
+        assert record.event_log == cloud.event_log
+        expected = cloud.states.mean(axis=1)
+        assert record.means.shape == expected.shape
+        assert record.means.tobytes() == expected.tobytes()
+        assert record.costs == [cost_of_cloud(cloud, self.COEFFS)]
+        assert record.costs == [simulate_cost(self.COEFFS, rule, **run)]
+
+    @pytest.mark.parametrize("mode", ["common", "idiosyncratic"])
+    def test_paired_rows_match_their_rules_alone(self, mode):
+        rules = [FeedbackRule(lambda t, x, m, g=g: -g * x) for g in (0.3, 0.9, 1.4)]
+        run = dict(self.RUN, mode=mode)
+        args = (run["n_particles"], run["T"], run["dt"], mode, run["seed"], run["scenario"],
+                InitSpec(), None, None)
+        paired = simulate._simulate(self.COEFFS, rules, *args, history=False)
+        alone = [simulate_record(self.COEFFS, rule, **run) for rule in rules]
+        assert paired.means.shape == (alone[0].means.size, len(rules))
+        assert paired.costs == [rec.costs[0] for rec in alone]
+        for r, rec in enumerate(alone):
+            assert paired.means[:, r].tobytes() == rec.means.tobytes()
+            assert [(n, k, d[r]) for n, k, d in paired.event_log] == rec.event_log
+
+    def test_rejects_an_unknown_rule_kind(self):
+        class Odd:
+            kind = "odd"
+
+        with pytest.raises(TypeError):
+            simulate_record(self.COEFFS, Odd(), **self.RUN)
+
+
 class TestRelaxedSimulation:
     def test_dirac_rule_is_bit_identical_to_strict(self):
         coeffs = lq(b1=0.5, b2=0.4, sigma=0.4, jumps=JumpSpec([1.0], [1.0], [0.3]))
@@ -368,6 +420,34 @@ class TestRelaxedSimulation:
                 chattering(shared, 4, 1.0).evaluate(t, x, 0.0),
                 chattering(rows, 4, 1.0).evaluate(t, x, 0.0),
             )
+
+    @pytest.mark.parametrize(
+        "support,weights,match",
+        [
+            ([0.2, 0.8], [np.nan, 1.0], "nonnegative"),
+            ([0.2, 0.8], [np.inf, 1.0], "nonnegative"),
+            ([0.2, np.inf], [0.5, 0.5], "finite"),
+            ([np.nan, 0.8], [0.5, 0.5], "finite"),
+        ],
+    )
+    def test_non_finite_atoms_rejected(self, support, weights, match):
+        x = np.zeros(3)
+        constant = RelaxedRule.constant(support, weights)
+        shared = RelaxedRule(lambda t, x, m: (np.array(support), np.array(weights)))
+        per_row = RelaxedRule(
+            lambda t, x, m: (np.tile(support, (len(x), 1)), np.tile(weights, (len(x), 1)))
+        )
+        for rule in (constant, shared, per_row):
+            with pytest.raises(ValueError, match=match):
+                rule.evaluate(0.0, x, 0.0)
+        with pytest.raises(ValueError, match=match):
+            simulate_cost(lq(), constant, 4, 1.0, 0.1, seed=1)
+
+    def test_a_zero_row_among_rows_rejected(self):
+        x = np.zeros(2)
+        rows = RelaxedRule(lambda t, x, m: (np.zeros((2, 2)), np.array([[0.5, 0.5], [0.0, 0.0]])))
+        with pytest.raises(ValueError, match="positive total"):
+            rows.evaluate(0.0, x, 0.0)
 
     def test_zero_weight_rows_rejected(self):
         coeffs = lq()

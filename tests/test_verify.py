@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ from mfcpoisson.verify import (
     simulate_optimal,
 )
 
-from _oracles import smp_phi_reference
+from _oracles import compare_noise_reference, smp_phi_reference
 
 
 def make_params(**kw):
@@ -548,6 +549,37 @@ class TestNoiseModes:
         assert rep.stats["jump_ratio"] >= 5.0
         # per-particle jumps leave the plain mean path continuous
         assert rep.stats["event_increment_ratio_idiosyncratic"] < 5.0
+
+
+class TestNoiseModesMatchOracle:
+    """The history-free report equals the one read off stored histories.
+
+    Each report runs both noise modes; seed 20240901 + 1954137147 draws no
+    shared event in any of its 3 scenarios at total intensity 1 over T = 1,
+    so its report is inconclusive and keeps a NaN.
+    """
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "jumps,seed",
+        [
+            (JumpSpec([1.0], [2.0], [0.5]), 8),
+            (JumpSpec([1.0, 2.0], [0.7, 0.5], [0.6, -0.4]), 8),
+            (JumpSpec([1.0], [1.0], [0.3]), 20240901 + 1954137147),
+        ],
+        ids=["one-mark", "two-marks", "no-common-jump"],
+    )
+    def test_report_is_identical(self, jumps, seed, workers):
+        params = make_params(jumps=jumps)
+        mc = MonteCarloSettings(
+            particles=60, scenarios=3, dt=1e-2, seed=seed,
+            init=InitSpec("gaussian", 1.5, 0.3), riccati_steps=512,
+        )
+        report = compare_noise_modes(params, mc, config_hash="h", workers=workers).to_dict()
+        assert report == compare_noise_reference(params, mc, config_hash="h")
+        no_common_jump = seed != 8
+        assert report["inconclusive"] is no_common_jump
+        assert math.isnan(report["stats"]["event_increment_ratio_common"]) is no_common_jump
 
 
 def tilted_drift_set(kappa=0.25):
