@@ -14,9 +14,9 @@ from .coefficients import (  # noqa: F401
     lq_coefficients,
 )
 from .lq import (  # noqa: F401
+    LQValueEvaluator,
     RiccatiSolution,
     adjoint_ansatz,
-    lq_value_evaluator,
     optimal_control,
     quadratic_minimizer,
     solve_riccati,
@@ -34,6 +34,7 @@ from .measures import (  # noqa: F401
     second_moment,
 )
 from .simulate import (  # noqa: F401
+    ChatteringRule,
     FeedbackRule,
     InitSpec,
     OpenLoopRule,
@@ -42,11 +43,7 @@ from .simulate import (  # noqa: F401
     RelaxedRule,
     ScenarioRecord,
     TimeGrid,
-    chattering,
-    estimate_cost,
-    paired_costs,
     sample_poisson_path,
-    simulate_cost,
     simulate_record,
     simulate_relaxed,
     simulate_strict,

@@ -22,6 +22,16 @@ from .experiments import (
 )
 
 
+def _worker_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mfcpoisson",
@@ -35,8 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default="", help="output file path")
     common.add_argument("--seed", type=int, default=None, help="override sim.seed")
     common.add_argument(
-        "--threads", type=int, default=1,
-        help="forked worker processes for the scenarios of cost, chattering, "
+        "--threads", type=_worker_count, default=1,
+        help="forked worker processes (at least 1) for the scenarios of cost, chattering, "
         "verify optimality|fp|noise and compare-noise",
     )
 

@@ -280,7 +280,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"sim.mode must be common|idiosyncratic, got {mode!r}")
 
     _check_object(raw.get("verify", {}), "verify")
-    _check_object(raw.get("output", {}), "output")
+    output = raw.get("output", {})
+    _check_object(output, "output")
+    table = output.get("fp_pairings")
+    if "fp_pairings" in output and not (isinstance(table, str) and table):
+        raise ConfigError(f"output.fp_pairings must be a non-empty file path, got {table!r}")
     verify = _merge_defaults(raw.get("verify", {}), _DEFAULT_VERIFY)
     _check_tolerances(verify["tolerances"])
     _check_perturbations(verify["perturbations"])
@@ -328,7 +332,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         params=params,
         mc=mc,
         verify=verify,
-        output=raw.get("output", {}),
+        output=output,
         raw=raw,
         config_hash=config_hash(raw),
     )

@@ -246,10 +246,6 @@ class LQValueEvaluator:
         return self.sol.beta_at(t) + 0.0 * np.asarray(x, dtype=float)
 
 
-def lq_value_evaluator(sol: RiccatiSolution) -> LQValueEvaluator:
-    return LQValueEvaluator(sol)
-
-
 def quadratic_minimizer(
     a: float, b: float, c: float, d: float, measure: EmpiricalMeasure
 ) -> Tuple[np.ndarray, float]:

@@ -59,9 +59,10 @@ def _as_weights(weights, n_atoms: int, tol: float = _WEIGHT_TOL) -> np.ndarray:
         raise ValueError(f"{n_atoms} atoms but {w.shape[0]} weights")
     if n_atoms < 1:
         raise ValueError("a measure needs at least one atom")
-    if np.any(w < -tol):
+    # written so that NaN fails each check
+    if not np.all(w >= -tol):
         raise ValueError("weights must be nonnegative")
-    if abs(float(w.sum()) - 1.0) > tol:
+    if not abs(float(w.sum()) - 1.0) <= tol:
         raise ValueError(f"weights sum to {w.sum()!r}, not 1 within {tol}")
     w = np.clip(w, 0.0, None)
     w.setflags(write=False)

@@ -24,20 +24,21 @@ identical noise, which is what the paired cost comparisons rely on.
 Because a scenario's draws depend on nothing but its key, scenarios can run
 in any order on any worker: :func:`map_scenarios` fans them out.
 
-Paired costs run in lock-step.  :func:`paired_costs` advances R strict rules
-of one scenario as the rows of an (R, N) cloud in the same Euler loop that
-runs a single rule: each rule is called on its own row, the Brownian vector
-is drawn once per step for all rows, and the coefficients are evaluated once
-on the (R, N) arrays.  Coefficient evaluators must therefore be elementwise,
-and they see ``rho.mean_state[0]`` and ``rho.mean_control[0]`` as (R, 1)
-columns.  Each row's means are the same dot products that a run of its rule
-alone forms, so every paired cost equals :func:`simulate_cost` of its rule
-bit for bit.  When a lock-step run fails, the rules are replayed one by one,
-and the first rule that fails alone reports the failure.
+Paired rules run in lock-step.  :func:`simulate_record` advances R strict
+rules of one scenario as the rows of an (R, N) cloud in the same Euler loop
+that runs a single rule: each rule is called on its own row, the Brownian
+vector is drawn once per step for all rows, and the coefficients are
+evaluated once on the (R, N) arrays.  Coefficient evaluators must therefore
+be elementwise, and they see ``rho.mean_state[0]`` and
+``rho.mean_control[0]`` as (R, 1) columns.  Each row's means are the same
+dot products that a run of its rule alone forms, so every row of a paired
+record equals the record of its rule alone bit for bit.  When a lock-step
+run fails, the rules are replayed one by one, and the first rule that fails
+alone reports the failure.
 
 Memory is bounded by one scenario.  Only :func:`simulate_strict` and
 :func:`simulate_relaxed` keep the ``(steps + 1) x N`` history of a
-:class:`ParticleCloud`; every other entry point runs history-free, holding
+:class:`ParticleCloud`; :func:`simulate_record` runs history-free, holding
 the current cloud and returning a :class:`ScenarioRecord`: the sample costs,
 the cloud mean at every node and the event log, the same numbers a cloud's
 history gives.
@@ -336,11 +337,6 @@ class ChatteringRule:
         return support[np.arange(states.shape[0]), idx]
 
 
-def chattering(rule: RelaxedRule, n_slabs: int, horizon: float) -> ChatteringRule:
-    """Piecewise-strict approximation of a relaxed rule (slab construction)."""
-    return ChatteringRule(rule, n_slabs, horizon)
-
-
 # ---------------------------------------------------------------------------
 # Initial condition
 # ---------------------------------------------------------------------------
@@ -536,7 +532,7 @@ def _simulate(
     the step already forms for the rules, and the event log.  Its memory
     is then one cloud plus one mean per node and one entry per event.
 
-    The first error of any row is raised at once; :func:`paired_costs`
+    The first error of any row is raised at once; :func:`simulate_record`
     replays the rules one by one to tell which of them failed.
     """
     if mode not in ("common", "idiosyncratic"):
@@ -732,60 +728,7 @@ def simulate_relaxed(
 # Cost
 # ---------------------------------------------------------------------------
 
-def simulate_cost(
-    coeffs: CoefficientSet,
-    rule,
-    n_particles: int,
-    T: float,
-    dt: float,
-    mode: str = "common",
-    seed: int = 0,
-    scenario: int = 0,
-    init: InitSpec = InitSpec(),
-    path: Optional[PoissonPath] = None,
-    paths: Optional[list] = None,
-) -> float:
-    """Sample cost of one scenario under a strict or relaxed rule, history-free.
-
-    Runs the Euler loop of :func:`simulate_strict` / :func:`simulate_relaxed`
-    with the running cost summed inside it, so the result equals
-    :func:`cost_of_cloud` of the matching cloud bit for bit, while memory
-    stays at one cloud instead of ``(steps + 1) x N``.
-    """
-    return paired_costs(
-        coeffs, [rule], n_particles, T, dt, mode, seed, scenario, init, path, paths
-    )[0]
-
-
 def simulate_record(
-    coeffs: CoefficientSet,
-    rule,
-    n_particles: int,
-    T: float,
-    dt: float,
-    mode: str = "common",
-    seed: int = 0,
-    scenario: int = 0,
-    init: InitSpec = InitSpec(),
-    path: Optional[PoissonPath] = None,
-    paths: Optional[list] = None,
-) -> ScenarioRecord:
-    """History-free run of one rule: its cost, node means and event log.
-
-    The means and the event log equal those of the matching
-    :func:`simulate_strict` / :func:`simulate_relaxed` cloud bit for bit,
-    and ``costs[0]`` is :func:`simulate_cost`, while memory stays at one
-    cloud.
-    """
-    if rule.kind not in ("strict", "relaxed"):
-        raise TypeError(f"unknown control rule kind {rule.kind!r}")
-    return _simulate(
-        coeffs, [rule], n_particles, T, dt, mode, seed, scenario, init, path, paths,
-        history=False,
-    )
-
-
-def paired_costs(
     coeffs: CoefficientSet,
     rules: Sequence,
     n_particles: int,
@@ -797,13 +740,17 @@ def paired_costs(
     init: InitSpec = InitSpec(),
     path: Optional[PoissonPath] = None,
     paths: Optional[list] = None,
-) -> list:
-    """Sample costs of paired rules on one scenario, advanced in lock-step.
+) -> ScenarioRecord:
+    """History-free run of paired rules on one scenario, in lock-step.
 
-    The rules share the scenario's noise (common random numbers).  Strict
-    rules run as the rows of one cloud, so each cost equals
-    :func:`simulate_cost` of its rule alone bit for bit; a relaxed rule must
-    come alone.
+    ``rules`` is any number of strict rules or one relaxed rule; they share
+    the scenario's noise (common random numbers).  Row r of a paired record
+    (``costs[r]``, the column ``means[:, r]`` and entry r of every event
+    shift) equals the record of ``rules[r]`` run alone bit for bit, and a
+    single rule's costs, means and event log equal :func:`cost_of_cloud`,
+    ``states.mean(axis=1)`` and ``event_log`` of the matching
+    :func:`simulate_strict` / :func:`simulate_relaxed` cloud, while memory
+    stays at one cloud.
 
     A failure is what running the rules one after another raises first: when
     the lock-step run raises, the rules are replayed one by one and the first
@@ -819,7 +766,7 @@ def paired_costs(
         raise ValueError("only strict rules run paired")
     run = (n_particles, T, dt, mode, seed, scenario, init, path, paths)
     try:
-        return _simulate(coeffs, list(rules), *run, history=False).costs
+        return _simulate(coeffs, list(rules), *run, history=False)
     except Exception as err:
         if len(rules) == 1:
             raise
@@ -884,11 +831,3 @@ def standard_error(samples: np.ndarray) -> float:
     """Monte Carlo standard error of the mean of ``samples``; 0.0 for one sample."""
     n = len(samples)
     return float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-
-
-def estimate_cost(clouds: Sequence[ParticleCloud], coeffs: CoefficientSet):
-    """Mean cost over scenarios and its Monte Carlo standard error."""
-    if not clouds:
-        raise ValueError("need at least one scenario")
-    samples = np.array([cost_of_cloud(c, coeffs) for c in clouds])
-    return float(samples.mean()), standard_error(samples)

@@ -58,13 +58,12 @@ from .measureflow import (
 )
 from .measures import EmpiricalMeasure, RelaxedKernel
 from .simulate import (
+    ChatteringRule,
     FeedbackRule,
     InitSpec,
     ParticleCloud,
     RelaxedRule,
-    chattering,
     map_scenarios,
-    paired_costs,
     simulate_record,
     simulate_strict,
     standard_error,
@@ -191,14 +190,15 @@ def scenario_costs(
 ) -> list:
     """Sample cost of each rule on one scenario; the rules share its noise.
 
-    The strict rules advance together in one lock-step run and each relaxed
-    rule runs alone; every cost equals that of its rule run alone.
+    The strict rules advance together in one lock-step
+    :func:`simulate.simulate_record` run and each relaxed rule runs alone in
+    another; every cost equals that of its rule run alone.
     """
     def costs(group):
-        return paired_costs(
+        return simulate_record(
             coeffs, group, mc.particles, horizon, mc.dt,
             mode=mc.mode, seed=mc.seed, scenario=scenario, init=mc.init,
-        )
+        ).costs
 
     strict = [rule for rule in rules if rule.kind == "strict"]
     strict_costs = iter(costs(strict) if strict else [])
@@ -764,7 +764,7 @@ def compare_noise_modes(
 
             def jump_statistics(scenario):
                 record = simulate_record(
-                    coeffs, rule, mc.particles, params.T, mc.dt, mode=mode,
+                    coeffs, [rule], mc.particles, params.T, mc.dt, mode=mode,
                     seed=mc.seed, scenario=scenario, init=mc.init,
                 )
                 event_nodes = {node for node, _, _ in record.event_log}
@@ -831,7 +831,7 @@ def check_chattering(
     workers: int = 1,
 ) -> CheckReport:
     """Paired cost gaps between slab approximations and the relaxed control."""
-    rules = [relaxed_rule] + [chattering(relaxed_rule, n, horizon) for n in levels]
+    rules = [relaxed_rule] + [ChatteringRule(relaxed_rule, n, horizon) for n in levels]
     table = np.array(map_scenarios(
         lambda s: scenario_costs(coeffs, rules, horizon, mc, s), mc.scenarios, workers
     )).T

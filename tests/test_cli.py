@@ -272,6 +272,18 @@ class TestConfigFieldTypes:
         assert main(["verify", "fp", "--config", path]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("table", [True, {"a": 1}, 7.5, "", None, ["p.csv"]])
+    def test_bad_fp_pairings_path_exits_2_naming_it(self, tmp_path, capsys, table):
+        cfg = small_config()
+        cfg["output"] = {"fp_pairings": table}
+        with pytest.raises(ConfigError, match="output.fp_pairings"):
+            parse_config(cfg)
+        path = write_config(tmp_path, cfg)
+        assert main(["verify", "fp", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert "output.fp_pairings" in captured.err
+        assert captured.out == ""
+
     def test_null_hjb_tolerance_is_derived_and_accepted(self):
         cfg = small_config()
         cfg["verify"]["tolerances"] = {"hjb": None, "smp": 1e-9}
@@ -319,6 +331,15 @@ class TestCliBasics:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("threads", ["0", "-3", "two"])
+    def test_threads_below_one_exits_2_naming_it(self, tmp_path, capsys, pool_sizes, threads):
+        path = write_config(tmp_path, small_config(particles=20, scenarios=2, dt=0.05))
+        with pytest.raises(SystemExit) as exc:
+            main(["cost", "--config", path, "--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert pool_sizes == []
 
     def test_schema_violation_exits_2(self, tmp_path, capsys):
         cfg = small_config()
@@ -689,3 +710,35 @@ class TestChatteringCommand:
         report = json.loads(out.read_text())["report"]
         assert report["passed"] is False and report["inconclusive"] is True
         assert report["stats"]["non_finite"] == ["gap_sigmas"]
+
+
+class TestReadmeExamples:
+    @staticmethod
+    def run_tool(tmp_path, text):
+        import importlib.util
+
+        tool = Path(__file__).resolve().parents[1] / "tools" / "readme_examples.py"
+        spec = importlib.util.spec_from_file_location("readme_examples", tool)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        readme = tmp_path / "README.md"
+        readme.write_text(text)
+        return module.main(["--readme", str(readme)])
+
+    def test_blocks_share_a_namespace_and_write_outside_the_checkout(self, tmp_path):
+        text = (
+            "# t\n\n```python\nx = 2\nopen('made.txt', 'w').write('x')\n```\n\n"
+            "```bash\nexit 1\n```\n\n```python\nassert x == 2\n```\n"
+        )
+        cwd = os.getcwd()
+        assert self.run_tool(tmp_path, text) == 0
+        assert os.getcwd() == cwd
+        assert not (Path(cwd) / "made.txt").exists() and not (tmp_path / "made.txt").exists()
+
+    @pytest.mark.parametrize("text", [
+        "```python\nx = 1\n```\n\n```python\nraise ValueError('boom')\n```\n",
+        "```python\nundefined_name\n```\n",
+        "no code here\n",
+    ])
+    def test_a_raising_block_or_no_block_fails(self, tmp_path, text):
+        assert self.run_tool(tmp_path, text) == 1

@@ -3,7 +3,7 @@ import pytest
 
 from mfcpoisson.coefficients import CoefficientSet, JumpSpec, LQParams, lq_coefficients
 from mfcpoisson.errors import CoverageError
-from mfcpoisson.lq import lq_value_evaluator, solve_riccati
+from mfcpoisson.lq import LQValueEvaluator, solve_riccati
 from mfcpoisson.measureflow import (
     MeasurePath,
     RelaxedKernel,
@@ -288,7 +288,7 @@ class TestItoResidual:
         params = LQParams(b1=0.6, b2=0.0, b3=0.0, sigma=0.0, c=1.0, T=1.0)
         coeffs = lq_coefficients(params)
         sol = solve_riccati(params, "common", 4096)
-        evaluator = lq_value_evaluator(sol)
+        evaluator = LQValueEvaluator(sol)
         h = 1e-3
         times = np.arange(0.0, 0.1 + h / 2, h)
         x = np.array([0.4, 1.6])

@@ -35,6 +35,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             EmpiricalMeasure(np.array([[0.0]]), np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize(
+        "weights",
+        [[np.nan, 1.0], [np.nan, np.nan], [0.5, np.nan], [np.inf, 1.0], [np.inf, -np.inf]],
+    )
+    def test_non_finite_weights_rejected(self, weights):
+        with pytest.raises(ValueError):
+            EmpiricalMeasure(np.array([0.0, 1.0]), np.array(weights))
+        with pytest.raises(ValueError):
+            JointEmpiricalMeasure.strict([0.0, 1.0], [0.0, 0.0], np.array(weights))
+
     def test_atoms_are_immutable(self):
         mu = dirac(0.0)
         with pytest.raises(ValueError):
@@ -57,6 +67,11 @@ class TestSerialization:
         data = {"atoms": [[0.0], [1.0]], "weights": [0.6, 0.5]}
         with pytest.raises(ValueError):
             EmpiricalMeasure.from_dict(data)
+
+    @pytest.mark.parametrize("weights", ["[NaN, 1.0]", "[NaN, NaN]", "[Infinity, 1.0]"])
+    def test_load_rejects_non_finite_weights(self, weights):
+        with pytest.raises(ValueError):
+            EmpiricalMeasure.from_json(f'{{"atoms": [[0.0], [1.0]], "weights": {weights}}}')
 
     def test_joint_round_trip(self):
         rho = JointEmpiricalMeasure.strict([[0.0], [1.0]], [[2.0], [3.0]])

@@ -8,19 +8,16 @@ from mfcpoisson.errors import DivergenceError
 from mfcpoisson import simulate
 from mfcpoisson.measures import Box, EmpiricalMeasure, fm_distance
 from mfcpoisson.simulate import (
+    ChatteringRule,
     FeedbackRule,
     InitSpec,
     OpenLoopRule,
     PoissonPath,
     RelaxedRule,
     build_grid,
-    chattering,
     cost_of_cloud,
-    estimate_cost,
     map_scenarios,
-    paired_costs,
     sample_poisson_path,
-    simulate_cost,
     simulate_record,
     simulate_relaxed,
     simulate_strict,
@@ -331,14 +328,14 @@ class TestScenarioRecord:
         run = dict(self.RUN, mode=mode)
         full = simulate_strict if rule.kind == "strict" else simulate_relaxed
         cloud = full(self.COEFFS, rule, **run)
-        record = simulate_record(self.COEFFS, rule, **run)
+        record = simulate_record(self.COEFFS, [rule], **run)
         assert cloud.event_log
         assert record.event_log == cloud.event_log
         expected = cloud.states.mean(axis=1)
         assert record.means.shape == expected.shape
         assert record.means.tobytes() == expected.tobytes()
         assert record.costs == [cost_of_cloud(cloud, self.COEFFS)]
-        assert record.costs == [simulate_cost(self.COEFFS, rule, **run)]
+        assert record.costs == [simulate_record(self.COEFFS, [rule], **run).costs[0]]
 
     @pytest.mark.parametrize("mode", ["common", "idiosyncratic"])
     def test_paired_rows_match_their_rules_alone(self, mode):
@@ -347,7 +344,7 @@ class TestScenarioRecord:
         args = (run["n_particles"], run["T"], run["dt"], mode, run["seed"], run["scenario"],
                 InitSpec(), None, None)
         paired = simulate._simulate(self.COEFFS, rules, *args, history=False)
-        alone = [simulate_record(self.COEFFS, rule, **run) for rule in rules]
+        alone = [simulate_record(self.COEFFS, [rule], **run) for rule in rules]
         assert paired.means.shape == (alone[0].means.size, len(rules))
         assert paired.costs == [rec.costs[0] for rec in alone]
         for r, rec in enumerate(alone):
@@ -359,7 +356,7 @@ class TestScenarioRecord:
             kind = "odd"
 
         with pytest.raises(TypeError):
-            simulate_record(self.COEFFS, Odd(), **self.RUN)
+            simulate_record(self.COEFFS, [Odd()], **self.RUN)
 
 
 class TestRelaxedSimulation:
@@ -405,7 +402,7 @@ class TestRelaxedSimulation:
         with pytest.raises(ValueError):
             simulate_relaxed(coeffs, bad, 4, 1.0, 0.1, seed=1)
         with pytest.raises(ValueError):
-            simulate_cost(coeffs, bad, 4, 1.0, 0.1, seed=1)
+            simulate_record(coeffs, [bad], 4, 1.0, 0.1, seed=1)
 
     def test_shared_atoms_match_per_row_normalization(self):
         support = np.array([0.1, -0.4, 0.9, 0.3, 1.7, -1.1, 0.0, 0.6, 2.2])
@@ -417,8 +414,8 @@ class TestRelaxedSimulation:
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
         for t in np.linspace(0.0, 1.0, 41):
             np.testing.assert_array_equal(
-                chattering(shared, 4, 1.0).evaluate(t, x, 0.0),
-                chattering(rows, 4, 1.0).evaluate(t, x, 0.0),
+                ChatteringRule(shared, 4, 1.0).evaluate(t, x, 0.0),
+                ChatteringRule(rows, 4, 1.0).evaluate(t, x, 0.0),
             )
 
     @pytest.mark.parametrize(
@@ -441,7 +438,7 @@ class TestRelaxedSimulation:
             with pytest.raises(ValueError, match=match):
                 rule.evaluate(0.0, x, 0.0)
         with pytest.raises(ValueError, match=match):
-            simulate_cost(lq(), constant, 4, 1.0, 0.1, seed=1)
+            simulate_record(lq(), [constant], 4, 1.0, 0.1, seed=1)
 
     def test_a_zero_row_among_rows_rejected(self):
         x = np.zeros(2)
@@ -516,8 +513,7 @@ class TestCost:
             terminal_cost=lambda x, mu: np.ones_like(x),
         )
         cloud = simulate_strict(coeffs, FeedbackRule.constant(0.0), 4, 1.0, 0.25, seed=1)
-        mean, stderr = estimate_cost([cloud], coeffs)
-        assert mean == 1.0 and stderr == 0.0
+        assert cost_of_cloud(cloud, coeffs) == 1.0
 
     def test_pure_running_cost_is_horizon(self):
         coeffs = CoefficientSet(
@@ -529,8 +525,7 @@ class TestCost:
             terminal_cost=lambda x, mu: 0.0 * x,
         )
         cloud = simulate_strict(coeffs, FeedbackRule.constant(0.0), 4, 0.7, 0.05, seed=1)
-        mean, _ = estimate_cost([cloud], coeffs)
-        assert mean == pytest.approx(0.7, abs=1e-12)
+        assert cost_of_cloud(cloud, coeffs) == pytest.approx(0.7, abs=1e-12)
 
     def test_frozen_lq_cost_is_initial_variance(self):
         coeffs = lq(b3=0.0, c=2.0)
@@ -559,31 +554,27 @@ class TestCost:
             "optimal": optimal_feedback_rule(sol),
             "gain": Perturbation("gain", 1.5).wrap(sol),
             "relaxed": relaxed,
-            "chattering": chattering(relaxed, 8, params.T),
+            "chattering": ChatteringRule(relaxed, 8, params.T),
             "idiosyncratic": optimal_feedback_rule(sol),
         }[case]
         run = dict(mode=mode, seed=11, scenario=2, init=InitSpec("gaussian", 1.0, 0.5))
         simulate = simulate_relaxed if case == "relaxed" else simulate_strict
         cloud = simulate(coeffs, rule, 60, params.T, 1 / 200, **run)
         assert cloud.event_log  # the run exercises the jump branch
-        assert simulate_cost(coeffs, rule, 60, params.T, 1 / 200, **run) == cost_of_cloud(
+        assert simulate_record(coeffs, [rule], 60, params.T, 1 / 200, **run).costs[0] == cost_of_cloud(
             cloud, coeffs
         )
-
-    def test_estimate_requires_scenarios(self):
-        with pytest.raises(ValueError):
-            estimate_cost([], lq())
 
 
 class TestChattering:
     def test_dirac_rule_is_constant(self):
-        rule = chattering(RelaxedRule.constant([0.4], [1.0]), 8, 1.0)
+        rule = ChatteringRule(RelaxedRule.constant([0.4], [1.0]), 8, 1.0)
         x = np.zeros(3)
         for t in (0.0, 0.1, 0.73, 0.99):
             np.testing.assert_allclose(rule.evaluate(t, x, 0.0), 0.4)
 
     def test_uniform_two_point_splits_slab_in_half(self):
-        rule = chattering(
+        rule = ChatteringRule(
             RelaxedRule.constant(np.array([1.0, 2.0]), np.array([0.5, 0.5])), 4, 1.0
         )
         x = np.zeros(1)
@@ -603,7 +594,7 @@ class TestChattering:
         window = 3 / 16
 
         def diag(n):
-            rule = chattering(q, n, 1.0)
+            rule = ChatteringRule(q, n, 1.0)
             us = np.array([float(rule.evaluate(t, np.zeros(1), 0.0)[0]) for t in ts])
             vals = []
             for j in range(int(1 / window)):
@@ -647,7 +638,7 @@ class TestChatteringOracle:
 
         relaxed, fresh = self.rules(atoms)
         coeffs = lq(b1=0.5, b2=0.4, sigma=0.4, jumps=JumpSpec([1.0], [2.0], [0.3]))
-        cloud = simulate_strict(coeffs, chattering(relaxed, 4, 1.0), self.N, 1.0, 1 / 64, seed=5)
+        cloud = simulate_strict(coeffs, ChatteringRule(relaxed, 4, 1.0), self.N, 1.0, 1 / 64, seed=5)
         thetas = set()
         for k in range(cloud.grid.n_steps):
             t, x = cloud.times[k], cloud.states[k]
@@ -664,11 +655,11 @@ class TestConstantRuleCache:
     def test_mutating_the_inputs_after_a_run_keeps_the_cost(self):
         support, weights = np.array([0.2, 0.8]), np.array([0.5, 0.5])
         rule = RelaxedRule.constant(support, weights)
-        slabs = chattering(rule, 4, 1.0)
-        before = [simulate_cost(self.COEFFS, r, **self.RUN) for r in (rule, slabs)]
+        slabs = ChatteringRule(rule, 4, 1.0)
+        before = [simulate_record(self.COEFFS, [r], **self.RUN).costs[0] for r in (rule, slabs)]
         support[:] = 5.0
         weights[:] = [1.0, 0.0]
-        after = [simulate_cost(self.COEFFS, r, **self.RUN) for r in (rule, slabs)]
+        after = [simulate_record(self.COEFFS, [r], **self.RUN).costs[0] for r in (rule, slabs)]
         assert after == before
 
     def test_cached_rows_are_read_only_and_built_once_per_cloud_size(self):
@@ -699,10 +690,10 @@ class TestConstantRuleCache:
             return np.array([0.2, 0.8]), np.array([0.5, 0.5])
 
         n_steps = simulate_strict(self.COEFFS, FeedbackRule.constant(0.0), **self.RUN).grid.n_steps
-        simulate_cost(self.COEFFS, RelaxedRule(fn), **self.RUN)
+        simulate_record(self.COEFFS, [RelaxedRule(fn)], **self.RUN)
         assert len(calls) == n_steps
         calls.clear()
-        simulate_cost(self.COEFFS, chattering(RelaxedRule(fn), 4, 1.0), **self.RUN)
+        simulate_record(self.COEFFS, [ChatteringRule(RelaxedRule(fn), 4, 1.0)], **self.RUN)
         assert len(calls) == n_steps
 
 
@@ -720,12 +711,12 @@ class TestPairedFailures:
         coeffs = lq(jumps=JumpSpec([1.0], [2.0], [0.3]))
         with np.errstate(all="ignore"):
             try:
-                paired_costs(coeffs, rules, **self.RUN)
+                simulate_record(coeffs, rules, **self.RUN)
             except Exception as err:
                 paired = err
             for rule in rules:
                 try:
-                    simulate_cost(coeffs, rule, **self.RUN)
+                    simulate_record(coeffs, [rule], **self.RUN)
                 except Exception as err:
                     return paired, err
         raise AssertionError("no rule failed")
@@ -762,17 +753,17 @@ class TestPairedFailures:
         rules = [FeedbackRule.constant(0.5), FeedbackRule.constant(3.0),
                  FeedbackRule.constant(4.0)]
         with pytest.raises(FloatingPointError, match="control mean 3.0"):
-            simulate_cost(coeffs, rules[1], **self.RUN)
+            simulate_record(coeffs, [rules[1]], **self.RUN)
         with pytest.raises(FloatingPointError, match="control mean 3.0"):
-            paired_costs(coeffs, rules, **self.RUN)
-        assert paired_costs(coeffs, rules[:1], **self.RUN) == [
-            simulate_cost(coeffs, rules[0], **self.RUN)
+            simulate_record(coeffs, rules, **self.RUN)
+        assert simulate_record(coeffs, rules[:1], **self.RUN).costs == [
+            simulate_record(coeffs, [rules[0]], **self.RUN).costs[0]
         ]
 
     def test_relaxed_rules_run_alone(self):
         relaxed = RelaxedRule.constant([0.0, 1.0], [0.5, 0.5])
         with pytest.raises(ValueError, match="strict"):
-            paired_costs(lq(), [FeedbackRule.constant(0.0), relaxed], **self.RUN)
+            simulate_record(lq(), [FeedbackRule.constant(0.0), relaxed], **self.RUN)
 
 
 class _CountingRule(FeedbackRule):
@@ -793,7 +784,7 @@ class TestReplay:
 
     def test_a_successful_run_calls_each_rule_once_per_step(self):
         rules = [_CountingRule(lambda t, x, m: -0.5 * x), _CountingRule(lambda t, x, m: 0.2 + 0.0 * x)]
-        paired_costs(self.COEFFS, rules, **self.RUN)
+        simulate_record(self.COEFFS, rules, **self.RUN)
         n_steps = simulate_strict(self.COEFFS, FeedbackRule.constant(0.0), **self.RUN).grid.n_steps
         assert n_steps > 100  # the grid holds event nodes
         assert [rule.calls for rule in rules] == [n_steps, n_steps]
@@ -813,18 +804,18 @@ class TestReplay:
             terminal_cost=lambda x, mu: 0.0 * x,
         )
         rules = [FeedbackRule.constant(0.5), FeedbackRule.constant(-0.5)]
-        alone = [simulate_cost(coeffs, rule, **self.RUN) for rule in rules]
+        alone = [simulate_record(coeffs, [rule], **self.RUN).costs[0] for rule in rules]
         assert np.isfinite(alone).all()
         with pytest.raises(FloatingPointError, match="lock-step input"):
-            paired_costs(coeffs, rules, **self.RUN)
+            simulate_record(coeffs, rules, **self.RUN)
 
     def test_a_failing_last_rule_reports_its_serial_step_and_time(self):
         rules = [FeedbackRule.constant(0.1), FeedbackRule.constant(-0.2), _blows_up_from(0.3)]
         with np.errstate(all="ignore"):
             with pytest.raises(DivergenceError) as alone:
-                simulate_cost(self.COEFFS, rules[-1], **self.RUN)
+                simulate_record(self.COEFFS, [rules[-1]], **self.RUN)
             with pytest.raises(DivergenceError) as paired:
-                paired_costs(self.COEFFS, rules, **self.RUN)
+                simulate_record(self.COEFFS, rules, **self.RUN)
         assert (paired.value.step, paired.value.time) == (alone.value.step, alone.value.time)
         assert paired.value.time > 0.3
 
@@ -859,7 +850,7 @@ class TestRelaxedLoopOracle:
         assert cloud.states.shape == states.shape
         assert np.array_equal(cloud.states, states)
         assert cost_of_cloud(cloud, coeffs) == cost
-        assert simulate_cost(coeffs, rule, 30, 1.0, 0.01, **run) == cost
+        assert simulate_record(coeffs, [rule], 30, 1.0, 0.01, **run).costs[0] == cost
 
 
 class TestMapScenarios:

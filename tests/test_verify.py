@@ -14,8 +14,8 @@ from mfcpoisson.coefficients import (
     lq_coefficients,
 )
 from mfcpoisson.lq import (
+    LQValueEvaluator,
     adjoint_ansatz,
-    lq_value_evaluator,
     mean_optimal_control,
     optimal_control,
     solve_riccati,
@@ -23,12 +23,12 @@ from mfcpoisson.lq import (
 from mfcpoisson.measureflow import ito_residual
 from mfcpoisson.measures import EmpiricalMeasure, JointEmpiricalMeasure
 from mfcpoisson.simulate import (
+    ChatteringRule,
     FeedbackRule,
     InitSpec,
     OpenLoopRule,
     RelaxedRule,
-    chattering,
-    simulate_cost,
+    simulate_record,
     simulate_strict,
 )
 from mfcpoisson.verify import (
@@ -450,7 +450,7 @@ class TestLockStep:
             return [optimal_feedback_rule(sol)] + [p.wrap(sol) for p in perts] + [open_loop]
         if case == "chattering":
             relaxed = RelaxedRule.constant(np.array([0.2, 0.8]), np.array([0.3, 0.7]))
-            return [chattering(relaxed, n_slabs, params.T) for n_slabs in (2, 4, 8, 16, 32)]
+            return [ChatteringRule(relaxed, n_slabs, params.T) for n_slabs in (2, 4, 8, 16, 32)]
         return [
             FeedbackRule(lambda t, x, m: -0.8 * (x - m)),
             FeedbackRule(lambda t, x, m: np.sin(3.0 * t) - 0.2 * x),
@@ -470,10 +470,10 @@ class TestLockStep:
         )
         paired = scenario_costs(coeffs, rules, params.T, mc, 3)
         alone = [
-            simulate_cost(
-                coeffs, rule, n, params.T, mc.dt, mode=mode, seed=mc.seed, scenario=3,
+            simulate_record(
+                coeffs, [rule], n, params.T, mc.dt, mode=mode, seed=mc.seed, scenario=3,
                 init=mc.init,
-            )
+            ).costs[0]
             for rule in rules
         ]
         assert paired == alone
@@ -483,10 +483,10 @@ class TestLockStep:
         params = make_params()
         coeffs = lq_coefficients(params)
         relaxed = RelaxedRule.constant(np.array([0.2, 0.8]), np.array([0.5, 0.5]))
-        rules = [chattering(relaxed, 2, 1.0), relaxed, chattering(relaxed, 8, 1.0)]
+        rules = [ChatteringRule(relaxed, 2, 1.0), relaxed, ChatteringRule(relaxed, 8, 1.0)]
         mc = MonteCarloSettings(particles=40, scenarios=1, dt=1 / 64, seed=2)
         alone = [
-            simulate_cost(coeffs, r, 40, 1.0, mc.dt, seed=2, scenario=1, init=mc.init)
+            simulate_record(coeffs, [r], 40, 1.0, mc.dt, seed=2, scenario=1, init=mc.init).costs[0]
             for r in rules
         ]
         assert scenario_costs(coeffs, rules, 1.0, mc, 1) == alone
@@ -645,7 +645,7 @@ class TestMeasurePathExtraction:
         params, sol, clouds = lq_setup
         coeffs = lq_coefficients(params)
         path = measure_path_from_cloud(clouds[0])
-        res = ito_residual(lq_value_evaluator(sol), path, coeffs)
+        res = ito_residual(LQValueEvaluator(sol), path, coeffs)
         # each step defect is O(dt^2) + O(sqrt(dt)/sqrt(N)) martingale noise
         assert np.max(np.abs(res)) < 5e-3
         assert np.mean(np.abs(res)) < 5e-4
