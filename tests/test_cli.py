@@ -723,7 +723,7 @@ class TestReadmeExamples:
         spec.loader.exec_module(module)
         readme = tmp_path / "README.md"
         readme.write_text(text)
-        return module.main(["--readme", str(readme)])
+        return module.run(readme)
 
     def test_blocks_share_a_namespace_and_write_outside_the_checkout(self, tmp_path):
         text = (

@@ -335,7 +335,6 @@ class TestScenarioRecord:
         assert record.means.shape == expected.shape
         assert record.means.tobytes() == expected.tobytes()
         assert record.costs == [cost_of_cloud(cloud, self.COEFFS)]
-        assert record.costs == [simulate_record(self.COEFFS, [rule], **run).costs[0]]
 
     @pytest.mark.parametrize("mode", ["common", "idiosyncratic"])
     def test_paired_rows_match_their_rules_alone(self, mode):

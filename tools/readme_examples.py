@@ -1,6 +1,6 @@
 """Run every fenced ``python`` block of README.md and fail on any exception.
 
-    python3 tools/readme_examples.py [--readme README.md]
+    python3 tools/readme_examples.py
 
 The blocks run in order in one namespace, so a later block may use the names
 an earlier one defined.  They run with this checkout's ``src/`` first on the
@@ -11,7 +11,6 @@ that raises, after printing its traceback.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import sys
@@ -32,11 +31,9 @@ def python_blocks(text: str) -> list:
     ]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--readme", default=str(ROOT / "README.md"))
-    args = parser.parse_args(argv)
-    readme = Path(args.readme).resolve()
+def run(readme: Path) -> int:
+    """Run the python blocks of ``readme``; 0 if all pass, 1 otherwise."""
+    readme = Path(readme).resolve()
     blocks = python_blocks(readme.read_text())
     if not blocks:
         print(f"no python block in {readme}", file=sys.stderr)
@@ -59,6 +56,10 @@ def main(argv=None) -> int:
         finally:
             os.chdir(cwd)
     return 0
+
+
+def main() -> int:
+    return run(ROOT / "README.md")
 
 
 if __name__ == "__main__":
