@@ -17,9 +17,11 @@ Distances are computed exactly: the Fortet-Mourier norm between probability
 measures equals optimal transport with ground cost ``min(d, 2)`` (Kantorovich
 duality for the 1-Lipschitz, sup-norm<=1 test class), and the
 Kantorovich-Rubinstein metric on relaxed joints is Wasserstein-1 for the
-product metric ``|x-x'| + fm(q, q')``.  Transport problems are solved as dense
-LPs, which is exact for the atom counts this toolkit targets; larger instances
-are rejected rather than approximated.
+product metric ``|x-x'| + fm(q, q')``.  The Fortet-Mourier distance of scalar
+laws is solved on its dual by a dynamic program over the merged support; the
+Kantorovich-Rubinstein transport problem is a dense LP.  Both are exact for
+the atom counts this toolkit targets; larger instances are rejected rather
+than approximated.
 """
 from __future__ import annotations
 
@@ -32,7 +34,8 @@ import numpy as np
 
 from .errors import CoverageError, DimensionMismatchError, SizeLimitError
 
-#: Largest atom count per side for the exact dense transport LP.
+#: Largest atom count per side for the exact metrics: the dense transport LP
+#: and the Fortet-Mourier dynamic program.
 MAX_EXACT_ATOMS = 64
 
 _WEIGHT_TOL = 1e-12
@@ -51,6 +54,21 @@ def _as_atoms(atoms) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
     return arr
+
+
+def _finite(atoms: np.ndarray, name: str) -> np.ndarray:
+    """``atoms``, once checked to hold no NaN or infinite value."""
+    bad = np.flatnonzero(~np.isfinite(atoms).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{name} must be finite; atom {bad[0]} is {atoms[bad[0]].tolist()}")
+    return atoms
+
+
+def _check_exact_size(na: int, nb: int):
+    if na > MAX_EXACT_ATOMS or nb > MAX_EXACT_ATOMS:
+        raise SizeLimitError(
+            f"instance {na}x{nb} exceeds the exact limit of {MAX_EXACT_ATOMS} atoms"
+        )
 
 
 def _as_weights(weights, n_atoms: int, tol: float = _WEIGHT_TOL) -> np.ndarray:
@@ -97,10 +115,7 @@ def transport_cost(
     from scipy.optimize import linprog
 
     na, nb = len(weights_a), len(weights_b)
-    if na > MAX_EXACT_ATOMS or nb > MAX_EXACT_ATOMS:
-        raise SizeLimitError(
-            f"transport instance {na}x{nb} exceeds exact-LP limit {MAX_EXACT_ATOMS}"
-        )
+    _check_exact_size(na, nb)
     if cost.shape != (na, nb):
         raise ValueError(f"cost matrix shape {cost.shape} != ({na}, {nb})")
 
@@ -157,7 +172,7 @@ class EmpiricalMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "atoms", _as_atoms(self.atoms))
+        object.__setattr__(self, "atoms", _finite(_as_atoms(self.atoms), "atoms"))
         object.__setattr__(
             self, "weights", _as_weights(self.weights, self.atoms.shape[0])
         )
@@ -225,8 +240,8 @@ class JointEmpiricalMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        states = _as_atoms(self.states)
-        controls = _as_atoms(self.controls)
+        states = _finite(_as_atoms(self.states), "states")
+        controls = _finite(_as_atoms(self.controls), "controls")
         if controls.shape[0] != states.shape[0]:
             raise ValueError("states and controls disagree on atom count")
         object.__setattr__(self, "states", states)
@@ -420,17 +435,54 @@ def _euclidean_cost(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def fm_distance(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
-    """Fortet-Mourier distance between two atom measures.
+    """Fortet-Mourier distance between two measures on R^1.
 
-    Equals sup of integral f d(a-b) over 1-Lipschitz f with |f| <= 1, computed
-    as exact transport with truncated ground cost min(|x-y|, 2).
+    The distance is the sup of the integral of f d(a - b) over 1-Lipschitz f
+    with |f| <= 1, which by Kantorovich duality is also the transport cost
+    with ground cost min(|x - y|, 2).  On the line only the values f_i at the
+    merged distinct atoms z_1 < ... < z_m matter, so the sup is the chain
+    problem
+
+        max sum_i c_i f_i  over  |f_i| <= 1,  |f_{i+1} - f_i| <= d_i,
+
+    where c_i is the weight of a minus the weight of b at z_i and
+    d_i = min(z_{i+1} - z_i, 2).  A gap beyond 2 constrains nothing that
+    |f| <= 1 does not, and clipping it keeps a gap that overflows, as
+    between atoms at -1e308 and 1e308, at exactly 2.
+
+    The chain is solved exactly by a forward dynamic program on [-1, 1]:
+    V_1(f) = c_1 f and V_{i+1}(g) = c_{i+1} g + max over |f - g| <= d_i of
+    V_i(f).  Each V_i is concave and piecewise linear and is kept as its
+    knots.  The window max splits them at the argmax, shifts the left part by
+    -d_i and the right part by +d_i, which leaves a plateau between, and is
+    cut back to [-1, 1] by interpolation at the ends.  The distance is
+    max V_m, found in O(m^2) work.
+
+    Both laws must be scalar; any other dimension raises
+    ``DimensionMismatchError``.
     """
-    if a.dim != b.dim:
+    if a.dim != 1 or b.dim != 1:
         raise DimensionMismatchError(
-            f"measures live on R^{a.dim} and R^{b.dim}"
+            f"fm_distance takes laws on R^1, not R^{a.dim} and R^{b.dim}"
         )
-    cost = np.minimum(_euclidean_cost(a.atoms, b.atoms), 2.0)
-    return transport_cost(a.weights, b.weights, cost)
+    na = a.n_atoms
+    _check_exact_size(na, b.n_atoms)
+    z, index = np.unique(np.concatenate([a.atoms[:, 0], b.atoms[:, 0]]), return_inverse=True)
+    m = z.size
+    c = np.bincount(index[:na], a.weights, m) - np.bincount(index[na:], b.weights, m)
+    with np.errstate(over="ignore"):
+        gaps = np.minimum(np.diff(z), 2.0)
+    x = np.array([-1.0, 1.0])
+    y = c[0] * x
+    for c_i, d in zip(c[1:], gaps):
+        k = int(np.argmax(y))
+        x = np.concatenate([x[: k + 1] - d, x[k:] + d])
+        y = np.concatenate([y[: k + 1], y[k:]])
+        ends = np.interp([-1.0, 1.0], x, y)
+        inner = (x > -1.0) & (x < 1.0)
+        x = np.concatenate([[-1.0], x[inner], [1.0]])
+        y = np.concatenate([ends[:1], y[inner], ends[1:]]) + c_i * x
+    return float(y.max())
 
 
 def kr_distance(

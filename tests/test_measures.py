@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from mfcpoisson.errors import CoverageError, DimensionMismatchError, SizeLimitError
 from mfcpoisson.measures import (
+    MAX_EXACT_ATOMS,
     EmpiricalMeasure,
     JointEmpiricalMeasure,
     RelaxedKernel,
@@ -45,6 +48,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             JointEmpiricalMeasure.strict([0.0, 1.0], [0.0, 0.0], np.array(weights))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_atoms_rejected(self, bad):
+        with pytest.raises(ValueError, match="atoms must be finite"):
+            EmpiricalMeasure([bad, 1.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match="states must be finite"):
+            JointEmpiricalMeasure.strict([0.0, bad], [0.0, 0.0])
+        with pytest.raises(ValueError, match="controls must be finite"):
+            JointEmpiricalMeasure.strict([0.0, 1.0], [bad, 0.0])
+        with pytest.raises(ValueError, match="atoms must be finite"):
+            EmpiricalMeasure.from_samples([0.0, bad])
+
     def test_atoms_are_immutable(self):
         mu = dirac(0.0)
         with pytest.raises(ValueError):
@@ -72,6 +86,15 @@ class TestSerialization:
     def test_load_rejects_non_finite_weights(self, weights):
         with pytest.raises(ValueError):
             EmpiricalMeasure.from_json(f'{{"atoms": [[0.0], [1.0]], "weights": {weights}}}')
+
+    @pytest.mark.parametrize("atom", ["NaN", "Infinity", "-Infinity"])
+    def test_load_rejects_non_finite_atoms(self, atom):
+        with pytest.raises(ValueError, match="atoms must be finite"):
+            EmpiricalMeasure.from_json(f'{{"atoms": [[{atom}], [1.0]], "weights": [0.5, 0.5]}}')
+        with pytest.raises(ValueError, match="states must be finite"):
+            JointEmpiricalMeasure.from_json(
+                f'{{"atoms": [[{atom}, 0.0], [1.0, 0.0]], "weights": [0.5, 0.5], "state_dim": 1}}'
+            )
 
     def test_joint_round_trip(self):
         rho = JointEmpiricalMeasure.strict([[0.0], [1.0]], [[2.0], [3.0]])
@@ -114,6 +137,57 @@ class TestFmDistance:
         b = EmpiricalMeasure(np.zeros((1, 2)), np.array([1.0]))
         with pytest.raises(DimensionMismatchError):
             fm_distance(a, b)
+
+    def test_vector_laws_rejected(self):
+        a = EmpiricalMeasure(np.zeros((1, 2)), np.array([1.0]))
+        with pytest.raises(DimensionMismatchError):
+            fm_distance(a, a)
+
+    def test_equals_truncated_transport_on_random_pairs(self, rng):
+        # off-lattice atoms, shared atoms, zero weights and Diracs, 1 to 64 atoms a side
+        for trial in range(200):
+            na, nb = (int(n) for n in rng.integers(1, MAX_EXACT_ATOMS + 1, size=2))
+            if trial % 10 == 0:
+                na = 1
+            span = float(rng.choice([0.1, 1.0, 5.0]))
+            xa = rng.uniform(-span, span, size=na)
+            xb = rng.uniform(-span, span, size=nb)
+            shared = int(rng.integers(0, nb + 1))
+            xb[:shared] = rng.choice(xa, size=shared)
+            wa, wb = rng.uniform(0.0, 1.0, size=na), rng.uniform(0.0, 1.0, size=nb)
+            wa[1:][rng.random(na - 1) < 0.2] = 0.0
+            wb[1:][rng.random(nb - 1) < 0.2] = 0.0
+            a = EmpiricalMeasure(xa, wa / wa.sum())
+            b = EmpiricalMeasure(xb, wb / wb.sum())
+            cost = np.minimum(np.abs(a.atoms - b.atoms.T), 2.0)
+            assert fm_distance(a, b) == pytest.approx(
+                transport_cost(a.weights, b.weights, cost), abs=1e-12
+            )
+
+    def test_identical_measures_exactly_zero(self, rng):
+        for n in (1, 7, MAX_EXACT_ATOMS):
+            atoms = rng.choice(rng.uniform(-3.0, 3.0, size=n), size=n)  # with repeats
+            w = rng.uniform(0.1, 1.0, size=n)
+            mu = EmpiricalMeasure(atoms, w / w.sum())
+            assert fm_distance(mu, mu) == 0.0
+            assert fm_distance(mu, EmpiricalMeasure(atoms.copy(), w / w.sum())) == 0.0
+
+    def test_overflowing_gap_is_exactly_two(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fm_distance(dirac(-1e308), dirac(1e308)) == 2.0
+            assert fm_distance(dirac(1e308), dirac(-1e308)) == 2.0
+
+    def test_needs_no_lp(self, rng, monkeypatch):
+        import scipy.optimize
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("fm_distance called linprog")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+        a = random_measure(rng, MAX_EXACT_ATOMS)
+        b = random_measure(rng, MAX_EXACT_ATOMS)
+        assert 0.0 < fm_distance(a, b) <= 2.0
 
     def test_size_limit(self, rng):
         big = random_measure(rng, 65)
