@@ -1,8 +1,9 @@
 """Command-line experiment driver.
 
 Exit codes: 0 = success / all checks passed, 1 = a check failed,
-2 = configuration or usage error, 3 = numerical failure (an ill-posed
-Riccati system or a diverging particle cloud).
+2 = configuration or usage error, or an output file that cannot be written,
+3 = numerical failure (an ill-posed Riccati system or a diverging particle
+cloud).
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import sys
 
 from . import __version__
 from .config import ConfigError, load_config
-from .errors import DivergenceError, IllPosedError
+from .errors import DivergenceError, IllPosedError, OutputError
 from .experiments import (
     VERIFY_KINDS,
     run_chattering,
@@ -87,6 +88,9 @@ def main(argv=None) -> int:
             raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return 2
+    except OutputError as err:
+        print(f"output error: {err}", file=sys.stderr)
         return 2
     except (DivergenceError, IllPosedError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)

@@ -43,3 +43,11 @@ class IllPosedError(RuntimeError):
 
 class DomainError(ValueError):
     """Hypothesis of a closed-form lemma violated (e.g. a<=0)."""
+
+
+class OutputError(RuntimeError):
+    """An output file could not be written; carries its path."""
+
+    def __init__(self, path, reason: str):
+        self.path = str(path)
+        super().__init__(f"cannot write {self.path}: {reason}")

@@ -2,18 +2,23 @@
 
 Scenario-level work fans out through :func:`simulate.map_scenarios`, whose
 results come back in scenario order, so the output does not depend on
-``--threads``.
+``--threads``.  Every float in a CSV is written as ``format(v, ".17g")``;
+the trajectory writer gets those bytes for whole arrays at once from
+:func:`format_17g`, which needs no per-value Python call outside a few rare
+cases.  A file that cannot be written raises :class:`errors.OutputError`
+naming its path.
 """
 from __future__ import annotations
 
 import json
-from pathlib import Path
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import __version__
 from .coefficients import lq_coefficients
 from .config import ConfigError, ExperimentConfig
+from .errors import OutputError
 from .lq import solve_riccati
 from .simulate import RelaxedRule, map_scenarios, standard_error
 from .verify import (
@@ -50,15 +55,29 @@ def _quoted(text: str) -> str:
     return text
 
 
+@contextmanager
+def _output_file(path):
+    """``open(path, "w")``; an OSError while it is open becomes an OutputError.
+
+    The rows written inside do no I/O of their own, so the error is the
+    file's.
+    """
+    try:
+        with open(path, "w") as fh:
+            yield fh
+    except OSError as err:
+        raise OutputError(path, err.strerror or str(err)) from err
+
+
 def write_csv(path, cfg: ExperimentConfig, header, rows, extra_comment="") -> int:
     """Write ``rows`` (any iterable) as they come; returns the row count.
 
     A row is a tuple of values, formatted one by one (floats as ``.17g``),
     or a ``str`` of whole lines already formatted that way, such as the
-    trajectory writer's block of one grid node.
+    trajectory writer's block of grid nodes.
     """
     n_rows = 0
-    with open(path, "w") as fh:
+    with _output_file(path) as fh:
         fh.write(f"# {_provenance(cfg)}\n")
         if extra_comment:
             fh.write(f"# {extra_comment}\n")
@@ -80,7 +99,164 @@ def write_csv(path, cfg: ExperimentConfig, header, rows, extra_comment="") -> in
 def write_json(path, cfg: ExperimentConfig, payload: dict):
     body = {"version": __version__, "config_hash": cfg.config_hash}
     body.update(payload)
-    Path(path).write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
+    with _output_file(path) as fh:
+        fh.write(json.dumps(body, indent=2, sort_keys=True) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# Exact %.17g of float64 arrays
+# ---------------------------------------------------------------------------
+#
+# For 1e-4 <= |v| < 1e17, format(v, ".17g") is fixed-point text of the
+# 17-digit integer D = round(|v| * 10**(16 - k)), k = floor(log10|v|), with
+# trailing zeros and a bare point cut.  For k in [-4, 16] the scale
+# 10**(16 - k) is an exact double, and Dekker's two-product (Numer. Math. 18,
+# 1971), with Veltkamp splitting in place of a fused multiply-add, gives
+# |v| * 10**(16 - k) = hi + lo exactly.  hi is an integer, so D is hi +
+# floor(lo), plus one when the remainder lo - floor(lo) is above one half.
+
+_K_MIN, _K_MAX = -4, 16
+_SCALES = 10.0 ** (16 - np.arange(_K_MIN, _K_MAX + 1))
+_VELTKAMP = 134217729.0  # 2**27 + 1
+
+
+def _halves(a):
+    """Veltkamp split of float64 ``a`` into two 26-bit halves that sum to it."""
+    t = _VELTKAMP * a
+    high = t - (t - a)
+    return high, a - high
+
+
+_SCALES_HIGH, _SCALES_LOW = _halves(_SCALES)
+
+
+def _digit_quads():
+    """The ASCII text "0000" .. "9999" of each group of four digits, as one uint32.
+
+    Built a column at a time, so importing the module touches little memory.
+    """
+    text = np.empty((10000, 4), np.uint8)
+    for i, p in enumerate((1000, 100, 10, 1)):
+        text[:, i] = np.arange(10000, dtype=np.uint32) // p % 10 + ord("0")
+    return text.view(np.uint32).ravel()
+
+
+_QUADS = _digit_quads()
+
+
+def _scaled(a, j):
+    """floor(a * 10**(16 - k)) for k = j + _K_MIN, and whether the remainder
+    is above one half and whether it is exactly one half."""
+    hi = a * _SCALES[j]
+    a_high, a_low = _halves(a)
+    s_high, s_low = _SCALES_HIGH[j], _SCALES_LOW[j]
+    lo = ((a_high * s_high - hi) + a_high * s_low + a_low * s_high) + a_low * s_low
+    whole = np.floor(lo)
+    half = whole + 0.5
+    return hi.astype(np.int64) + whole.astype(np.int64), lo > half, lo == half
+
+
+def _fixed_17g(x):
+    """``%.17g`` of float64 ``x`` by array arithmetic, and where it is exact.
+
+    Returns a NUL-padded ``S24`` array and a boolean mask.  Outside the mask
+    are values not in 1e-4 <= |v| < 1e17 (zeros, subnormals, huge and
+    non-finite values) and exact ties at the 17th digit, which ``format``
+    rounds half to even; their text here is meaningless.
+    """
+    a = np.abs(x)
+    with np.errstate(invalid="ignore"):
+        exact = (a >= 1e-4) & (a < 1e17)
+    a[~exact] = 1.0
+    j = np.clip(np.floor(np.log10(a)).astype(np.int64) - _K_MIN, 0, _K_MAX - _K_MIN)
+    d, up, tie = _scaled(a, j)
+    # log10 may land one decade off next to a power of ten; D says which way
+    off = np.flatnonzero((d < 10**16) | (d >= 10**17))
+    if off.size:
+        j[off] = np.clip(j[off] + np.where(d[off] < 10**16, -1, 1), 0, _K_MAX - _K_MIN)
+        d[off], up[off], tie[off] = _scaled(a[off], j[off])
+    d += up
+    exact &= ~tie & (d >= 10**16) & (d < 10**17)
+
+    # the 17 digits, from two uint32 halves: columns 3..19 of a 20-byte row
+    # (x - q * m in place of x % m, which numpy computes several times slower)
+    top = d // 10**8
+    bottom = (d - top * 10**8).astype(np.uint32)
+    top = top.astype(np.uint32)
+    top4, bottom4 = top // 10**4, bottom // 10**4
+    g0 = top // 10**8
+    quads = [g0, top4 - g0 * 10**4, top - top4 * 10**4, bottom4, bottom - bottom4 * 10**4]
+    words = np.empty((x.size, 5), np.uint32)
+    for w, q in enumerate(quads):
+        words[:, w] = _QUADS[q]
+    digits = words.view(np.uint8)
+    # cut trailing zeros of the fraction: the digits after both the last
+    # non-zero one and the units digit (index k); most values end in non-zero
+    last = np.full(x.size, 16)
+    zero_end = np.flatnonzero(quads[4] % 10 == 0)
+    tail = d[zero_end]
+    last[zero_end] -= sum(tail % 10**p == 0 for p in range(1, 17))
+    keep = np.maximum(last, j + _K_MIN)
+    cut = np.flatnonzero(keep < 16)
+    digits[cut] *= np.arange(20) <= keep[cut, None] + 3
+
+    # lay the digits out by (k, sign): one block of rows per pair present,
+    # found by a (radix) sort of the pair codes; the rows move as 20- and
+    # 24-byte items, which numpy copies fastest
+    out = np.zeros(x.size, "S24")
+    rows = words.view("V20").ravel()
+    code = (2 * j + (x < 0)).astype(np.uint8)
+    order = np.argsort(code, kind="stable")
+    ends = np.cumsum(np.bincount(code)).tolist()
+    for c, (begin, end) in enumerate(zip([0] + ends, ends)):
+        if begin == end:
+            continue
+        kk, neg = c // 2 + _K_MIN, c % 2
+        sel = order[begin:end]
+        src = rows[sel].view(np.uint8).reshape(-1, 20)[:, 3:]
+        dst = np.zeros((sel.size, 24), np.uint8)
+        head = ("-" if neg else "") + ("0." + "0" * (-kk - 1) if kk < 0 else "")
+        p, n_int = len(head), max(kk + 1, 0)
+        dst[:, :p] = np.frombuffer(head.encode(), np.uint8)
+        dst[:, p:p + n_int] = src[:, :n_int]
+        if 0 <= kk < 16:  # the point, unless no fraction digit is left
+            dst[:, p + n_int] = np.where(last[sel] > kk, ord("."), 0)
+            p += 1
+        dst[:, p + n_int:p + 17] = src[:, n_int:]
+        out[sel] = dst.view("S24").ravel()
+    return out, exact
+
+
+def format_17g(values) -> np.ndarray:
+    """``format(v, ".17g")`` of each float64 in ``values``, as bytes.
+
+    Returns a flat NUL-padded ``S24`` array (``.tolist()`` drops the
+    padding).  The values :func:`_fixed_17g` cannot lay out exactly are
+    formatted one at a time by ``format`` itself.
+    """
+    x = np.asarray(values, dtype=np.float64).ravel()
+    out, exact = _fixed_17g(x)
+    rest = np.flatnonzero(~exact)
+    if rest.size:
+        out[rest] = [format(v, ".17g").encode() for v in x[rest].tolist()]
+    return out
+
+
+def _ascii_rows(texts) -> np.ndarray:
+    """Strings as the rows of a NUL-padded uint8 matrix."""
+    table = np.array([t.encode() for t in texts])
+    return table.view(np.uint8).reshape(len(texts), table.itemsize)
+
+
+def _joined(*fields) -> str:
+    """Concatenate NUL-padded uint8 fields along their last axis; drop the NULs."""
+    shape = np.broadcast_shapes(*(f.shape[:-1] for f in fields))
+    block = np.empty(shape + (sum(f.shape[-1] for f in fields),), np.uint8)
+    col = 0
+    for f in fields:
+        block[..., col:col + f.shape[-1]] = f
+        col += f.shape[-1]
+    return block.tobytes().translate(None, b"\0").decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -94,27 +270,44 @@ def run_riccati(cfg: ExperimentConfig, out: str):
     return 0, f"riccati: {len(rows)} nodes -> {out}"
 
 
-def _trajectory_blocks(cfg: ExperimentConfig):
-    """Trajectory CSV text, one string per grid node of one scenario.
+#: values per formatted array: the trajectory writer formats this many
+#: states (and controls) at a time, whole grid nodes
+_CHUNK_VALUES = 8192
 
-    One scenario's cloud is in memory at a time.  A node's rows come from
-    one ``%`` format of the scenario's template, its ``scenario,particle,``
-    prefixes written once; ``"%.17g" % v`` of a Python float is
-    ``format(v, ".17g")``, so the bytes are those of row-by-row writing.
+
+def _trajectory_blocks(cfg: ExperimentConfig):
+    """Trajectory CSV text, one string per chunk of grid nodes of one scenario.
+
+    One scenario's cloud is in memory at a time, and one chunk's text: whole
+    nodes, about ``_CHUNK_VALUES`` states.  A chunk's rows are NUL-padded
+    byte fields (the ``scenario,particle,`` prefixes, made once per
+    scenario, each node's time, and :func:`format_17g` of its states and
+    controls) joined with the NULs dropped, so the bytes are those of
+    row-by-row writing with ``format(v, ".17g")``.
     """
     params, mc = cfg.params, cfg.mc
     sol = solve_riccati(params, mc.mode, mc.riccati_steps)
     n = mc.particles
-    values = [None] * (3 * n)
+    nodes_per_chunk = max(1, _CHUNK_VALUES // n)
+    comma, newline = np.array([ord(",")], np.uint8), np.array([ord("\n")], np.uint8)
     for scenario in range(mc.scenarios):
         cloud = simulate_optimal(params, sol, mc, scenario)
-        template = "".join(f"{scenario},{i},%s,%.17g,%.17g\n" for i in range(n))
+        prefixes = _ascii_rows([f"{scenario},{i}," for i in range(n)])
+        times = cloud.times.tolist()
         last_step = cloud.grid.n_steps - 1
-        for k, t in enumerate(cloud.times.tolist()):
-            values[0::3] = [format(t, ".17g")] * n
-            values[1::3] = cloud.states[k].tolist()
-            values[2::3] = cloud.controls[min(k, last_step)].tolist()
-            yield template % tuple(values)
+        for start in range(0, len(times), nodes_per_chunk):
+            stop = min(start + nodes_per_chunk, len(times))
+            states = format_17g(cloud.states[start:stop])
+            controls = format_17g(cloud.controls[np.minimum(np.arange(start, stop), last_step)])
+            yield _joined(
+                prefixes,
+                _ascii_rows([format(t, ".17g") for t in times[start:stop]])[:, None, :],
+                comma,
+                states.view(np.uint8).reshape(stop - start, n, 24),
+                comma,
+                controls.view(np.uint8).reshape(stop - start, n, 24),
+                newline,
+            )
 
 
 def run_simulate(cfg: ExperimentConfig, out: str):

@@ -20,7 +20,7 @@ from mfcpoisson.cli import main
 from mfcpoisson.coefficients import lq_coefficients
 from mfcpoisson.config import ConfigError, config_hash, default_config, load_config, parse_config
 from mfcpoisson.errors import DivergenceError, IllPosedError
-from mfcpoisson.experiments import run_simulate, write_csv
+from mfcpoisson.experiments import _fixed_17g, format_17g, run_simulate, write_csv
 from mfcpoisson.lq import solve_riccati
 
 from _oracles import trajectory_csv_reference
@@ -473,12 +473,15 @@ def _simulate_variant(variant: str):
         ]
     elif variant == "2-particles":  # the smallest cloud with an empirical law
         raw["sim"]["particles"] = 2
+    elif variant == "zero-init":  # every state at t = 0 is 0.0, which format_17g hands to format
+        raw["sim"]["init"] = {"kind": "gaussian", "mean": 0.0, "std": 0.0}
     return parse_config(raw)
 
 
 class TestTrajectoryWriterBytes:
     @pytest.mark.parametrize(
-        "variant", ["lq_small", "idiosyncratic", "2-particles", "37-particles", "jump-nodes"]
+        "variant",
+        ["lq_small", "idiosyncratic", "2-particles", "37-particles", "jump-nodes", "zero-init"],
     )
     def test_file_equals_row_by_row_oracle(self, tmp_path, variant):
         cfg = _simulate_variant(variant)
@@ -492,6 +495,28 @@ class TestTrajectoryWriterBytes:
             uniform_nodes = round(cfg.params.T / cfg.mc.dt) + 1
             assert n_rows > cfg.mc.scenarios * cfg.mc.particles * uniform_nodes
 
+
+def _float_edges():
+    """Values next to the edges of format_17g's array path, and outside it."""
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+             0.09999999999999999, 1 + 2**-17, 1 + 3 * 2**-17, -(1 + 2**-17), 2.0**60,
+             100.0, -1234.5, math.nan, math.inf, -math.inf]
+    for p in range(-6, 19):
+        for v in (10.0**p, -(10.0**p)):
+            edges += [v, math.nextafter(v, 0.0), math.nextafter(v, math.copysign(math.inf, v))]
+    return np.array(edges)
+
+
+class TestFormat17g:
+    """format_17g against format(v, ".17g"), one value at a time."""
+
+    @staticmethod
+    def assert_equal_to_format(values):
+        got = format_17g(values).tolist()
+        want = [format(v, ".17g").encode() for v in np.asarray(values, float).ravel().tolist()]
+        bad = [(w, g) for w, g in zip(want, got) if w != g]
+        assert len(got) == len(want) and not bad, bad[:5]
+
     @settings(max_examples=500, database=None, derandomize=True)
     @given(st.floats(allow_nan=True, allow_infinity=True))
     @example(-0.0)
@@ -501,8 +526,75 @@ class TestTrajectoryWriterBytes:
     @example(math.nan)
     @example(math.inf)
     @example(-math.inf)
-    def test_percent_format_is_format_17g(self, v):
-        assert "%.17g" % v == format(v, ".17g")
+    @example(1 + 2**-17)  # ties at the 17th digit: half to even rounds down,
+    @example(1 + 3 * 2**-17)  # and up
+    @example(0.09999999999999999)
+    def test_any_float(self, v):
+        self.assert_equal_to_format([v])
+
+    def test_edges(self):
+        edges = _float_edges()
+        self.assert_equal_to_format(edges)
+        self.assert_equal_to_format(np.stack([edges, -edges]))  # any shape, read flat
+
+    def test_seeded_sweep(self):
+        rng = np.random.default_rng(20240901)
+        bits = rng.integers(0, 2**64, 10**6, dtype=np.uint64).view(np.float64)
+        self.assert_equal_to_format(bits)
+        self.assert_equal_to_format(rng.normal(1.0, 0.5, 10**6))
+
+    def test_array_path_and_fallback_both_run(self):
+        edges = _float_edges()
+        _, exact = _fixed_17g(edges)
+        assert exact.any() and not exact.all()
+        on_array_path = dict(zip(edges.tolist(), exact.tolist()))
+        for v in (1e-4, math.nextafter(1e16, 0.0), 1e16, math.nextafter(1e17, 0.0),
+                  0.09999999999999999, -1234.5):
+            assert on_array_path[v], v
+        for v in (1 + 2**-17, 1 + 3 * 2**-17, 0.0, 5e-324, math.nextafter(1e-4, 0.0), 1e17,
+                  2.0**60, math.inf):
+            assert not on_array_path[v], v  # a tie, or outside 1e-4 <= |v| < 1e17
+        assert not _fixed_17g(np.array([math.nan]))[1][0]
+
+
+class TestOutputErrors:
+    """An output path that cannot be written exits 2 with one line naming it."""
+
+    @pytest.mark.parametrize(
+        "command", [["simulate"], ["riccati"], ["cost"], ["verify", "hjb"]], ids=" ".join
+    )
+    def test_missing_directory_exits_2_naming_the_path(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, small_config(particles=20, scenarios=2))
+        out = tmp_path / "missing" / "out.txt"
+        assert main([*command, "--config", path, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"output error: cannot write {out}: No such file or directory"
+        ]
+        assert captured.out == ""
+
+    def test_fp_pairings_in_a_missing_directory_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = small_config(particles=60, scenarios=2, dt=0.05)
+        table = tmp_path / "missing" / "pairings.csv"
+        cfg["output"] = {"fp_pairings": str(table)}
+        assert main(["verify", "fp", "--config", write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"output error: cannot write {table}: No such file or directory"
+        ]
+
+    def test_cli_prints_no_traceback(self, tmp_path):
+        path = write_config(tmp_path, small_config(particles=20, scenarios=2))
+        out = tmp_path / "missing" / "traj.csv"
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "mfcpoisson.cli", "simulate", "--config", path,
+             "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"output error: cannot write {out}: No such file or directory"
+        ]
 
 
 class TestVerifyCommands:

@@ -1,11 +1,14 @@
-"""Run every CLI subcommand once and print its wall time and peak RSS.
+"""Run every CLI subcommand once and print its wall time, peak RSS and output size.
 
     python3 tools/cli_resources.py [--config configs/lq_small.json]
 
 Each subcommand runs as ``python -m mfcpoisson.cli`` from this checkout's
 ``src/`` in a child process whose working directory is a temporary
 directory, and every output file goes there, so nothing is written into the
-checkout.  Peak RSS is the child's ``ru_maxrss`` from ``os.wait4``.
+checkout.  Peak RSS is the child's ``ru_maxrss`` from ``os.wait4``.  The
+output file's size is printed for every subcommand, and for the CSV writers
+(``riccati`` and ``simulate``) also that size over the subcommand's whole
+wall time, start-up included, in MB/s, so a slower writer shows in the log.
 
 Exit code 1 of a subcommand (a check that failed or was inconclusive) is
 shown and accepted: ``verify fp`` on lq_small passes or fails with the seed,
@@ -39,11 +42,17 @@ COMMANDS = [
     ["compare-noise"],
 ]
 ACCEPTED = (0, 1)
+CSV_WRITERS = ("riccati", "simulate")
+MB = float(1 << 20)
+
+
+def output_path(command, work: Path) -> Path:
+    return work / ("-".join(command) + (".csv" if command[0] in CSV_WRITERS else ".json"))
 
 
 def run(command, config: Path, work: Path):
     """(exit code, wall seconds, peak RSS in MB) of one subcommand."""
-    out = work / ("-".join(command) + (".csv" if command[0] in ("riccati", "simulate") else ".json"))
+    out = output_path(command, work)
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     start = time.perf_counter()
@@ -61,13 +70,20 @@ def main(argv=None) -> int:
     parser.add_argument("--config", default=str(ROOT / "configs" / "lq_small.json"))
     config = Path(parser.parse_args(argv).config).resolve()
 
-    print(f"{'command':<20} {'exit':>4} {'wall_s':>8} {'peak_rss_mb':>12}")
+    print(f"{'command':<20} {'exit':>4} {'wall_s':>8} {'peak_rss_mb':>12} "
+          f"{'out_kb':>9} {'csv_mb_s':>9}")
     failed = []
     with tempfile.TemporaryDirectory() as work:
         for command in COMMANDS:
             code, wall, rss = run(command, config, Path(work))
             name = " ".join(command)
-            print(f"{name:<20} {code:>4} {wall:>8.2f} {rss:>12.1f}", flush=True)
+            out = output_path(command, Path(work))
+            nbytes = out.stat().st_size if out.exists() else None
+            size = "-" if nbytes is None else f"{nbytes / 1024:.1f}"
+            rate = "-"
+            if nbytes is not None and command[0] in CSV_WRITERS:
+                rate = f"{nbytes / MB / wall:.1f}"
+            print(f"{name:<20} {code:>4} {wall:>8.2f} {rss:>12.1f} {size:>9} {rate:>9}", flush=True)
             if code not in ACCEPTED:
                 failed.append(f"{name} exited {code}")
     for line in failed:
