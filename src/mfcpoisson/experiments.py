@@ -6,11 +6,14 @@ results come back in scenario order, so the output does not depend on
 the trajectory writer gets those bytes for whole arrays at once from
 :func:`format_17g`, which needs no per-value Python call outside a few rare
 cases.  A file that cannot be written raises :class:`errors.OutputError`
-naming its path.
+naming its path; the subcommands that write JSON (and ``verify fp`` for its
+pairing table) check their paths with :func:`check_writable` before any
+simulation.
 """
 from __future__ import annotations
 
 import json
+import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -65,6 +68,24 @@ def _output_file(path):
     try:
         with open(path, "w") as fh:
             yield fh
+    except OSError as err:
+        raise OutputError(path, err.strerror or str(err)) from err
+
+
+def check_writable(path):
+    """Raise :class:`OutputError` unless ``path`` can be opened for writing.
+
+    Nothing on disk changes: a file that is not there is created and removed
+    again, and one that is there is opened without truncating it.  Called
+    before any simulation, so an unwritable path costs no Monte Carlo work.
+    """
+    try:
+        try:
+            os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            os.close(os.open(path, os.O_WRONLY))
+        else:
+            os.unlink(path)
     except OSError as err:
         raise OutputError(path, err.strerror or str(err)) from err
 
@@ -321,6 +342,8 @@ def run_simulate(cfg: ExperimentConfig, out: str):
 
 
 def run_cost(cfg: ExperimentConfig, out: str, threads: int = 1):
+    if out:
+        check_writable(out)
     params, mc = cfg.params, cfg.mc
     coeffs = lq_coefficients(params)
     rule = optimal_feedback_rule(solve_riccati(params, mc.mode, mc.riccati_steps))
@@ -340,6 +363,8 @@ def run_cost(cfg: ExperimentConfig, out: str, threads: int = 1):
 
 
 def run_chattering(cfg: ExperimentConfig, out: str, threads: int = 1):
+    if out:
+        check_writable(out)
     chat = cfg.verify["chattering"]
     report = check_chattering(
         lq_coefficients(cfg.params),
@@ -364,6 +389,10 @@ def run_verify(kind: str, cfg: ExperimentConfig, out: str, threads: int = 1):
     params, mc = cfg.params, cfg.mc
     if kind not in VERIFY_KINDS:
         raise ConfigError(f"unknown verify kind {kind!r}; choose from {VERIFY_KINDS}")
+    table_path = cfg.output.get("fp_pairings") if kind == "fp" else None
+    for path in (table_path, out):
+        if path:
+            check_writable(path)
     try:
         if kind == "smp":
             sol = solve_riccati(params, mc.mode, mc.riccati_steps)
@@ -400,7 +429,6 @@ def run_verify(kind: str, cfg: ExperimentConfig, out: str, threads: int = 1):
                 params, mc, ratio_band=tuple(cfg.verify["fp_ratio_band"]),
                 config_hash=cfg.config_hash, workers=threads,
             )
-            table_path = cfg.output.get("fp_pairings")
             if table_path:
                 sol = solve_riccati(params, mc.mode, mc.riccati_steps)
                 cloud = simulate_optimal(params, sol, mc, scenario=0)

@@ -16,7 +16,8 @@ rather than silently clipped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from functools import cached_property
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -57,7 +58,7 @@ class RiccatiSolution:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "_last_query", (None, None))
+        object.__setattr__(self, "_memo", (None, None))
 
     @property
     def gamma_l2(self) -> float:
@@ -69,19 +70,38 @@ class RiccatiSolution:
     def eta_at(self, t) -> np.ndarray | float:
         return np.interp(t, self.ts, self.eta)
 
-    def beta_eta_at(self, t) -> Tuple:
-        """``(beta_at(t), eta_at(t))``; the last scalar query is remembered.
+    def feedback_at(self, t) -> Tuple:
+        """``(beta, eta, gain, mean_factor)`` of the optimal feedback at ``t``.
 
-        Paired rules query the same time once each per Euler step, and the
-        remembered pair is the very ``np.interp`` result.
+        The feedback is  alpha(t, x) = mean_factor * m - gain * (x - m)  with
+        gain = b3 beta / (1 + Gamma beta) and mean_factor = -(b2 + b3) s /
+        denom, s = beta + eta and denom the eta denominator of the mode.  The
+        last scalar query is remembered: each Euler step queries its time
+        once for every rule, and the remembered values are the very results
+        of that query.
         """
-        last_t, values = self._last_query
+        last_t, values = self._memo
         if isinstance(t, float) and last_t == t:
             return values
-        values = self.beta_at(t), self.eta_at(t)
+        beta, eta = self.beta_at(t), self.eta_at(t)
+        p, gamma_l2 = self.params, self.gamma_l2
+        s = beta + eta
+        denom = 1.0 + gamma_l2 * (s if self.mode == "common" else beta)
+        values = (
+            beta, eta, p.b3 * beta / (1.0 + gamma_l2 * beta), -(p.b2 + p.b3) * s / denom
+        )
         if isinstance(t, float):
-            object.__setattr__(self, "_last_query", (t, values))
+            object.__setattr__(self, "_memo", (t, values))
         return values
+
+    @cached_property
+    def feedback(self) -> Callable:
+        """The optimal feedback ``(t, x, cond_mean) -> optimal_control(self, ...)``.
+
+        One object per solution, so rules built on it can tell that they
+        share it (see :meth:`simulate.FeedbackRule.derived`).
+        """
+        return lambda t, x, cond_mean: optimal_control(self, t, x, cond_mean)
 
     def rhs_at(self, t) -> Tuple[np.ndarray, np.ndarray]:
         """ODE right-hand side evaluated on the interpolated solution."""
@@ -172,31 +192,20 @@ def solve_riccati(params: LQParams, mode: str, n_steps: int) -> RiccatiSolution:
     return RiccatiSolution(params=params, mode=mode, ts=ts, beta=beta, eta=eta)
 
 
-def _mean_feedback(sol: RiccatiSolution, gamma_l2: float, beta, eta, cond_mean):
-    p = sol.params
-    s = beta + eta
-    denom = 1.0 + gamma_l2 * (s if sol.mode == "common" else beta)
-    return -(p.b2 + p.b3) * s / denom * cond_mean
-
-
 def mean_optimal_control(sol: RiccatiSolution, t, cond_mean):
     """Conditional mean of the optimal feedback."""
-    return _mean_feedback(sol, sol.gamma_l2, *sol.beta_eta_at(t), cond_mean)
+    return sol.feedback_at(t)[3] * cond_mean
 
 
 def optimal_control(sol: RiccatiSolution, t, x, cond_mean):
-    """Optimal feedback  alpha(t, x) ;  vectorized over states."""
-    beta, eta = sol.beta_eta_at(t)
-    gamma_l2 = sol.gamma_l2
-    gain = sol.params.b3 * beta / (1.0 + gamma_l2 * beta)
-    return _mean_feedback(sol, gamma_l2, beta, eta, cond_mean) - gain * (
-        np.asarray(x, dtype=float) - cond_mean
-    )
+    """Optimal feedback  alpha(t, x) ;  vectorized over states and means."""
+    _, _, gain, mean_factor = sol.feedback_at(t)
+    return mean_factor * cond_mean - gain * (np.asarray(x, dtype=float) - cond_mean)
 
 
 def value_function(sol: RiccatiSolution, t, mu: EmpiricalMeasure) -> float:
     """Measure quadratic (beta <x^2> + eta <x>^2)/2."""
-    beta, eta = sol.beta_eta_at(t)
+    beta, eta = sol.feedback_at(t)[:2]
     return float(0.5 * (beta * mu.second_moment_raw() + eta * mu.mean[0] ** 2))
 
 
@@ -214,7 +223,7 @@ def adjoint_ansatz(sol: RiccatiSolution, t, x, cond_mean) -> AdjointTriplet:
     eta*E[alpha|G] under common noise, beta*alpha under idiosyncratic jumps.
     """
     params = sol.params
-    beta, eta = sol.beta_eta_at(t)
+    beta, eta = sol.feedback_at(t)[:2]
     x = np.asarray(x, dtype=float)
     alpha = optimal_control(sol, t, x, cond_mean)
     p = beta * x + eta * cond_mean

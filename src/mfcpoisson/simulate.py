@@ -26,15 +26,17 @@ in any order on any worker: :func:`map_scenarios` fans them out.
 
 Paired rules run in lock-step.  :func:`simulate_record` advances R strict
 rules of one scenario as the rows of an (R, N) cloud in the same Euler loop
-that runs a single rule: each rule is called on its own row, the Brownian
-vector is drawn once per step for all rows, and the coefficients are
-evaluated once on the (R, N) arrays.  Coefficient evaluators must therefore
-be elementwise, and they see ``rho.mean_state[0]`` and
-``rho.mean_control[0]`` as (R, 1) columns.  Each row's means are the same
-dot products that a run of its rule alone forms, so every row of a paired
-record equals the record of its rule alone bit for bit.  When a lock-step
-run fails, the rules are replayed one by one, and the first rule that fails
-alone reports the failure.
+that runs a single rule: each rule is called on its own row, except that
+rules derived from one shared feedback (:meth:`FeedbackRule.derived`, such
+as the LQ optimum and its gain and offset perturbations) share one call on
+their stacked rows; the Brownian vector is drawn once per step for all rows,
+and the coefficients are evaluated once on the (R, N) arrays.  Coefficient
+evaluators must therefore be elementwise, and they see
+``rho.mean_state[0]`` and ``rho.mean_control[0]`` as (R, 1) columns.  Each
+row's means are the same dot products that a run of its rule alone forms,
+so every row of a paired record equals the record of its rule alone bit for
+bit.  When a lock-step run fails, the rules are replayed one by one, and the
+first rule that fails alone reports the failure.
 
 Memory is bounded by one scenario.  Only :func:`simulate_strict` and
 :func:`simulate_relaxed` keep the ``(steps + 1) x N`` history of a
@@ -161,10 +163,26 @@ def build_grid(T: float, dt: float, event_times=()) -> TimeGrid:
 # Control rules
 # ---------------------------------------------------------------------------
 
+def _float_array(values) -> np.ndarray:
+    """``np.asarray(values, dtype=float)``, which a float64 ndarray already is."""
+    if type(values) is np.ndarray and values.dtype == np.float64:
+        return values
+    return np.asarray(values, dtype=float)
+
+
 class FeedbackRule:
     """Strict feedback control u = fn(t, states, cloud mean), vectorized.
 
     A declared control box restricts admissible values; violations raise.
+
+    A rule made by :meth:`derived` plays a shared feedback ``base``, alone
+    or scaled by a gain or shifted by an offset.  Paired rows whose derived
+    rules share one ``base`` object, and declare no box, get one ``base``
+    call on their stacked rows, with their cloud means as an (R, 1) column,
+    so ``base`` must be elementwise; each scaled or shifted row is then
+    multiplied or added to in place, which gives the bits of its own ``fn``
+    call, and a row that plays ``base`` alone is left as ``base`` returned
+    it.  Every other rule is called on its own row.
     """
 
     kind = "strict"
@@ -172,9 +190,12 @@ class FeedbackRule:
     def __init__(self, fn: Callable, box=None):
         self.fn = fn
         self.box = box
+        self.base = None  # the shared feedback of a derived rule
+        self.gain = None
+        self.offset = None
 
     def evaluate(self, t, states, cond_mean):
-        u = np.asarray(self.fn(t, states, cond_mean), dtype=float)
+        u = _float_array(self.fn(t, states, cond_mean))
         if u.shape != states.shape:
             u = np.broadcast_to(u, states.shape)
         if self.box is not None and not self.box.contains(u.reshape(-1, 1)):
@@ -184,6 +205,20 @@ class FeedbackRule:
     @classmethod
     def constant(cls, value: float, box=None) -> "FeedbackRule":
         return cls(lambda t, x, m: np.full_like(x, float(value)), box)
+
+    @classmethod
+    def derived(cls, base: Callable, gain=None, offset=None) -> "FeedbackRule":
+        """The rule ``gain * base``, ``base + offset`` or, given neither, ``base``."""
+        if gain is not None and offset is not None:
+            raise ValueError("a derived rule takes a gain or an offset, not both")
+        if gain is not None:
+            rule = cls(lambda t, x, m: gain * base(t, x, m))
+        elif offset is not None:
+            rule = cls(lambda t, x, m: base(t, x, m) + offset)
+        else:
+            rule = cls(base)
+        rule.base, rule.gain, rule.offset = base, gain, offset
+        return rule
 
 
 class OpenLoopRule:
@@ -449,17 +484,18 @@ class _PairedLaw:
     """Law view of paired strict clouds, one row of ``x`` and ``u`` per rule.
 
     Evaluators see ``mean_state[0]`` and ``mean_control[0]`` as (R, 1)
-    columns.  Row r is the ``w @ x[r]`` product that
-    :meth:`JointEmpiricalMeasure.trusted` forms for a single rule, so every
-    row keeps the bits of its own run; one ``x @ w`` product over all rows
-    would not.
+    columns.  Row r is the ``w @ x[r]`` dot product that
+    :meth:`JointEmpiricalMeasure.trusted` forms for a single rule: one
+    batched ``w @ x[:, :, None]`` product runs that same dot for each row,
+    with the operands in the same order, so every row keeps the bits of its
+    own run; one ``x @ w`` matrix-vector product over all rows would not.
     """
 
     __slots__ = ("mean_state", "mean_control")
 
     def __init__(self, x, u, w_cloud):
-        self.mean_state = np.array([[w_cloud @ row.reshape(-1, 1) for row in x]])
-        self.mean_control = np.array([[w_cloud @ row.reshape(-1, 1) for row in u]])
+        self.mean_state = (w_cloud @ x[:, :, None])[None]
+        self.mean_control = (w_cloud @ u[:, :, None])[None]
 
 
 def _law_view(x, control, w_cloud):
@@ -481,18 +517,19 @@ def _per_particle(fn, x, rho, control, *extra) -> np.ndarray:
     """Coefficient value per particle; relaxed controls average over their atoms."""
     if isinstance(control, RelaxedKernel):
         return control.average(fn(x[:, None], rho, control.supports, *extra))
-    vals = np.asarray(fn(x, rho, control, *extra), dtype=float)
+    vals = _float_array(fn(x, rho, control, *extra))
     return vals if vals.shape == x.shape else np.broadcast_to(vals, x.shape)
 
 
 def _running_cost_rate(coeffs: CoefficientSet, x, rho, control):
     """Cloud mean of the running cost on one step, one per row of ``x``.
 
-    Each row is made contiguous, so its mean has the bits of the same 1-D
-    array's mean even when the evaluator returned a broadcast value.
+    Each row is made contiguous, so its sum has the bits of the same 1-D
+    array's sum even when the evaluator returned a broadcast value; the sum
+    over N is what ``mean`` computes.
     """
-    vals = _per_particle(coeffs.running_cost, x, rho, control)
-    return np.ascontiguousarray(vals).mean(axis=-1)
+    vals = np.ascontiguousarray(_per_particle(coeffs.running_cost, x, rho, control))
+    return np.add.reduce(vals, axis=-1) / vals.shape[-1]
 
 
 def _terminal_cost(coeffs: CoefficientSet, x_T) -> float:
@@ -500,6 +537,45 @@ def _terminal_cost(coeffs: CoefficientSet, x_T) -> float:
     mu_T = EmpiricalMeasure.from_samples(x_T)
     g_vals = np.asarray(coeffs.terminal_cost(x_T, mu_T), dtype=float)
     return float(np.broadcast_to(g_vals, x_T.shape).mean())
+
+
+def _paired_plan(rules):
+    """``(own, shared)``: ``(row, rule)`` for each rule called on its own
+    row, and ``(base, rows, transforms)`` for each group of derived rules
+    on one ``base`` (``rows`` a slice when adjacent; ``transforms`` holds
+    ``(row, np.multiply, gain)`` or ``(row, np.add, offset)``)."""
+    own, groups = [], {}
+    for r, rule in enumerate(rules):
+        base = getattr(rule, "base", None)
+        if base is None or rule.box is not None:
+            own.append((r, rule))
+            continue
+        _, rows, transforms = groups.setdefault(id(base), (base, [], []))
+        rows.append(r)
+        if rule.gain is not None:
+            transforms.append((r, np.multiply, rule.gain))
+        elif rule.offset is not None:
+            transforms.append((r, np.add, rule.offset))
+    shared = [
+        (base, slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] == len(rows) - 1 else rows,
+         transforms)
+        for base, rows, transforms in groups.values()
+    ]
+    return own, shared
+
+
+def _paired_controls(plan, t, x, means, cond_means) -> np.ndarray:
+    """The (R, N) controls of paired strict rules, by :func:`_paired_plan`."""
+    own, shared = plan
+    control = np.empty(x.shape)
+    for base, index, transforms in shared:
+        control[index] = base(t, x[index], means[index, None])
+        for r, op, amount in transforms:
+            row = control[r]
+            op(row, amount, out=row)
+    for r, rule in own:
+        control[r] = rule.evaluate(t, x[r], cond_means[r])
+    return control
 
 
 def _simulate(
@@ -523,7 +599,12 @@ def _simulate(
     initial states, Brownian increments and Poisson events, with the
     coefficients evaluated once on the whole array.  Each row takes exactly
     the steps of a run of its rule alone, so each cost keeps its bits.  A
-    relaxed rule runs alone (R = 1).
+    relaxed rule runs alone (R = 1).  Rules derived from one feedback share
+    one evaluation on their stacked rows (:func:`_paired_plan`).  Each step
+    ends, after its jumps, with one row-sum pass: the sums over N are the
+    next node's means, and a non-finite sum leads to the entry-wise finite
+    test, so a cloud that is not finite at node k + 1, the last included,
+    raises :class:`DivergenceError` with that step and time.
 
     With ``history`` (one rule) it returns the :class:`ParticleCloud`;
     without, it keeps only the current clouds and returns a
@@ -587,29 +668,29 @@ def _simulate(
         controls = None if relaxed else np.empty((m_steps, n_particles))
         relaxed_controls = [] if relaxed else None
     means = np.empty((m_steps + 1, n_rules))
+    # each row's mean has the bits of rows[r].mean(): the same sum, over N
+    means[0] = np.add.reduce(x.reshape(n_rules, n_particles), axis=1) / n_particles
     pre_jump_states: dict = {}
     event_log: list = []
     running = np.zeros(n_rules)
     lam = jumps.intensities
     w_cloud = np.full(n_particles, 1.0 / n_particles)
-    times = grid.times
+    times = grid.times.tolist()
+    plan = _paired_plan(rules) if n_rules > 1 else None
 
     for k in range(m_steps):
         t = times[k]
-        h = times[k + 1] - times[k]
         node = k + 1
+        h = times[node] - t
 
-        rows = x.reshape(n_rules, n_particles)
-        means[k] = rows.mean(axis=1)  # each row's bits, as rows[r].mean()
         cond_means = means[k].tolist()
-        row_controls = [
-            rule.evaluate(t, row, m) for rule, row, m in zip(rules, rows, cond_means)
-        ]
-        if relaxed:
-            # evaluate has validated and normalized the rows
-            control = RelaxedKernel.trusted(*row_controls[0])
+        if plan is None:
+            control = rules[0].evaluate(t, x, cond_means[0])
+            if relaxed:
+                # evaluate has validated and normalized the rows
+                control = RelaxedKernel.trusted(*control)
         else:
-            control = row_controls[0] if n_rules == 1 else np.stack(row_controls)
+            control = _paired_controls(plan, t, x, means[k], cond_means)
 
         noise = gen_brownian.standard_normal(n_particles)
         rho = _law_view(x, control, w_cloud)
@@ -645,8 +726,12 @@ def _simulate(
                     [node] * (hi - lo), marks.tolist(), (shifts / n_particles).T.tolist()
                 ))
 
-        if not np.isfinite(x_new).all():
-            raise DivergenceError(node, float(times[node]))
+        # a finite row sum means a finite row; only a non-finite sum, which
+        # finite entries can reach by overflow, needs the entry-wise test
+        sums = np.add.reduce(x_new.reshape(n_rules, n_particles), axis=1)
+        if not math.isfinite(sum(sums.tolist())) and not np.isfinite(x_new).all():
+            raise DivergenceError(node, times[node])
+        means[node] = sums / n_particles
         if history:
             if relaxed:
                 relaxed_controls.append(control)
@@ -659,7 +744,6 @@ def _simulate(
 
     if not history:
         rows = x.reshape(n_rules, n_particles)
-        means[m_steps] = rows.mean(axis=1)
         return ScenarioRecord(
             costs=[running[r] + _terminal_cost(coeffs, rows[r]) for r in range(n_rules)],
             means=means.reshape(means.shape[:1] + x.shape[:-1]),

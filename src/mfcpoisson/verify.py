@@ -145,7 +145,12 @@ def copy_expectation(
 # ---------------------------------------------------------------------------
 
 def optimal_feedback_rule(sol: RiccatiSolution) -> FeedbackRule:
-    return FeedbackRule(lambda t, x, m: optimal_control(sol, t, x, m))
+    """The optimal feedback of ``sol``, as a rule derived from ``sol.feedback``.
+
+    It and the gain and offset perturbations of the same ``sol`` share one
+    feedback evaluation per step when they run paired.
+    """
+    return FeedbackRule.derived(sol.feedback)
 
 
 PERTURBATION_KINDS = ("offset", "gain", "time-shift")
@@ -163,15 +168,18 @@ class Perturbation:
         return f"{self.kind}={self.amount:g}"
 
     def wrap(self, sol: RiccatiSolution) -> FeedbackRule:
+        """The perturbed optimal feedback of ``sol``.
+
+        Offset and gain rules are derived from ``sol.feedback``, as
+        :func:`optimal_feedback_rule` is, so paired rows of them share one
+        feedback evaluation; a time-shifted rule queries another time and is
+        evaluated on its own row.
+        """
         horizon = sol.params.T
         if self.kind == "offset":
-            return FeedbackRule(
-                lambda t, x, m: optimal_control(sol, t, x, m) + self.amount
-            )
+            return FeedbackRule.derived(sol.feedback, offset=self.amount)
         if self.kind == "gain":
-            return FeedbackRule(
-                lambda t, x, m: self.amount * optimal_control(sol, t, x, m)
-            )
+            return FeedbackRule.derived(sol.feedback, gain=self.amount)
         if self.kind == "time-shift":
             return FeedbackRule(
                 lambda t, x, m: optimal_control(

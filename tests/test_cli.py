@@ -557,13 +557,30 @@ class TestFormat17g:
         assert not _fixed_17g(np.array([math.nan]))[1][0]
 
 
+@pytest.fixture
+def no_euler_loop(monkeypatch):
+    """Make any simulation fail the test: the Euler loop raises when entered."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an Euler loop ran")
+
+    monkeypatch.setattr(simulate, "_simulate", refuse)
+
+
 class TestOutputErrors:
-    """An output path that cannot be written exits 2 with one line naming it."""
+    """An output path that cannot be written exits 2 with one line naming it,
+    before any simulation; a run that fails later leaves the path as it was."""
 
     @pytest.mark.parametrize(
-        "command", [["simulate"], ["riccati"], ["cost"], ["verify", "hjb"]], ids=" ".join
+        "command",
+        [
+            ["simulate"], ["riccati"], ["cost"], ["verify", "hjb"], ["chattering"],
+            ["verify", "optimality"], ["verify", "fp"], ["compare-noise"],
+        ],
+        ids=" ".join,
     )
-    def test_missing_directory_exits_2_naming_the_path(self, tmp_path, capsys, command):
+    def test_missing_directory_exits_2_naming_the_path(
+        self, tmp_path, capsys, command, no_euler_loop
+    ):
         path = write_config(tmp_path, small_config(particles=20, scenarios=2))
         out = tmp_path / "missing" / "out.txt"
         assert main([*command, "--config", path, "--out", str(out)]) == 2
@@ -573,7 +590,9 @@ class TestOutputErrors:
         ]
         assert captured.out == ""
 
-    def test_fp_pairings_in_a_missing_directory_exits_2_naming_it(self, tmp_path, capsys):
+    def test_fp_pairings_in_a_missing_directory_exits_2_naming_it(
+        self, tmp_path, capsys, no_euler_loop
+    ):
         cfg = small_config(particles=60, scenarios=2, dt=0.05)
         table = tmp_path / "missing" / "pairings.csv"
         cfg["output"] = {"fp_pairings": str(table)}
@@ -581,6 +600,35 @@ class TestOutputErrors:
         assert capsys.readouterr().err.splitlines() == [
             f"output error: cannot write {table}: No such file or directory"
         ]
+
+    def test_a_directory_as_the_output_exits_2_naming_it(self, tmp_path, capsys, no_euler_loop):
+        path = write_config(tmp_path, small_config(particles=20, scenarios=2))
+        assert main(["cost", "--config", path, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"output error: cannot write {tmp_path}: Is a directory"
+        ]
+
+    @pytest.mark.parametrize(
+        "command",
+        [["cost"], ["chattering"], ["verify", "optimality"], ["verify", "fp"], ["compare-noise"]],
+        ids=" ".join,
+    )
+    def test_a_numerical_failure_leaves_the_output_paths_as_they_were(
+        self, tmp_path, capsys, command
+    ):
+        cfg = small_config(particles=20, scenarios=2, dt=0.05)
+        cfg["model"]["b1"] = 1e200  # the cloud mean overflows on the first steps
+        new, old = tmp_path / "new.json", tmp_path / "old.json"
+        table = tmp_path / "pairings.csv"
+        cfg["output"] = {"fp_pairings": str(table)}
+        old.write_text("kept\n")
+        path = write_config(tmp_path, cfg)
+        for out in (new, old):
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert main([*command, "--config", path, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+        assert not new.exists() and not table.exists()
+        assert old.read_text() == "kept\n"
 
     def test_cli_prints_no_traceback(self, tmp_path):
         path = write_config(tmp_path, small_config(particles=20, scenarios=2))

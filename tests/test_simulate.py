@@ -819,6 +819,83 @@ class TestReplay:
         assert paired.value.time > 0.3
 
 
+class TestDivergenceOnTheLastStep:
+    """The finite test covers the final node: a control that turns infinite on
+    the last step only diverges at step m_steps, time T."""
+
+    RUN = dict(n_particles=20, T=1.0, dt=0.01, seed=3, scenario=1)
+    COEFFS = lq(jumps=JumpSpec([1.0], [2.0], [0.3]))
+
+    def test_alone_and_in_lock_step(self):
+        times = simulate_strict(self.COEFFS, FeedbackRule.constant(0.0), **self.RUN).grid.times
+        t_last = float(times[-2])
+        blow = _blows_up_from(t_last)
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError) as err:
+                simulate_strict(self.COEFFS, blow, **self.RUN)
+            assert (err.value.step, err.value.time) == (len(times) - 1, 1.0)
+            for rules in ([blow], [FeedbackRule.constant(0.1), blow]):
+                with pytest.raises(DivergenceError) as err:
+                    simulate_record(self.COEFFS, rules, **self.RUN)
+                assert (err.value.step, err.value.time) == (len(times) - 1, 1.0)
+            # a step earlier, the same rule diverges a node earlier
+            with pytest.raises(DivergenceError) as err:
+                simulate_record(self.COEFFS, [_blows_up_from(float(times[-3]))], **self.RUN)
+            assert (err.value.step, err.value.time) == (len(times) - 2, float(times[-2]))
+
+    def test_derived_rules_sharing_a_feedback(self):
+        times = simulate_strict(self.COEFFS, FeedbackRule.constant(0.0), **self.RUN).grid.times
+        base = _blows_up_from(float(times[-2])).fn
+        rules = [FeedbackRule.derived(base, gain=0.5), FeedbackRule.derived(base)]
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+            simulate_record(self.COEFFS, rules, **self.RUN)
+        assert (err.value.step, err.value.time) == (len(times) - 1, 1.0)
+
+    def test_finite_states_whose_sum_overflows_do_not_diverge(self):
+        init = InitSpec("atoms", atoms=np.array([1e308]), weights=np.array([1.0]))
+        coeffs = lq(b3=0.0, c=0.0)
+        run = dict(n_particles=4, T=1.0, dt=0.25, seed=1, init=init)
+        rules = [FeedbackRule.constant(0.0), FeedbackRule.constant(1.0)]
+        with np.errstate(over="ignore"):
+            cloud = simulate_strict(coeffs, rules[0], **run)
+            record = simulate_record(coeffs, rules, **run)
+            assert np.isfinite(cloud.states).all()
+            assert np.isinf(record.means).all()
+            assert (record.means[:, 0] == cloud.states.mean(axis=1)).all()
+
+
+class TestLeanStepMeans:
+    """The step's batched means have the bits of each row's own computation."""
+
+    @staticmethod
+    def clouds(gen):
+        """(R, N) arrays: R in 1..6, N in 2..5,000, scales 1e-3..1e3."""
+        sizes = [2, 3, 7, 8, 9, 16, 17, 127, 128, 129, 1000, 4999, 5000]
+        sizes += [int(n) for n in np.exp(gen.uniform(np.log(2), np.log(5000), 60))]
+        for n in sizes:
+            for n_rows in (1, 2, 3, 4, 5, 6):
+                scale = 10.0 ** gen.uniform(-3.0, 3.0)
+                yield scale * (gen.normal() + gen.standard_normal((n_rows, n)))
+
+    def test_batched_law_means_equal_the_per_row_products(self):
+        gen = np.random.default_rng(18)
+        for x in self.clouds(gen):
+            n_rows, n = x.shape
+            u = np.ascontiguousarray(-0.7 * x[::-1] + gen.normal())
+            w = np.full(n, 1.0 / n)
+            law = simulate._PairedLaw(x, u, w)
+            assert law.mean_state.shape == law.mean_control.shape == (1, n_rows, 1)
+            for r in range(n_rows):
+                assert law.mean_state[0, r].tobytes() == (w @ x[r].reshape(-1, 1)).tobytes()
+                assert law.mean_control[0, r].tobytes() == (w @ u[r].reshape(-1, 1)).tobytes()
+
+    def test_row_sums_over_n_equal_each_rows_mean(self):
+        gen = np.random.default_rng(19)
+        for x in self.clouds(gen):
+            means = np.add.reduce(x, axis=1) / x.shape[1]
+            assert means.tobytes() == np.array([row.mean() for row in x]).tobytes()
+
+
 class TestRelaxedLoopOracle:
     """The relaxed loop equals a step-by-step run through validated joints."""
 

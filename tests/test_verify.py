@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -448,6 +449,26 @@ class TestLockStep:
                 Perturbation("time-shift", 0.2),
             ]
             return [optimal_feedback_rule(sol)] + [p.wrap(sol) for p in perts] + [open_loop]
+        # rules derived from one solution share its feedback evaluation, in
+        # any order and with or without the optimum itself
+        if case == "derived-only":
+            sol = solve_riccati(params, mode, 1024)
+            perts = [Perturbation("gain", 1.5), Perturbation("offset", 0.25),
+                     Perturbation("gain", -0.5), Perturbation("offset", -0.5)]
+            return [p.wrap(sol) for p in perts]
+        if case == "optimum-last":
+            sol = solve_riccati(params, mode, 1024)
+            perts = [Perturbation("offset", 0.5), Perturbation("time-shift", 0.1),
+                     Perturbation("gain", 0.75)]
+            return [p.wrap(sol) for p in perts] + [open_loop, optimal_feedback_rule(sol)]
+        if case == "two-solutions":
+            sol = solve_riccati(params, mode, 1024)
+            other = solve_riccati(replace(params, c=3.0), mode, 512)
+            return [
+                optimal_feedback_rule(sol), Perturbation("gain", 0.5).wrap(other),
+                Perturbation("offset", -0.5).wrap(sol), optimal_feedback_rule(other),
+                Perturbation("gain", 0.5).wrap(sol),
+            ]
         if case == "chattering":
             relaxed = RelaxedRule.constant(np.array([0.2, 0.8]), np.array([0.3, 0.7]))
             return [ChatteringRule(relaxed, n_slabs, params.T) for n_slabs in (2, 4, 8, 16, 32)]
@@ -459,7 +480,10 @@ class TestLockStep:
 
     @pytest.mark.parametrize("n", [37, 500, 1001])
     @pytest.mark.parametrize("mode", ["common", "idiosyncratic"])
-    @pytest.mark.parametrize("case", ["perturbed", "chattering", "mean-field"])
+    @pytest.mark.parametrize(
+        "case",
+        ["perturbed", "chattering", "mean-field", "derived-only", "optimum-last", "two-solutions"],
+    )
     def test_each_cost_equals_its_rule_alone(self, case, mode, n):
         params = make_params(jumps=JumpSpec([1.0, 2.0], [1.5, 1.0], [0.3, -0.2]))
         coeffs = mean_field_set() if case == "mean-field" else lq_coefficients(params)
