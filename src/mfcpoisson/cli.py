@@ -15,6 +15,7 @@ from .config import ConfigError, load_config
 from .errors import DivergenceError, IllPosedError, OutputError
 from .experiments import (
     VERIFY_KINDS,
+    check_writable,
     run_chattering,
     run_cost,
     run_riccati,
@@ -72,6 +73,8 @@ def main(argv=None) -> int:
             from .config import parse_config
 
             cfg = parse_config(raw)
+        if args.out:
+            check_writable(args.out)
         if args.command == "riccati":
             code, line = run_riccati(cfg, args.out or "riccati.csv")
         elif args.command == "simulate":

@@ -6,14 +6,15 @@ results come back in scenario order, so the output does not depend on
 the trajectory writer gets those bytes for whole arrays at once from
 :func:`format_17g`, which needs no per-value Python call outside a few rare
 cases.  A file that cannot be written raises :class:`errors.OutputError`
-naming its path; the subcommands that write JSON (and ``verify fp`` for its
-pairing table) check their paths with :func:`check_writable` before any
-simulation.
+naming its path; the CLI checks ``--out``, and ``verify fp`` its pairing
+table, with :func:`check_writable` before any simulation.
 """
 from __future__ import annotations
 
+import errno
 import json
 import os
+import stat
 from contextlib import contextmanager
 
 import numpy as np
@@ -73,19 +74,27 @@ def _output_file(path):
 
 
 def check_writable(path):
-    """Raise :class:`OutputError` unless ``path`` can be opened for writing.
+    """Raise :class:`OutputError` when ``path`` plainly cannot be written.
 
-    Nothing on disk changes: a file that is not there is created and removed
-    again, and one that is there is opened without truncating it.  Called
-    before any simulation, so an unwritable path costs no Monte Carlo work.
+    A missing path needs a writable directory above it; an existing one
+    must be a writable non-directory (by ``os.access``).  Nothing is opened
+    or created, so a FIFO is opened once, at write time.  Called before any
+    simulation, so such a path costs no Monte Carlo work; the open at write
+    time still reports whatever else goes wrong.
     """
     try:
         try:
-            os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
-        except FileExistsError:
-            os.close(os.open(path, os.O_WRONLY))
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            parent = os.path.dirname(path) or "."
+            os.stat(parent)  # a missing directory raises here
+            writable = os.access(parent, os.W_OK | os.X_OK)
         else:
-            os.unlink(path)
+            if stat.S_ISDIR(mode):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            writable = os.access(path, os.W_OK)
+        if not writable:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
     except OSError as err:
         raise OutputError(path, err.strerror or str(err)) from err
 
@@ -342,8 +351,6 @@ def run_simulate(cfg: ExperimentConfig, out: str):
 
 
 def run_cost(cfg: ExperimentConfig, out: str, threads: int = 1):
-    if out:
-        check_writable(out)
     params, mc = cfg.params, cfg.mc
     coeffs = lq_coefficients(params)
     rule = optimal_feedback_rule(solve_riccati(params, mc.mode, mc.riccati_steps))
@@ -363,8 +370,6 @@ def run_cost(cfg: ExperimentConfig, out: str, threads: int = 1):
 
 
 def run_chattering(cfg: ExperimentConfig, out: str, threads: int = 1):
-    if out:
-        check_writable(out)
     chat = cfg.verify["chattering"]
     report = check_chattering(
         lq_coefficients(cfg.params),
@@ -390,9 +395,8 @@ def run_verify(kind: str, cfg: ExperimentConfig, out: str, threads: int = 1):
     if kind not in VERIFY_KINDS:
         raise ConfigError(f"unknown verify kind {kind!r}; choose from {VERIFY_KINDS}")
     table_path = cfg.output.get("fp_pairings") if kind == "fp" else None
-    for path in (table_path, out):
-        if path:
-            check_writable(path)
+    if table_path:
+        check_writable(table_path)
     try:
         if kind == "smp":
             sol = solve_riccati(params, mc.mode, mc.riccati_steps)

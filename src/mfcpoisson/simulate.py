@@ -163,13 +163,6 @@ def build_grid(T: float, dt: float, event_times=()) -> TimeGrid:
 # Control rules
 # ---------------------------------------------------------------------------
 
-def _float_array(values) -> np.ndarray:
-    """``np.asarray(values, dtype=float)``, which a float64 ndarray already is."""
-    if type(values) is np.ndarray and values.dtype == np.float64:
-        return values
-    return np.asarray(values, dtype=float)
-
-
 class FeedbackRule:
     """Strict feedback control u = fn(t, states, cloud mean), vectorized.
 
@@ -195,7 +188,7 @@ class FeedbackRule:
         self.offset = None
 
     def evaluate(self, t, states, cond_mean):
-        u = _float_array(self.fn(t, states, cond_mean))
+        u = np.asarray(self.fn(t, states, cond_mean), dtype=float)
         if u.shape != states.shape:
             u = np.broadcast_to(u, states.shape)
         if self.box is not None and not self.box.contains(u.reshape(-1, 1)):
@@ -517,7 +510,7 @@ def _per_particle(fn, x, rho, control, *extra) -> np.ndarray:
     """Coefficient value per particle; relaxed controls average over their atoms."""
     if isinstance(control, RelaxedKernel):
         return control.average(fn(x[:, None], rho, control.supports, *extra))
-    vals = _float_array(fn(x, rho, control, *extra))
+    vals = np.asarray(fn(x, rho, control, *extra), dtype=float)
     return vals if vals.shape == x.shape else np.broadcast_to(vals, x.shape)
 
 
@@ -542,7 +535,7 @@ def _terminal_cost(coeffs: CoefficientSet, x_T) -> float:
 def _paired_plan(rules):
     """``(own, shared)``: ``(row, rule)`` for each rule called on its own
     row, and ``(base, rows, transforms)`` for each group of derived rules
-    on one ``base`` (``rows`` a slice when adjacent; ``transforms`` holds
+    on one ``base`` (``rows`` a list of row indices; ``transforms`` holds
     ``(row, np.multiply, gain)`` or ``(row, np.add, offset)``)."""
     own, groups = [], {}
     for r, rule in enumerate(rules):
@@ -556,12 +549,7 @@ def _paired_plan(rules):
             transforms.append((r, np.multiply, rule.gain))
         elif rule.offset is not None:
             transforms.append((r, np.add, rule.offset))
-    shared = [
-        (base, slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] == len(rows) - 1 else rows,
-         transforms)
-        for base, rows, transforms in groups.values()
-    ]
-    return own, shared
+    return own, list(groups.values())
 
 
 def _paired_controls(plan, t, x, means, cond_means) -> np.ndarray:

@@ -6,6 +6,7 @@ import pickle
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -607,6 +608,48 @@ class TestOutputErrors:
         assert capsys.readouterr().err.splitlines() == [
             f"output error: cannot write {tmp_path}: Is a directory"
         ]
+
+    def test_an_unwritable_directory_exits_2_and_nothing_is_opened(
+        self, tmp_path, capsys, monkeypatch, no_euler_loop
+    ):
+        path = write_config(tmp_path, small_config(particles=20, scenarios=2))
+        out = tmp_path / "new.json"
+
+        def refuse_open(*args, **kwargs):
+            raise AssertionError("the check opened a path")
+
+        monkeypatch.setattr(os, "access", lambda p, mode: False)
+        monkeypatch.setattr(os, "open", refuse_open)
+        assert main(["cost", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"output error: cannot write {out}: Permission denied"
+        ]
+        assert not out.exists()
+
+    def test_a_fifo_output_is_opened_once(self, tmp_path):
+        """The check does not open a FIFO: a reader gets the whole report."""
+        path = write_config(tmp_path, small_config(particles=20, scenarios=2))
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        src = Path(__file__).resolve().parents[1] / "src"
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "mfcpoisson.cli", "cost", "--config", path,
+                 "--out", str(fifo)],
+                env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+                timeout=60,
+            )
+        finally:
+            try:  # unblock a reader still waiting for a writer
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:
+                pass
+            reader.join(timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(received[0])["scenarios"] == 2
 
     @pytest.mark.parametrize(
         "command",
