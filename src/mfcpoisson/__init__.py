@@ -7,14 +7,11 @@ from .coefficients import (  # noqa: F401
     CoefficientSet,
     JumpSpec,
     LQParams,
-    delta_hamiltonian_relaxed,
     delta_hamiltonian_strict,
-    hamiltonian_relaxed,
     hamiltonian_strict,
     lq_coefficients,
 )
 from .lq import (  # noqa: F401
-    LQValueEvaluator,
     RiccatiSolution,
     adjoint_ansatz,
     optimal_control,
@@ -23,21 +20,16 @@ from .lq import (  # noqa: F401
     value_function,
 )
 from .measures import (  # noqa: F401
-    Box,
     EmpiricalMeasure,
     JointEmpiricalMeasure,
     RelaxedKernel,
-    extend,
     fm_distance,
     joint_with_kernel,
-    kr_distance,
-    second_moment,
 )
 from .simulate import (  # noqa: F401
     ChatteringRule,
     FeedbackRule,
     InitSpec,
-    OpenLoopRule,
     ParticleCloud,
     PoissonPath,
     RelaxedRule,

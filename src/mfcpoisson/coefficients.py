@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .measures import EmpiricalMeasure, JointEmpiricalMeasure, RelaxedKernel, joint_with_kernel
+from .measures import JointEmpiricalMeasure
 
 
 @dataclass(frozen=True)
@@ -317,38 +317,3 @@ def delta_hamiltonian_strict(
         coeffs.ddrho_running_cost(x, u, rho, xp, up),
         lambda j: coeffs.ddrho_jump(x, u, rho, xp, up, j),
     )
-
-
-def hamiltonian_relaxed(
-    x: float,
-    q: tuple,
-    mu: EmpiricalMeasure,
-    kernel: RelaxedKernel,
-    adj: AdjointTriplet,
-    coeffs: CoefficientSet,
-) -> float:
-    """q-average of the strict Hamiltonian at the projection of the relaxed
-    joint ``(mu, kernel)``; ``q`` is a kernel row's 1-D ``(support, weights)``."""
-    support, weights = q
-    return float(weights @ hamiltonian_strict(
-        x, support, joint_with_kernel(mu, kernel), adj, coeffs
-    ))
-
-
-def delta_hamiltonian_relaxed(
-    x: float,
-    q: tuple,
-    mu: EmpiricalMeasure,
-    kernel: RelaxedKernel,
-    xp: float,
-    qp: tuple,
-    adj: AdjointTriplet,
-    coeffs: CoefficientSet,
-) -> float:
-    """Double q-average of the strict delta-Hamiltonian kernel; ``q`` and
-    ``qp`` are ``(support, weights)`` rows as in :func:`hamiltonian_relaxed`."""
-    (support, weights), (support_p, weights_p) = q, qp
-    values = delta_hamiltonian_strict(
-        x, support[:, None], joint_with_kernel(mu, kernel), xp, support_p, adj, coeffs
-    )
-    return float(weights @ values @ weights_p)

@@ -350,21 +350,3 @@ def load_config(path) -> ExperimentConfig:
             f"{p}:{err.lineno}:{err.colno}: malformed JSON: {err.msg}"
         ) from err
     return parse_config(raw)
-
-
-def default_config(seed: int = 20240901) -> dict:
-    """A complete runnable configuration for the built-in model."""
-    return {
-        "model": {"b1": 0.5, "b2": 0.4, "b3": 1.0, "sigma": 0.4, "c": 1.0, "T": 1.0},
-        "jumps": {"marks": [{"z": 1.0, "lambda": 1.0, "gamma": 0.3}]},
-        "sim": {
-            "particles": 500,
-            "scenarios": 16,
-            "dt": 1e-3,
-            "seed": seed,
-            "mode": "common",
-            "init": {"kind": "gaussian", "mean": 1.0, "std": 0.5},
-        },
-        "verify": {},
-        "output": {},
-    }

@@ -6,7 +6,7 @@ class DimensionMismatchError(ValueError):
 
 
 class SizeLimitError(ValueError):
-    """Transport instance exceeds the exact-LP atom budget."""
+    """An instance exceeds the atom budget of the exact Fortet-Mourier distance."""
 
 
 class CoverageError(KeyError):

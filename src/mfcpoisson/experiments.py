@@ -15,7 +15,8 @@ import errno
 import json
 import os
 import stat
-from contextlib import contextmanager
+import tempfile
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -59,16 +60,60 @@ def _quoted(text: str) -> str:
     return text
 
 
-@contextmanager
-def _output_file(path):
-    """``open(path, "w")``; an OSError while it is open becomes an OutputError.
+def _replacement_mode(target):
+    """The mode ``open(target, "w")`` would leave ``target`` with, when
+    ``target`` can be replaced by a file written beside it, else None.
 
-    The rows written inside do no I/O of their own, so the error is the
-    file's.
+    That is when ``target`` is a writable regular file, or is missing, in a
+    directory the process can write.
     """
     try:
-        with open(path, "w") as fh:
-            yield fh
+        st = os.stat(target)
+    except FileNotFoundError:
+        mode = None
+    else:
+        if not (stat.S_ISREG(st.st_mode) and os.access(target, os.W_OK)):
+            return None
+        mode = stat.S_IMODE(st.st_mode)
+    if not os.access(os.path.dirname(target), os.W_OK | os.X_OK):
+        return None
+    if mode is None:
+        umask = os.umask(0o077)  # the only way to read it; set back at once
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    return mode
+
+
+@contextmanager
+def _output_file(path):
+    """A text file that ends up at ``path``; an OSError while it is open
+    becomes an OutputError.
+
+    A regular file, or a missing path, in a writable directory is written to
+    a temporary file beside it, which replaces it only once the body has
+    finished, so a run that fails leaves ``path`` as it was.  It gets the mode
+    ``open(path, "w")`` would give.  Any other target, such as a FIFO or a
+    device, is opened directly.  The rows written inside do no I/O of their
+    own, so the error is the file's.
+    """
+    try:
+        target = os.path.realpath(path)
+        mode = _replacement_mode(target)
+        if mode is None:
+            with open(path, "w") as fh:
+                yield fh
+            return
+        directory, name = os.path.split(target)
+        fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+        try:
+            with open(fd, "w") as fh:
+                os.fchmod(fd, mode)
+                yield fh
+            os.replace(tmp, target)
+        except BaseException:
+            with suppress(OSError):
+                os.unlink(tmp)
+            raise
     except OSError as err:
         raise OutputError(path, err.strerror or str(err)) from err
 

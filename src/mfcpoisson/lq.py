@@ -209,11 +209,6 @@ def value_function(sol: RiccatiSolution, t, mu: EmpiricalMeasure) -> float:
     return float(0.5 * (beta * mu.second_moment_raw() + eta * mu.mean[0] ** 2))
 
 
-def value_gradient(sol: RiccatiSolution, t, x, mean):
-    """Measure derivative of the value function at atom x: beta*x + eta*mean."""
-    return sol.beta_at(t) * np.asarray(x, dtype=float) + sol.eta_at(t) * mean
-
-
 def adjoint_ansatz(sol: RiccatiSolution, t, x, cond_mean) -> AdjointTriplet:
     """Adjoint triplet at states x; the control is the optimal feedback.
 
@@ -233,26 +228,6 @@ def adjoint_ansatz(sol: RiccatiSolution, t, x, cond_mean) -> AdjointTriplet:
     else:
         k_scale = beta * alpha
     return AdjointTriplet(p, big_p, np.multiply.outer(k_scale, params.jumps.gamma_values))
-
-
-class LQValueEvaluator:
-    """Value function with the derivative pieces the measure chain rule needs."""
-
-    def __init__(self, sol: RiccatiSolution):
-        self.sol = sol
-
-    def value(self, t, mu: EmpiricalMeasure) -> float:
-        return value_function(self.sol, t, mu)
-
-    def dt(self, t, mu: EmpiricalMeasure) -> float:
-        dbeta, deta = self.sol.rhs_at(t)
-        return float(0.5 * (dbeta * mu.second_moment_raw() + deta * mu.mean[0] ** 2))
-
-    def dmu(self, t, mu: EmpiricalMeasure, x):
-        return value_gradient(self.sol, t, x, mu.mean[0])
-
-    def dx_dmu(self, t, mu: EmpiricalMeasure, x):
-        return self.sol.beta_at(t) + 0.0 * np.asarray(x, dtype=float)
 
 
 def quadratic_minimizer(

@@ -13,13 +13,11 @@ which also holds the Bayes product ``joint_with_kernel``:
 * ``shift_adjoint`` is the post-jump law: every atom fans out along its
   kernel row and moves by the jump amplitude (adjoint of the test-function
   shift operator, realized by atom expansion);
-* ``pair_A0`` pairs a smooth test function with the drift generator in weak
-  form;
+* ``apply_A1`` is the jump generator, the shifted law minus the law;
+* ``drift_pairings`` pairs smooth test functions with the drift generator in
+  weak form;
 * ``fp_step`` predicts one step of test-function pairings for comparison
-  against a particle cloud;
-* ``ito_residual`` measures how closely a functional of the measure path
-  follows its chain-rule decomposition (drift pairing plus event
-  differences).
+  against a particle cloud.
 """
 from __future__ import annotations
 
@@ -199,14 +197,6 @@ def _jumped_atoms(
     return x + gamma, rho
 
 
-def apply_shift(
-    fn: Callable, mu: EmpiricalMeasure, kernel: RelaxedKernel, mark: int,
-    coeffs: CoefficientSet,
-) -> np.ndarray:
-    """Test-function shift operator: the kernel average of fn(x + jump) at each atom."""
-    return kernel.average(fn(_jumped_atoms(mu, kernel, mark, coeffs)[0]))
-
-
 def shift_adjoint(
     mu: EmpiricalMeasure, kernel: RelaxedKernel, mark: int, coeffs: CoefficientSet
 ) -> EmpiricalMeasure:
@@ -252,14 +242,6 @@ def drift_pairings(
     return pairings
 
 
-def pair_A0(
-    phi: TestFunction, mu: EmpiricalMeasure, kernel: RelaxedKernel,
-    coeffs: CoefficientSet,
-) -> float:
-    """Weak-form drift generator: <(bhat - <gammahat, lambda>) phi' + diff phi''/2, mu>."""
-    return drift_pairings(mu, aggregate_coeffs(mu, kernel, coeffs), coeffs, (phi,))[0]
-
-
 def fp_step(
     mu: EmpiricalMeasure,
     kernel: RelaxedKernel,
@@ -293,55 +275,3 @@ def fp_step(
         predicted += dt * drift_term
         out[phi.name] = predicted + jump_pairings.get(phi.name, 0.0)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Chain rule along a measure path
-# ---------------------------------------------------------------------------
-
-@dataclass
-class MeasurePath:
-    """Discretized measure flow: per-node laws, per-step kernels, event records.
-
-    ``jumps`` maps a node index to the events landing there, each carrying the
-    pre-jump law and the kernel in force just before the event.
-    """
-
-    times: np.ndarray
-    measures: list
-    kernels: list
-    jumps: dict
-
-
-def ito_residual(evaluator, path: MeasurePath, coeffs: CoefficientSet) -> np.ndarray:
-    """Per-step defect of the chain rule for a functional of the measure flow.
-
-    ``evaluator`` provides ``value(t, mu)``, ``dt(t, mu)``, ``dmu(t, mu, x)``
-    and ``dx_dmu(t, mu, x)`` (the last two vectorized over atoms).  The
-    residual of step k is the increment of ``value`` minus the drift pairing
-    minus the event differences.
-    """
-    for name in ("value", "dt", "dmu", "dx_dmu"):
-        if not hasattr(evaluator, name):
-            raise AttributeError(f"evaluator lacks {name!r}")
-    times = path.times
-    n_steps = len(times) - 1
-    residuals = np.empty(n_steps)
-    for k in range(n_steps):
-        t, t_next = times[k], times[k + 1]
-        h = t_next - t
-        mu, kernel = path.measures[k], path.kernels[k]
-        lifted = TestFunction(
-            "dmu", value=None,
-            dx=lambda x: evaluator.dmu(t, mu, x), dxx=lambda x: evaluator.dx_dmu(t, mu, x),
-        )
-        drift = evaluator.dt(t, mu) + drift_pairings(
-            mu, aggregate_coeffs(mu, kernel, coeffs), coeffs, (lifted,)
-        )[0]
-        jump_part = 0.0
-        for mark, pre_mu, pre_kernel in path.jumps.get(k + 1, ()):
-            shifted = shift_adjoint(pre_mu, pre_kernel, mark, coeffs)
-            jump_part += evaluator.value(t_next, shifted) - evaluator.value(t_next, pre_mu)
-        increment = evaluator.value(t_next, path.measures[k + 1]) - evaluator.value(t, mu)
-        residuals[k] = increment - drift * h - jump_part
-    return residuals

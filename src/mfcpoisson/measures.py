@@ -1,4 +1,4 @@
-"""Finite-atom measures, relaxed kernels and optimal-transport metrics.
+"""Finite-atom measures, relaxed kernels and the Fortet-Mourier distance.
 
 Every probability object in the toolkit is a weighted finite atom cloud:
 
@@ -10,32 +10,25 @@ Every probability object in the toolkit is a weighted finite atom cloud:
 
 A relaxed joint law on R^n x P(U) is the pair ``(mu, kernel)``: atom i of
 ``mu`` carries the control measure of kernel row i.  ``joint_with_kernel``
-is its projection onto a strict joint (the Bayes product), and ``extend``
-evaluates strict-joint functionals through that projection.
+is its projection onto a strict joint (the Bayes product).
 
-Distances are computed exactly: the Fortet-Mourier norm between probability
-measures equals optimal transport with ground cost ``min(d, 2)`` (Kantorovich
-duality for the 1-Lipschitz, sup-norm<=1 test class), and the
-Kantorovich-Rubinstein metric on relaxed joints is Wasserstein-1 for the
-product metric ``|x-x'| + fm(q, q')``.  The Fortet-Mourier distance of scalar
-laws is solved on its dual by a dynamic program over the merged support; the
-Kantorovich-Rubinstein transport problem is a dense LP.  Both are exact for
-the atom counts this toolkit targets; larger instances are rejected rather
-than approximated.
+The Fortet-Mourier distance between probability measures a and b on R^1,
+the sup of the integral of f d(a - b) over 1-Lipschitz f with |f| <= 1, is
+computed exactly by a dynamic program over the merged support, for the atom
+counts this toolkit targets; larger instances are rejected rather than
+approximated.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
 from .errors import CoverageError, DimensionMismatchError, SizeLimitError
 
-#: Largest atom count per side for the exact metrics: the dense transport LP
-#: and the Fortet-Mourier dynamic program.
+#: Largest atom count per side for the exact Fortet-Mourier dynamic program.
 MAX_EXACT_ATOMS = 64
 
 _WEIGHT_TOL = 1e-12
@@ -97,71 +90,6 @@ def _load_weights(data: dict) -> np.ndarray:
             f"serialized weights sum to {total!r}; off by more than {_LOAD_TOL}"
         )
     return w / total
-
-
-def transport_cost(
-    weights_a: np.ndarray,
-    weights_b: np.ndarray,
-    cost: np.ndarray,
-) -> float:
-    """Exact optimal-transport cost between two weight vectors.
-
-    Solves the dense Kantorovich LP with the HiGHS simplex; one marginal
-    constraint is dropped (it is implied by the others), which keeps the
-    system full-rank.
-    """
-    # imported here: scipy.optimize dominates the package's import time, and
-    # only the exact transport metrics need it
-    from scipy.optimize import linprog
-
-    na, nb = len(weights_a), len(weights_b)
-    _check_exact_size(na, nb)
-    if cost.shape != (na, nb):
-        raise ValueError(f"cost matrix shape {cost.shape} != ({na}, {nb})")
-
-    # Row constraints: sum_j T[i, j] = a_i; column constraints: sum_i T[i, j] = b_j.
-    n_var = na * nb
-    a_eq = np.zeros((na + nb - 1, n_var))
-    for i in range(na):
-        a_eq[i, i * nb : (i + 1) * nb] = 1.0
-    for j in range(nb - 1):
-        a_eq[na + j, j::nb] = 1.0
-    b_eq = np.concatenate([weights_a, weights_b[:-1]])
-
-    res = linprog(
-        cost.reshape(-1),
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=(0.0, None),
-        method="highs",
-    )
-    if res.status != 0:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    return float(res.fun)
-
-
-@dataclass(frozen=True)
-class Box:
-    """Compact axis-aligned control box U in R^m."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        if lo.shape != hi.shape or np.any(lo > hi):
-            raise ValueError("box bounds must satisfy lower <= upper componentwise")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-
-    def contains(self, points: np.ndarray, tol: float = 1e-12) -> bool:
-        pts = _as_atoms(points)
-        return bool(
-            np.all(pts >= self.lower - tol) and np.all(pts <= self.upper + tol)
-        )
 
 
 @dataclass(frozen=True)
@@ -417,22 +345,9 @@ def joint_with_kernel(mu: EmpiricalMeasure, kernel: RelaxedKernel) -> JointEmpir
     )
 
 
-def extend(
-    h: Callable[[JointEmpiricalMeasure], float], mu: EmpiricalMeasure, kernel: RelaxedKernel
-) -> float:
-    """Extension transformation: evaluate a strict-joint functional on the
-    relaxed joint ``(mu, kernel)`` through its projection."""
-    return h(joint_with_kernel(mu, kernel))
-
-
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------
-
-def _euclidean_cost(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.sum(diff**2, axis=2))
-
 
 def fm_distance(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     """Fortet-Mourier distance between two measures on R^1.
@@ -483,34 +398,3 @@ def fm_distance(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
         x = np.concatenate([[-1.0], x[inner], [1.0]])
         y = np.concatenate([ends[:1], y[inner], ends[1:]]) + c_i * x
     return float(y.max())
-
-
-def kr_distance(
-    mu_a: EmpiricalMeasure, kernel_a: RelaxedKernel,
-    mu_b: EmpiricalMeasure, kernel_b: RelaxedKernel,
-) -> float:
-    """Kantorovich-Rubinstein (Wasserstein-1) distance between relaxed joints.
-
-    Ground metric between atoms (x, q) and (x', q') is |x - x'| + fm(q, q'),
-    where q and q' are the kernel rows of the two atoms.
-    """
-    kernel_a.require_cover(mu_a)
-    kernel_b.require_cover(mu_b)
-    if mu_a.dim != mu_b.dim:
-        raise DimensionMismatchError(f"joints live on R^{mu_a.dim} and R^{mu_b.dim}")
-    rows_a, rows_b = (
-        [EmpiricalMeasure.trusted(s, w) for s, w in zip(k.supports, k.weights)]
-        for k in (kernel_a, kernel_b)
-    )
-    q_cost = np.array([[fm_distance(qa, qb) for qb in rows_b] for qa in rows_a])
-    cost = _euclidean_cost(mu_a.atoms, mu_b.atoms) + q_cost
-    return transport_cost(mu_a.weights, mu_b.weights, cost)
-
-
-def second_moment(rho: JointEmpiricalMeasure) -> float:
-    """Joint second moment sqrt(integral of |x|^2 + |u|^2)."""
-    total = float(
-        rho.weights
-        @ (np.sum(rho.states**2, axis=1) + np.sum(rho.controls**2, axis=1))
-    )
-    return float(np.sqrt(max(total, 0.0)))

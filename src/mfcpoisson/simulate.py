@@ -166,23 +166,20 @@ def build_grid(T: float, dt: float, event_times=()) -> TimeGrid:
 class FeedbackRule:
     """Strict feedback control u = fn(t, states, cloud mean), vectorized.
 
-    A declared control box restricts admissible values; violations raise.
-
     A rule made by :meth:`derived` plays a shared feedback ``base``, alone
     or scaled by a gain or shifted by an offset.  Paired rows whose derived
-    rules share one ``base`` object, and declare no box, get one ``base``
-    call on their stacked rows, with their cloud means as an (R, 1) column,
-    so ``base`` must be elementwise; each scaled or shifted row is then
-    multiplied or added to in place, which gives the bits of its own ``fn``
-    call, and a row that plays ``base`` alone is left as ``base`` returned
-    it.  Every other rule is called on its own row.
+    rules share one ``base`` object get one ``base`` call on their stacked
+    rows, with their cloud means as an (R, 1) column, so ``base`` must be
+    elementwise; each scaled or shifted row is then multiplied or added to
+    in place, which gives the bits of its own ``fn`` call, and a row that
+    plays ``base`` alone is left as ``base`` returned it.  Every other rule
+    is called on its own row.
     """
 
     kind = "strict"
 
-    def __init__(self, fn: Callable, box=None):
+    def __init__(self, fn: Callable):
         self.fn = fn
-        self.box = box
         self.base = None  # the shared feedback of a derived rule
         self.gain = None
         self.offset = None
@@ -191,13 +188,11 @@ class FeedbackRule:
         u = np.asarray(self.fn(t, states, cond_mean), dtype=float)
         if u.shape != states.shape:
             u = np.broadcast_to(u, states.shape)
-        if self.box is not None and not self.box.contains(u.reshape(-1, 1)):
-            raise ValueError(f"control outside the declared box at t={t:.6g}")
         return u
 
     @classmethod
-    def constant(cls, value: float, box=None) -> "FeedbackRule":
-        return cls(lambda t, x, m: np.full_like(x, float(value)), box)
+    def constant(cls, value: float) -> "FeedbackRule":
+        return cls(lambda t, x, m: np.full_like(x, float(value)))
 
     @classmethod
     def derived(cls, base: Callable, gain=None, offset=None) -> "FeedbackRule":
@@ -212,23 +207,6 @@ class FeedbackRule:
             rule = cls(base)
         rule.base, rule.gain, rule.offset = base, gain, offset
         return rule
-
-
-class OpenLoopRule:
-    """Strict open-loop table; piecewise constant in time, one column per particle."""
-
-    kind = "strict"
-
-    def __init__(self, times, table):
-        self.times = np.asarray(times, dtype=float)
-        self.table = np.asarray(table, dtype=float)
-        if self.table.shape[0] != self.times.shape[0]:
-            raise ValueError("one table row per time knot")
-
-    def evaluate(self, t, states, cond_mean):
-        row = int(np.searchsorted(self.times, t, side="right")) - 1
-        row = max(row, 0)
-        return np.broadcast_to(self.table[row], states.shape).astype(float, copy=False)
 
 
 class RelaxedRule:
@@ -248,9 +226,8 @@ class RelaxedRule:
 
     kind = "relaxed"
 
-    def __init__(self, fn: Callable, box=None):
+    def __init__(self, fn: Callable):
         self.fn = fn
-        self.box = box
         self._constant = False
         self._shared = None  # (support, weights, cumulative weights), once validated
         self._rows = {}  # cloud size -> read-only (N, A) support and weight rows
@@ -280,8 +257,6 @@ class RelaxedRule:
         weights = np.atleast_1d(np.asarray(weights, dtype=float))
         if not np.isfinite(support).all():
             raise ValueError(f"relaxed support must be finite at t={t:.6g}")
-        if self.box is not None and not self.box.contains(support.reshape(-1, 1)):
-            raise ValueError(f"relaxed support outside the declared box at t={t:.6g}")
         # written so that NaN fails each test
         if not np.all((weights >= 0) & np.isfinite(weights)):
             raise ValueError("relaxed control weights must be finite and nonnegative")
@@ -325,13 +300,13 @@ class RelaxedRule:
         return rows
 
     @classmethod
-    def constant(cls, support, weights, box=None) -> "RelaxedRule":
+    def constant(cls, support, weights) -> "RelaxedRule":
         """The rule playing the same atoms everywhere; it keeps copies of them."""
         support = np.array(support, dtype=float)
         weights = np.array(weights, dtype=float)
         for arr in (support, weights):
             arr.setflags(write=False)
-        rule = cls(lambda t, x, m: (support, weights), box)
+        rule = cls(lambda t, x, m: (support, weights))
         rule._constant = True
         return rule
 
@@ -540,7 +515,7 @@ def _paired_plan(rules):
     own, groups = [], {}
     for r, rule in enumerate(rules):
         base = getattr(rule, "base", None)
-        if base is None or rule.box is not None:
+        if base is None:
             own.append((r, rule))
             continue
         _, rows, transforms = groups.setdefault(id(base), (base, [], []))

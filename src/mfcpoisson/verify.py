@@ -24,7 +24,7 @@ the residual statistics, the tolerance and the pass flag.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -47,7 +47,6 @@ from .lq import (
     value_function,
 )
 from .measureflow import (
-    MeasurePath,
     TestFunctionDictionary,
     aggregate_coeffs,
     apply_A1,
@@ -115,29 +114,6 @@ def _jsonable(v):
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
     return v
-
-
-# ---------------------------------------------------------------------------
-# Conditional expectation over the copy space
-# ---------------------------------------------------------------------------
-
-def copy_expectation(
-    cloud: ParticleCloud, t: float, fn: Callable, extra_states=None
-) -> np.ndarray:
-    """Per-particle empirical expectation of fn(own state, copy state).
-
-    Under common noise the copies are the other particles of the same
-    scenario (the conditional law given the shared path); under idiosyncratic
-    noise the copy population may be enlarged with states pooled from other
-    scenarios via ``extra_states``.
-    """
-    node = cloud.grid.node_of(t)
-    x = cloud.states[node]
-    copies = x if extra_states is None else np.concatenate([x, extra_states])
-    if copies.size < 2:
-        raise ValueError("need at least two copies")
-    vals = np.asarray(fn(x[:, None], copies[None, :]), dtype=float)
-    return np.broadcast_to(vals, (x.size, copies.size)).mean(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -878,7 +854,7 @@ def check_chattering(
 
 
 # ---------------------------------------------------------------------------
-# Measure path extraction (for chain-rule diagnostics)
+# One-step pairing table
 # ---------------------------------------------------------------------------
 
 def pairing_table(
@@ -904,16 +880,3 @@ def pairing_table(
             predicted = preds[phi.name]
             rows.append((k, phi.name, predicted, observed, predicted - observed))
     return rows
-
-
-def measure_path_from_cloud(cloud: ParticleCloud) -> MeasurePath:
-    """Laws, kernels and event records of a strict cloud, node by node."""
-    measures = [cloud.measure_at(k) for k in range(cloud.grid.n_steps + 1)]
-    kernels = [
-        RelaxedKernel.dirac(cloud.controls[k]) for k in range(cloud.grid.n_steps)
-    ]
-    jumps = {}
-    for node, mark, _ in cloud.event_log:
-        pre_mu = EmpiricalMeasure.from_samples(cloud.pre_jump_states[node])
-        jumps.setdefault(node, []).append((mark, pre_mu, kernels[node - 1]))
-    return MeasurePath(cloud.times, measures, kernels, jumps)

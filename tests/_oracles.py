@@ -1,6 +1,6 @@
 """Independent reference computations the test suite checks the package against.
 
-Nothing here imports the implementation paths it validates: the Fortet-Mourier
+No oracle here imports the implementation paths it validates: the Fortet-Mourier
 oracle is an exact dynamic program over lattice-valued test functions, the
 Riccati oracle is an adaptive high-order integrator, the quadratic
 minimizer oracle is a parameter grid search, and the SMP oracle evaluates the
@@ -14,11 +14,30 @@ oracle expands a ragged relaxed joint one atom at a time.  The slab-rule
 oracle sums a relaxed rule's cumulative weights afresh on every call.  The
 noise-mode oracle reads its jump statistics from the stored history of each
 scenario's cloud, serially.
+
+The last part of the file holds test-only helpers that do build on package
+functions: the relaxed Hamiltonians ``hamiltonian_relaxed`` and
+``delta_hamiltonian_relaxed`` (on ``hamiltonian_strict``,
+``delta_hamiltonian_strict`` and ``joint_with_kernel``), the extension
+transformation ``extend`` (on ``joint_with_kernel``), the
+Kantorovich-Rubinstein metric ``kr_distance`` (on ``fm_distance``, with the
+transport LP ``transport_cost`` under the package's ``_check_exact_size``),
+the shift operator ``apply_shift`` (on ``measureflow._jumped_atoms``), the
+weak-form drift pairing ``pair_A0`` and the chain-rule residual
+``ito_residual`` (on ``aggregate_coeffs``, ``drift_pairings`` and
+``shift_adjoint``), ``measure_path_from_cloud`` (on the measure classes),
+and ``LQValueEvaluator`` (on ``value_function``).  ``default_config``,
+``OpenLoopRule``, ``copy_expectation``, ``second_moment``,
+``value_gradient`` and ``MeasurePath`` are fixtures that need no package
+code.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import linprog
 
 #: Lattice spacing used by the FM oracle; a negative power of two so every
 #: lattice value is an exact binary float and the DP is free of rounding.
@@ -581,3 +600,284 @@ def compare_noise_reference(params, mc, jump_ratio_min=5.0, config_hash=""):
         name="noise-modes", passed=bool(passed), inconclusive=inconclusive,
         tolerance=jump_ratio_min, stats=stats, seed=mc.seed, config_hash=config_hash,
     ).to_dict()
+
+
+# ---------------------------------------------------------------------------
+# Test-only helpers built on package functions
+# ---------------------------------------------------------------------------
+#
+# The relaxed-side objects of the paper (relaxed Hamiltonians, the
+# Kantorovich-Rubinstein metric, the extension transformation), the chain-rule
+# harness along a measure path and a few fixtures.  No program path runs
+# them; the tests check the package's definitions through them.
+
+def default_config(seed: int = 20240901) -> dict:
+    """A complete runnable configuration for the built-in model."""
+    return {
+        "model": {"b1": 0.5, "b2": 0.4, "b3": 1.0, "sigma": 0.4, "c": 1.0, "T": 1.0},
+        "jumps": {"marks": [{"z": 1.0, "lambda": 1.0, "gamma": 0.3}]},
+        "sim": {
+            "particles": 500,
+            "scenarios": 16,
+            "dt": 1e-3,
+            "seed": seed,
+            "mode": "common",
+            "init": {"kind": "gaussian", "mean": 1.0, "std": 0.5},
+        },
+        "verify": {},
+        "output": {},
+    }
+
+
+class OpenLoopRule:
+    """Strict open-loop table; piecewise constant in time, one column per particle."""
+
+    kind = "strict"
+
+    def __init__(self, times, table):
+        self.times = np.asarray(times, dtype=float)
+        self.table = np.asarray(table, dtype=float)
+        if self.table.shape[0] != self.times.shape[0]:
+            raise ValueError("one table row per time knot")
+
+    def evaluate(self, t, states, cond_mean):
+        row = int(np.searchsorted(self.times, t, side="right")) - 1
+        row = max(row, 0)
+        return np.broadcast_to(self.table[row], states.shape).astype(float, copy=False)
+
+
+def hamiltonian_relaxed(x, q, mu, kernel, adj, coeffs) -> float:
+    """q-average of the strict Hamiltonian at the projection of the relaxed
+    joint ``(mu, kernel)``; ``q`` is a kernel row's 1-D ``(support, weights)``."""
+    from mfcpoisson.coefficients import hamiltonian_strict
+    from mfcpoisson.measures import joint_with_kernel
+
+    support, weights = q
+    return float(weights @ hamiltonian_strict(
+        x, support, joint_with_kernel(mu, kernel), adj, coeffs
+    ))
+
+
+def delta_hamiltonian_relaxed(x, q, mu, kernel, xp, qp, adj, coeffs) -> float:
+    """Double q-average of the strict delta-Hamiltonian kernel; ``q`` and
+    ``qp`` are ``(support, weights)`` rows as in :func:`hamiltonian_relaxed`."""
+    from mfcpoisson.coefficients import delta_hamiltonian_strict
+    from mfcpoisson.measures import joint_with_kernel
+
+    (support, weights), (support_p, weights_p) = q, qp
+    values = delta_hamiltonian_strict(
+        x, support[:, None], joint_with_kernel(mu, kernel), xp, support_p, adj, coeffs
+    )
+    return float(weights @ values @ weights_p)
+
+
+def extend(h, mu, kernel) -> float:
+    """Extension transformation: evaluate a strict-joint functional on the
+    relaxed joint ``(mu, kernel)`` through its projection."""
+    from mfcpoisson.measures import joint_with_kernel
+
+    return h(joint_with_kernel(mu, kernel))
+
+
+def second_moment(rho) -> float:
+    """Joint second moment sqrt(integral of |x|^2 + |u|^2)."""
+    total = float(
+        rho.weights
+        @ (np.sum(rho.states**2, axis=1) + np.sum(rho.controls**2, axis=1))
+    )
+    return float(np.sqrt(max(total, 0.0)))
+
+
+def transport_cost(weights_a, weights_b, cost) -> float:
+    """Exact optimal-transport cost between two weight vectors.
+
+    Solves the dense Kantorovich LP with the HiGHS simplex; one marginal
+    constraint is dropped (it is implied by the others), which keeps the
+    system full-rank.  Instances above ``MAX_EXACT_ATOMS`` atoms per side are
+    rejected as by the package's exact metrics.
+    """
+    from mfcpoisson.measures import _check_exact_size
+
+    na, nb = len(weights_a), len(weights_b)
+    _check_exact_size(na, nb)
+    if cost.shape != (na, nb):
+        raise ValueError(f"cost matrix shape {cost.shape} != ({na}, {nb})")
+
+    # Row constraints: sum_j T[i, j] = a_i; column constraints: sum_i T[i, j] = b_j.
+    n_var = na * nb
+    a_eq = np.zeros((na + nb - 1, n_var))
+    for i in range(na):
+        a_eq[i, i * nb : (i + 1) * nb] = 1.0
+    for j in range(nb - 1):
+        a_eq[na + j, j::nb] = 1.0
+    b_eq = np.concatenate([weights_a, weights_b[:-1]])
+
+    res = linprog(
+        cost.reshape(-1),
+        A_eq=a_eq,
+        b_eq=b_eq,
+        bounds=(0.0, None),
+        method="highs",
+    )
+    if res.status != 0:
+        raise RuntimeError(f"transport LP failed: {res.message}")
+    return float(res.fun)
+
+
+def _euclidean_cost(a, b):
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sqrt(np.sum(diff**2, axis=2))
+
+
+def kr_distance(mu_a, kernel_a, mu_b, kernel_b) -> float:
+    """Kantorovich-Rubinstein (Wasserstein-1) distance between relaxed joints.
+
+    Ground metric between atoms (x, q) and (x', q') is |x - x'| + fm(q, q'),
+    where q and q' are the kernel rows of the two atoms.
+    """
+    from mfcpoisson.errors import DimensionMismatchError
+    from mfcpoisson.measures import EmpiricalMeasure, fm_distance
+
+    kernel_a.require_cover(mu_a)
+    kernel_b.require_cover(mu_b)
+    if mu_a.dim != mu_b.dim:
+        raise DimensionMismatchError(f"joints live on R^{mu_a.dim} and R^{mu_b.dim}")
+    rows_a, rows_b = (
+        [EmpiricalMeasure.trusted(s, w) for s, w in zip(k.supports, k.weights)]
+        for k in (kernel_a, kernel_b)
+    )
+    q_cost = np.array([[fm_distance(qa, qb) for qb in rows_b] for qa in rows_a])
+    cost = _euclidean_cost(mu_a.atoms, mu_b.atoms) + q_cost
+    return transport_cost(mu_a.weights, mu_b.weights, cost)
+
+
+def apply_shift(fn, mu, kernel, mark, coeffs):
+    """Test-function shift operator: the kernel average of fn(x + jump) at each atom."""
+    from mfcpoisson.measureflow import _jumped_atoms
+
+    return kernel.average(fn(_jumped_atoms(mu, kernel, mark, coeffs)[0]))
+
+
+def pair_A0(phi, mu, kernel, coeffs) -> float:
+    """Weak-form drift generator: <(bhat - <gammahat, lambda>) phi' + diff phi''/2, mu>."""
+    from mfcpoisson.measureflow import aggregate_coeffs, drift_pairings
+
+    return drift_pairings(mu, aggregate_coeffs(mu, kernel, coeffs), coeffs, (phi,))[0]
+
+
+def copy_expectation(cloud, t, fn, extra_states=None):
+    """Per-particle empirical expectation of fn(own state, copy state).
+
+    Under common noise the copies are the other particles of the same
+    scenario (the conditional law given the shared path); under idiosyncratic
+    noise the copy population may be enlarged with states pooled from other
+    scenarios via ``extra_states``.
+    """
+    node = cloud.grid.node_of(t)
+    x = cloud.states[node]
+    copies = x if extra_states is None else np.concatenate([x, extra_states])
+    if copies.size < 2:
+        raise ValueError("need at least two copies")
+    vals = np.asarray(fn(x[:, None], copies[None, :]), dtype=float)
+    return np.broadcast_to(vals, (x.size, copies.size)).mean(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# Chain rule along a measure path
+# ---------------------------------------------------------------------------
+
+@dataclass
+class MeasurePath:
+    """Discretized measure flow: per-node laws, per-step kernels, event records.
+
+    ``jumps`` maps a node index to the events landing there, each carrying the
+    pre-jump law and the kernel in force just before the event.
+    """
+
+    times: np.ndarray
+    measures: list
+    kernels: list
+    jumps: dict
+
+
+def measure_path_from_cloud(cloud) -> MeasurePath:
+    """Laws, kernels and event records of a strict cloud, node by node."""
+    from mfcpoisson.measures import EmpiricalMeasure, RelaxedKernel
+
+    measures = [cloud.measure_at(k) for k in range(cloud.grid.n_steps + 1)]
+    kernels = [
+        RelaxedKernel.dirac(cloud.controls[k]) for k in range(cloud.grid.n_steps)
+    ]
+    jumps = {}
+    for node, mark, _ in cloud.event_log:
+        pre_mu = EmpiricalMeasure.from_samples(cloud.pre_jump_states[node])
+        jumps.setdefault(node, []).append((mark, pre_mu, kernels[node - 1]))
+    return MeasurePath(cloud.times, measures, kernels, jumps)
+
+
+def ito_residual(evaluator, path: MeasurePath, coeffs):
+    """Per-step defect of the chain rule for a functional of the measure flow.
+
+    ``evaluator`` provides ``value(t, mu)``, ``dt(t, mu)``, ``dmu(t, mu, x)``
+    and ``dx_dmu(t, mu, x)`` (the last two vectorized over atoms).  The
+    residual of step k is the increment of ``value`` minus the drift pairing
+    minus the event differences.
+    """
+    from mfcpoisson.measureflow import (
+        TestFunction,
+        aggregate_coeffs,
+        drift_pairings,
+        shift_adjoint,
+    )
+
+    for name in ("value", "dt", "dmu", "dx_dmu"):
+        if not hasattr(evaluator, name):
+            raise AttributeError(f"evaluator lacks {name!r}")
+    times = path.times
+    n_steps = len(times) - 1
+    residuals = np.empty(n_steps)
+    for k in range(n_steps):
+        t, t_next = times[k], times[k + 1]
+        h = t_next - t
+        mu, kernel = path.measures[k], path.kernels[k]
+        lifted = TestFunction(
+            "dmu", value=None,
+            dx=lambda x: evaluator.dmu(t, mu, x), dxx=lambda x: evaluator.dx_dmu(t, mu, x),
+        )
+        drift = evaluator.dt(t, mu) + drift_pairings(
+            mu, aggregate_coeffs(mu, kernel, coeffs), coeffs, (lifted,)
+        )[0]
+        jump_part = 0.0
+        for mark, pre_mu, pre_kernel in path.jumps.get(k + 1, ()):
+            shifted = shift_adjoint(pre_mu, pre_kernel, mark, coeffs)
+            jump_part += evaluator.value(t_next, shifted) - evaluator.value(t_next, pre_mu)
+        increment = evaluator.value(t_next, path.measures[k + 1]) - evaluator.value(t, mu)
+        residuals[k] = increment - drift * h - jump_part
+    return residuals
+
+
+def value_gradient(sol, t, x, mean):
+    """Measure derivative of the value function at atom x: beta*x + eta*mean."""
+    return sol.beta_at(t) * np.asarray(x, dtype=float) + sol.eta_at(t) * mean
+
+
+class LQValueEvaluator:
+    """Value function with the derivative pieces the measure chain rule needs."""
+
+    def __init__(self, sol):
+        self.sol = sol
+
+    def value(self, t, mu) -> float:
+        from mfcpoisson.lq import value_function
+
+        return value_function(self.sol, t, mu)
+
+    def dt(self, t, mu) -> float:
+        dbeta, deta = self.sol.rhs_at(t)
+        return float(0.5 * (dbeta * mu.second_moment_raw() + deta * mu.mean[0] ** 2))
+
+    def dmu(self, t, mu, x):
+        return value_gradient(self.sol, t, x, mu.mean[0])
+
+    def dx_dmu(self, t, mu, x):
+        return self.sol.beta_at(t) + 0.0 * np.asarray(x, dtype=float)

@@ -13,7 +13,6 @@ from mfcpoisson.lq import solve_riccati
 from mfcpoisson.measureflow import (
     RelaxedKernel,
     apply_A1,
-    apply_shift,
     default_dictionary,
     shift_adjoint,
 )
@@ -33,7 +32,7 @@ from mfcpoisson.verify import (
     simulate_optimal,
 )
 
-from _oracles import FM_LATTICE, fm_bruteforce_1d
+from _oracles import FM_LATTICE, apply_shift, fm_bruteforce_1d
 from conftest import random_measure
 
 SEED = 20240901

@@ -19,12 +19,12 @@ from hypothesis import strategies as st
 from mfcpoisson import simulate
 from mfcpoisson.cli import main
 from mfcpoisson.coefficients import lq_coefficients
-from mfcpoisson.config import ConfigError, config_hash, default_config, load_config, parse_config
+from mfcpoisson.config import ConfigError, config_hash, load_config, parse_config
 from mfcpoisson.errors import DivergenceError, IllPosedError
 from mfcpoisson.experiments import _fixed_17g, format_17g, run_simulate, write_csv
 from mfcpoisson.lq import solve_riccati
 
-from _oracles import trajectory_csv_reference
+from _oracles import default_config, trajectory_csv_reference
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -315,6 +315,19 @@ class TestImportCost:
             timeout=120, check=True,
         )
         assert out.stdout.strip() == "False"
+        # numpy alone suffices at run time: with scipy unimportable the
+        # package and the CLI import and the exact FM distance returns
+        blocked = (
+            "import sys; sys.modules['scipy'] = None; import mfcpoisson, mfcpoisson.cli; "
+            "from mfcpoisson.measures import EmpiricalMeasure, fm_distance; "
+            "print(fm_distance(EmpiricalMeasure.from_samples([0.0]), "
+            "EmpiricalMeasure.from_samples([0.5])))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", blocked], env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+        assert out.stdout.strip() == "0.5"
 
 
 class TestCliBasics:
@@ -653,7 +666,10 @@ class TestOutputErrors:
 
     @pytest.mark.parametrize(
         "command",
-        [["cost"], ["chattering"], ["verify", "optimality"], ["verify", "fp"], ["compare-noise"]],
+        [
+            ["simulate"], ["cost"], ["chattering"], ["verify", "optimality"], ["verify", "fp"],
+            ["compare-noise"],
+        ],
         ids=" ".join,
     )
     def test_a_numerical_failure_leaves_the_output_paths_as_they_were(

@@ -6,14 +6,14 @@ from mfcpoisson.coefficients import (
     CoefficientSet,
     JumpSpec,
     LQParams,
-    delta_hamiltonian_relaxed,
     delta_hamiltonian_strict,
-    hamiltonian_relaxed,
     hamiltonian_strict,
     lq_coefficients,
 )
 from mfcpoisson.errors import ConfigurationError
 from mfcpoisson.measures import JointEmpiricalMeasure, RelaxedKernel
+
+from _oracles import delta_hamiltonian_relaxed, hamiltonian_relaxed
 
 
 def make_params(**kw):

@@ -15,7 +15,6 @@ from mfcpoisson.measureflow import (
     RelaxedKernel,
     default_dictionary,
     fp_step,
-    pair_A0,
 )
 from mfcpoisson.measures import EmpiricalMeasure
 from mfcpoisson.simulate import InitSpec
@@ -31,6 +30,7 @@ from _oracles import (
     dictionary_reference,
     fp_step_reference,
     fp_terminal_error_reference,
+    pair_A0,
     pair_A0_reference,
     pairing_table_reference,
 )

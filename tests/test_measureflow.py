@@ -3,21 +3,19 @@ import pytest
 
 from mfcpoisson.coefficients import CoefficientSet, JumpSpec, LQParams, lq_coefficients
 from mfcpoisson.errors import CoverageError
-from mfcpoisson.lq import LQValueEvaluator, solve_riccati
+from mfcpoisson.lq import solve_riccati
 from mfcpoisson.measureflow import (
-    MeasurePath,
     RelaxedKernel,
     aggregate_coeffs,
     apply_A1,
-    apply_shift,
     default_dictionary,
     fp_step,
-    ito_residual,
     joint_with_kernel,
-    pair_A0,
     shift_adjoint,
 )
 from mfcpoisson.measures import EmpiricalMeasure
+
+from _oracles import LQValueEvaluator, MeasurePath, apply_shift, ito_residual, pair_A0
 
 
 def flat_set(drift=None, diffusion=None, jump=None, jumps=None):

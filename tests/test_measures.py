@@ -9,15 +9,19 @@ from mfcpoisson.measures import (
     EmpiricalMeasure,
     JointEmpiricalMeasure,
     RelaxedKernel,
-    extend,
     fm_distance,
     joint_with_kernel,
+)
+
+from _oracles import (
+    FM_LATTICE,
+    extend,
+    fm_bruteforce_1d,
     kr_distance,
+    project_reference,
     second_moment,
     transport_cost,
 )
-
-from _oracles import FM_LATTICE, fm_bruteforce_1d, project_reference
 from conftest import random_measure
 
 

@@ -6,12 +6,11 @@ import pytest
 from mfcpoisson.coefficients import CoefficientSet, JumpSpec, LQParams, lq_coefficients
 from mfcpoisson.errors import DivergenceError
 from mfcpoisson import simulate
-from mfcpoisson.measures import Box, EmpiricalMeasure, fm_distance
+from mfcpoisson.measures import EmpiricalMeasure, fm_distance
 from mfcpoisson.simulate import (
     ChatteringRule,
     FeedbackRule,
     InitSpec,
-    OpenLoopRule,
     PoissonPath,
     RelaxedRule,
     build_grid,
@@ -23,6 +22,8 @@ from mfcpoisson.simulate import (
     simulate_strict,
     substream,
 )
+
+from _oracles import OpenLoopRule
 
 
 def lq(**kw):
@@ -453,23 +454,6 @@ class TestRelaxedSimulation:
 
 
 class TestControlBox:
-    def test_feedback_outside_box_rejected(self):
-        from mfcpoisson.measures import Box
-
-        box = Box(np.array([-1.0]), np.array([1.0]))
-        rule = FeedbackRule.constant(2.0, box=box)
-        with pytest.raises(ValueError):
-            simulate_strict(lq(c=0.0), rule, 4, 1.0, 0.25, seed=1)
-        FeedbackRule.constant(0.5, box=box).evaluate(0.0, np.zeros(3), 0.0)
-
-    def test_relaxed_support_outside_box_rejected(self):
-        from mfcpoisson.measures import Box
-
-        box = Box(np.array([-1.0]), np.array([1.0]))
-        rule = RelaxedRule.constant([0.0, 3.0], [0.5, 0.5], box=box)
-        with pytest.raises(ValueError):
-            simulate_relaxed(lq(c=0.0), rule, 4, 1.0, 0.25, seed=1)
-
     def test_foreign_mark_indices_rejected(self):
         coeffs = lq(jumps=JumpSpec([1.0], [1.0], [0.3]))
         bad_path = PoissonPath(np.array([0.5]), np.array([3]))
@@ -675,8 +659,7 @@ class TestConstantRuleCache:
             rows[0][0, 0] = 1.0
 
     def test_a_rejected_constant_rule_stays_rejected(self):
-        box = Box(np.array([-1.0]), np.array([1.0]))
-        rule = RelaxedRule.constant([0.0, 3.0], [0.5, 0.5], box=box)
+        rule = RelaxedRule.constant([0.0, np.inf], [0.5, 0.5])
         for t in (0.0, 0.5):
             with pytest.raises(ValueError, match=f"at t={t:.6g}"):
                 rule.evaluate(t, np.zeros(4), 0.0)
@@ -727,12 +710,15 @@ class TestPairedFailures:
         assert paired.time > 0.6  # rule 0's step, not rule 1's
 
     def test_failure_of_a_higher_rule_is_raised_at_the_end(self):
-        box = Box(np.array([-1.0]), np.array([1.0]))
-        outside = FeedbackRule(lambda t, x, m: np.full_like(x, 2.0 if t >= 0.4 else 0.0), box)
-        rules = [FeedbackRule.constant(0.1), outside, _blows_up_from(0.1)]
+        def fails_from_04(t, x, m):
+            if t >= 0.4:
+                raise ValueError(f"rule 1 refuses t={t:.6g}")
+            return np.zeros_like(x)
+
+        rules = [FeedbackRule.constant(0.1), FeedbackRule(fails_from_04), _blows_up_from(0.1)]
         paired, alone = self.raised(rules)
         assert type(paired) is ValueError and str(paired) == str(alone)
-        assert "outside the declared box" in str(paired)
+        assert "rule 1 refuses" in str(paired)
 
     def test_coefficient_error_is_attributed_to_its_rule(self):
         def running_cost(x, rho, u):
@@ -766,8 +752,8 @@ class TestPairedFailures:
 
 
 class _CountingRule(FeedbackRule):
-    def __init__(self, fn, box=None):
-        super().__init__(fn, box)
+    def __init__(self, fn):
+        super().__init__(fn)
         self.calls = 0
 
     def evaluate(self, t, states, cond_mean):

@@ -15,19 +15,16 @@ from mfcpoisson.coefficients import (
     lq_coefficients,
 )
 from mfcpoisson.lq import (
-    LQValueEvaluator,
     adjoint_ansatz,
     mean_optimal_control,
     optimal_control,
     solve_riccati,
 )
-from mfcpoisson.measureflow import ito_residual
 from mfcpoisson.measures import EmpiricalMeasure, JointEmpiricalMeasure
 from mfcpoisson.simulate import (
     ChatteringRule,
     FeedbackRule,
     InitSpec,
-    OpenLoopRule,
     RelaxedRule,
     simulate_record,
     simulate_strict,
@@ -42,17 +39,23 @@ from mfcpoisson.verify import (
     check_optimality,
     check_smp,
     compare_noise_modes,
-    copy_expectation,
     hjb_inner_minimizer,
     hjb_residual,
     hjb_sample_measures,
-    measure_path_from_cloud,
     optimal_feedback_rule,
     scenario_costs,
     simulate_optimal,
 )
 
-from _oracles import compare_noise_reference, smp_phi_reference
+from _oracles import (
+    LQValueEvaluator,
+    OpenLoopRule,
+    compare_noise_reference,
+    copy_expectation,
+    ito_residual,
+    measure_path_from_cloud,
+    smp_phi_reference,
+)
 
 
 def make_params(**kw):
