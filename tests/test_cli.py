@@ -315,8 +315,12 @@ class TestImportCost:
             timeout=120, check=True,
         )
         assert out.stdout.strip() == "False"
+
+    def test_package_runs_with_scipy_unimportable(self):
         # numpy alone suffices at run time: with scipy unimportable the
         # package and the CLI import and the exact FM distance returns
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
         blocked = (
             "import sys; sys.modules['scipy'] = None; import mfcpoisson, mfcpoisson.cli; "
             "from mfcpoisson.measures import EmpiricalMeasure, fm_distance; "
