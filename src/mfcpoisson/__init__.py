@@ -37,6 +37,7 @@ from .simulate import (  # noqa: F401
     TimeGrid,
     sample_poisson_path,
     simulate_record,
+    simulate_records,
     simulate_relaxed,
     simulate_strict,
 )

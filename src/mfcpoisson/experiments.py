@@ -1,8 +1,9 @@
 """Experiment drivers: wire a validated config into solvers, checks and files.
 
-Scenario-level work fans out through :func:`simulate.map_scenarios`, whose
-results come back in scenario order, so the output does not depend on
-``--threads``.  Every float in a CSV is written as ``format(v, ".17g")``;
+Scenario-level work fans out through :func:`simulate.map_blocks`, one
+contiguous block of scenarios per worker, and the results come back in
+scenario order; a scenario's numbers do not depend on the block it runs in,
+so the output does not depend on ``--threads``.  Every float in a CSV is written as ``format(v, ".17g")``;
 the trajectory writer gets those bytes for whole arrays at once from
 :func:`format_17g`, which needs no per-value Python call outside a few rare
 cases.  A file that cannot be written raises :class:`errors.OutputError`
@@ -25,9 +26,10 @@ from .coefficients import lq_coefficients
 from .config import ConfigError, ExperimentConfig
 from .errors import OutputError
 from .lq import solve_riccati
-from .simulate import RelaxedRule, map_scenarios, standard_error
+from .simulate import RelaxedRule, map_blocks, standard_error
 from .verify import (
     CheckReport,
+    block_costs,
     check_bsde,
     check_chattering,
     check_fp,
@@ -38,7 +40,6 @@ from .verify import (
     hjb_sample_measures,
     optimal_feedback_rule,
     pairing_table,
-    scenario_costs,
     simulate_optimal,
 )
 
@@ -399,8 +400,8 @@ def run_cost(cfg: ExperimentConfig, out: str, threads: int = 1):
     params, mc = cfg.params, cfg.mc
     coeffs = lq_coefficients(params)
     rule = optimal_feedback_rule(solve_riccati(params, mc.mode, mc.riccati_steps))
-    costs = np.array(map_scenarios(
-        lambda s: scenario_costs(coeffs, [rule], params.T, mc, s)[0],
+    costs = np.array(map_blocks(
+        lambda block: [c for c, in block_costs(coeffs, [rule], params.T, mc, block)],
         mc.scenarios, threads,
     ))
     payload = {

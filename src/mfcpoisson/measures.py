@@ -304,21 +304,24 @@ class RelaxedKernel:
     def average(self, vals) -> np.ndarray:
         """Row averages of values given per atom, (N, A) or broadcastable to it.
 
-        Below 8 atoms numpy's row sum adds the products in order, starting
-        from 0.0, so the sum is written out column by column with the same
-        bits and without the (N, A) product array; from 8 atoms on numpy
-        sums pairwise, and the row sum is kept.
+        Values may carry leading axes, as (S, N, A) values of S clouds that
+        share the kernel do; each (N, A) slab is averaged with the bits of
+        its own call.  Below 8 atoms numpy's row sum adds the products in
+        order, starting from 0.0, so the sum is written out column by column
+        with the same bits and without the product array; from 8 atoms on
+        numpy sums pairwise, and the row sum is kept.
         """
         vals = np.asarray(vals, dtype=float)
-        if vals.shape != self.supports.shape:
-            vals = np.broadcast_to(vals, self.supports.shape)
-        n_atoms = vals.shape[1]
+        shape = np.broadcast_shapes(vals.shape, self.supports.shape)
+        if vals.shape != shape:
+            vals = np.broadcast_to(vals, shape)
+        n_atoms = shape[-1]
         if not 0 < n_atoms < 8:
-            return (vals * self.weights).sum(axis=1)
+            return (vals * self.weights).sum(axis=-1)
         w = self.weights
-        total = 0.0 + vals[:, 0] * w[:, 0]
+        total = 0.0 + vals[..., 0] * w[:, 0]
         for a in range(1, n_atoms):
-            total += vals[:, a] * w[:, a]
+            total += vals[..., a] * w[:, a]
         return total
 
     def require_cover(self, mu: EmpiricalMeasure):

@@ -22,31 +22,36 @@ Randomness comes from counter-based Philox streams keyed by
 keys reproduce bit-identical clouds, and control variants under one key see
 identical noise, which is what the paired cost comparisons rely on.
 Because a scenario's draws depend on nothing but its key, scenarios can run
-in any order on any worker: :func:`map_scenarios` fans them out.
+in any order on any worker: :func:`map_blocks` hands each worker one
+contiguous block of them.
 
-Paired rules run in lock-step.  :func:`simulate_record` advances R strict
-rules of one scenario as the rows of an (R, N) cloud in the same Euler loop
-that runs a single rule: each rule is called on its own row, except that
-rules derived from one shared feedback (:meth:`FeedbackRule.derived`, such
-as the LQ optimum and its gain and offset perturbations) share one call on
-their stacked rows; the Brownian vector is drawn once per step for all rows,
-and the coefficients are evaluated once on the (R, N) arrays.  Coefficient
-evaluators must therefore be elementwise, and they see
-``rho.mean_state[0]`` and ``rho.mean_control[0]`` as (R, 1) columns.  Each
-row's means are the same dot products that a run of its rule alone forms,
-so every row of a paired record equals the record of its rule alone bit for
-bit.  When a lock-step run fails, the rules are replayed one by one, and the
-first rule that fails alone reports the failure.
+Rules and scenarios run in lock-step.  :func:`simulate_records` advances R
+strict rules on each of S scenarios as the rows of one (S·R, N) cloud in the
+same Euler loop that runs a single rule on a single scenario: each rule is
+called on its own row, except that rules derived from one shared feedback
+(:meth:`FeedbackRule.derived`, such as the LQ optimum and its gain and
+offset perturbations) share one call on their stacked rows, and slab rules
+over one constant relaxed rule share its atoms; each scenario draws its own
+Brownian vector per step, and the coefficients are evaluated once on the
+whole array.  Coefficient evaluators must therefore be elementwise, and they
+see ``rho.mean_state[0]`` and ``rho.mean_control[0]`` as (rows, 1) columns.
+Each row's means are the same dot products that a run of its rule alone
+forms, and each scenario takes the steps of its own grid, so every record
+of a block equals the record of its scenario alone bit for bit, and every
+row of a paired record that of its rule alone.  When a lock-step run fails,
+the scenarios and then the rules are replayed one by one, and the first that
+fails alone reports the failure.
 
-Memory is bounded by one scenario.  Only :func:`simulate_strict` and
-:func:`simulate_relaxed` keep the ``(steps + 1) x N`` history of a
-:class:`ParticleCloud`; :func:`simulate_record` runs history-free, holding
-the current cloud and returning a :class:`ScenarioRecord`: the sample costs,
-the cloud mean at every node and the event log, the same numbers a cloud's
-history gives.
+Memory is bounded by one batch of scenarios.  Only :func:`simulate_strict`
+and :func:`simulate_relaxed` keep the ``(steps + 1) x N`` history of a
+:class:`ParticleCloud`; :func:`simulate_record` and :func:`simulate_records`
+run history-free, holding the current clouds and returning a
+:class:`ScenarioRecord` per scenario: the sample costs, the cloud mean at
+every node and the event log, the same numbers a cloud's history gives.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
@@ -317,7 +322,9 @@ class ChatteringRule:
     The horizon splits into ``n_slabs`` equal slabs; inside a slab the atom
     whose cumulative weight bracket contains the slab phase is played, so each
     atom occupies a sub-interval proportional to its weight.  Over a constant
-    relaxed rule the cumulative weights are the rule's cached ones.
+    relaxed rule the cumulative weights are the rule's cached ones, and the
+    slab rules over it in one lock-step run share one ``slab_atoms`` call
+    per step, each then playing its atoms by :meth:`play`.
     """
 
     kind = "strict"
@@ -331,13 +338,18 @@ class ChatteringRule:
 
     def evaluate(self, t, states, cond_mean):
         support, cum = self.relaxed.slab_atoms(t, states, cond_mean)
+        return self.play(t, support, cum, states.shape[0])
+
+    def play(self, t, support, cum, n):
+        """The controls of ``n`` particles at ``t``, given the relaxed rule's
+        support and cumulative weights."""
         slab = self.horizon / self.n_slabs
         theta = (t / slab) % 1.0
         if support.ndim == 1:
             idx = min(int((cum <= theta).sum()), support.shape[0] - 1)
-            return np.full(states.shape[0], support[idx])
+            return np.full(n, support[idx])
         idx = np.minimum((cum <= theta).sum(axis=1), support.shape[1] - 1)
-        return support[np.arange(states.shape[0]), idx]
+        return support[np.arange(n), idx]
 
 
 # ---------------------------------------------------------------------------
@@ -449,21 +461,33 @@ class ScenarioRecord:
 
 
 class _PairedLaw:
-    """Law view of paired strict clouds, one row of ``x`` and ``u`` per rule.
+    """Law view of the rows of a lock-step cloud, one row of ``x`` per cloud.
 
-    Evaluators see ``mean_state[0]`` and ``mean_control[0]`` as (R, 1)
-    columns.  Row r is the ``w @ x[r]`` dot product that
-    :meth:`JointEmpiricalMeasure.trusted` forms for a single rule: one
+    Strict evaluators see ``mean_state[0]`` and ``mean_control[0]`` as
+    (rows, 1) columns.  Row r is the ``w @ x[r]`` dot product that
+    :meth:`JointEmpiricalMeasure.trusted` forms for a single cloud: one
     batched ``w @ x[:, :, None]`` product runs that same dot for each row,
     with the operands in the same order, so every row keeps the bits of its
     own run; one ``x @ w`` matrix-vector product over all rows would not.
+
+    Under a :class:`RelaxedKernel` shared by every row, the means are those
+    of :func:`joint_with_kernel`'s Bayes product: ``mean_state[0]`` is a
+    (rows, 1, 1) column, for evaluators called on ``x[..., None]`` against
+    the (N, A) supports, and ``mean_control[0]``, the same for every row, is
+    a scalar.
     """
 
     __slots__ = ("mean_state", "mean_control")
 
     def __init__(self, x, u, w_cloud):
-        self.mean_state = (w_cloud @ x[:, :, None])[None]
-        self.mean_control = (w_cloud @ u[:, :, None])[None]
+        if isinstance(u, RelaxedKernel):
+            w = (w_cloud[:, None] * u.weights).reshape(-1)
+            states = np.repeat(x, u.supports.shape[-1], axis=-1)
+            self.mean_state = (w @ states[:, :, None])[None, :, :, None]
+            self.mean_control = w @ u.supports.reshape(-1, 1)
+        else:
+            self.mean_state = (w_cloud @ x[:, :, None])[None]
+            self.mean_control = (w_cloud @ u[:, :, None])[None]
 
 
 def _law_view(x, control, w_cloud):
@@ -472,20 +496,21 @@ def _law_view(x, control, w_cloud):
     ``control`` is the strict control array or a :class:`RelaxedKernel`;
     ``w_cloud`` is the uniform particle weight vector.  A relaxed control
     gets the Bayes product of :func:`joint_with_kernel`.  A 2-D ``x`` holds
-    paired clouds, one per row, and gets a :class:`_PairedLaw`.
+    lock-step clouds, one per row, and gets a :class:`_PairedLaw`.
     """
-    if isinstance(control, RelaxedKernel):
-        return joint_with_kernel(EmpiricalMeasure.trusted(x, w_cloud), control)
     if x.ndim == 2:
         return _PairedLaw(x, control, w_cloud)
+    if isinstance(control, RelaxedKernel):
+        return joint_with_kernel(EmpiricalMeasure.trusted(x, w_cloud), control)
     return JointEmpiricalMeasure.trusted(x, control, w_cloud)
 
 
 def _per_particle(fn, x, rho, control, *extra) -> np.ndarray:
     """Coefficient value per particle; relaxed controls average over their atoms."""
     if isinstance(control, RelaxedKernel):
-        return control.average(fn(x[:, None], rho, control.supports, *extra))
-    vals = np.asarray(fn(x, rho, control, *extra), dtype=float)
+        vals = control.average(fn(x[..., None], rho, control.supports, *extra))
+    else:
+        vals = np.asarray(fn(x, rho, control, *extra), dtype=float)
     return vals if vals.shape == x.shape else np.broadcast_to(vals, x.shape)
 
 
@@ -507,38 +532,383 @@ def _terminal_cost(coeffs: CoefficientSet, x_T) -> float:
     return float(np.broadcast_to(g_vals, x_T.shape).mean())
 
 
-def _paired_plan(rules):
-    """``(own, shared)``: ``(row, rule)`` for each rule called on its own
-    row, and ``(base, rows, transforms)`` for each group of derived rules
-    on one ``base`` (``rows`` a list of row indices; ``transforms`` holds
-    ``(row, np.multiply, gain)`` or ``(row, np.add, offset)``)."""
-    own, groups = [], {}
+def _paired_plan(rules, n_scenarios: int):
+    """``(shared, slabs, own)``: how the controls of R paired strict rules on
+    ``n_scenarios`` scenarios are made, row ``s * R + r`` being rule r on the
+    s-th scenario, so that rule r's rows are the strided slice ``r::R``.
+
+    ``shared`` holds ``(base, index, transforms)`` for each group of derived
+    rules on one ``base``: ``index`` lists the group's rows, or is ``None``
+    when the group holds every rule, and ``transforms`` holds ``(rows,
+    np.multiply, gain)`` or ``(rows, np.add, offset)``.  ``slabs`` holds
+    ``(relaxed, [(rows, rule), ...])`` for the :class:`ChatteringRule` s over
+    one constant :class:`RelaxedRule`, whose atoms depend on neither the
+    states nor the time.  ``own`` holds ``(row, rule)`` for each row whose
+    rule is called on it alone.
+    """
+    n_rules = len(rules)
+    shared, slabs, own = {}, {}, []
     for r, rule in enumerate(rules):
+        rows = slice(r, None, n_rules)
         base = getattr(rule, "base", None)
-        if base is None:
+        if base is not None:
+            _, members, transforms = shared.setdefault(id(base), (base, [], []))
+            members.append(r)
+            if rule.gain is not None:
+                transforms.append((rows, np.multiply, rule.gain))
+            elif rule.offset is not None:
+                transforms.append((rows, np.add, rule.offset))
+        elif isinstance(rule, ChatteringRule) and rule.relaxed._constant:
+            slabs.setdefault(id(rule.relaxed), (rule.relaxed, []))[1].append((rows, rule))
+        else:
             own.append((r, rule))
-            continue
-        _, rows, transforms = groups.setdefault(id(base), (base, [], []))
-        rows.append(r)
-        if rule.gain is not None:
-            transforms.append((r, np.multiply, rule.gain))
-        elif rule.offset is not None:
-            transforms.append((r, np.add, rule.offset))
-    return own, list(groups.values())
+    firsts = range(0, n_rules * n_scenarios, n_rules)
+    return (
+        [
+            (base, None if len(members) == n_rules else [f + r for f in firsts for r in members],
+             transforms)
+            for base, members, transforms in shared.values()
+        ],
+        list(slabs.values()),
+        [(f + r, rule) for f in firsts for r, rule in own],
+    )
 
 
-def _paired_controls(plan, t, x, means, cond_means) -> np.ndarray:
-    """The (R, N) controls of paired strict rules, by :func:`_paired_plan`."""
-    own, shared = plan
-    control = np.empty(x.shape)
+def _paired_controls(plan, t, x, means, control):
+    """Fill the (rows, N) ``control`` of paired strict rules, by :func:`_paired_plan`.
+
+    A derived group gets one ``base`` call on its stacked rows; each scaled
+    or shifted rule then has its rows multiplied or added to in place, which
+    gives the bits of its own ``fn`` call.  Chattering rules over one
+    constant relaxed rule share one ``slab_atoms`` call, and each fills its
+    rows with the same played controls.  Every other rule is called on its
+    own row.
+    """
+    shared, slabs, own = plan
     for base, index, transforms in shared:
-        control[index] = base(t, x[index], means[index, None])
-        for r, op, amount in transforms:
-            row = control[r]
-            op(row, amount, out=row)
-    for r, rule in own:
-        control[r] = rule.evaluate(t, x[r], cond_means[r])
-    return control
+        if index is None:
+            control[...] = base(t, x, means[:, None])
+        else:
+            control[index] = base(t, x[index], means[index, None])
+        for rows, op, amount in transforms:
+            view = control[rows]
+            op(view, amount, out=view)
+    if slabs or own:
+        cond_means = means.tolist()
+    for relaxed, entries in slabs:
+        support, cum = relaxed.slab_atoms(t, x[0], cond_means[0])
+        for rows, rule in entries:
+            control[rows] = rule.play(t, support, cum, x.shape[-1])
+    for row, rule in own:
+        control[row] = rule.evaluate(t, x[row], cond_means[row])
+
+
+#: The largest (rows, N) float64 array a lock-step batch forms: 2**14 floats,
+#: 128 KiB, which is glibc's default mmap and trim threshold.  Below it a
+#: step's temporaries come from the heap and are reused step after step;
+#: above it they are mapped and unmapped, or trimmed, on every step, and
+#: every page they touch faults again.  :func:`simulate_records` cuts a
+#: block of scenarios into batches of whole scenarios below this size.
+BATCH_FLOATS = 2**14
+
+
+class _Scenario:
+    """One scenario's Poisson events, grid and generators, for :func:`_run`.
+
+    ``base_pos[j]`` is the index, on the scenario's own grid, of node j of
+    the uniform base grid: under common noise the own grid adds the event
+    times, and a base step that holds an event time splits into sub-steps.
+    Node n's events are ``marks[bounds[n]:bounds[n + 1]]`` (and ``owners``
+    under idiosyncratic noise, else ``None``).
+    """
+
+    def __init__(self, jumps, n_particles, T, dt, mode, seed, scenario, path, paths):
+        if mode == "common":
+            if path is None:
+                path = sample_poisson_path(jumps, T, substream(seed, scenario, "poisson"))
+            ev_times, ev_marks, ev_owners = path.times, path.marks, None
+            grid = build_grid(T, dt, path.times)
+        else:
+            if paths is None:
+                gen = substream(seed, scenario, "poisson")
+                paths = [sample_poisson_path(jumps, T, gen) for _ in range(n_particles)]
+            elif len(paths) != n_particles:
+                raise ValueError("idiosyncratic mode needs one Poisson path per particle")
+            ev_times = np.concatenate([p.times for p in paths])
+            order = np.argsort(ev_times, kind="stable")
+            ev_times = ev_times[order]
+            ev_marks = np.concatenate([p.marks for p in paths])[order]
+            ev_owners = np.repeat(np.arange(n_particles), [p.n_events for p in paths])[order]
+            grid = build_grid(T, dt)
+            if ev_times.size and ev_times[-1] > T:
+                raise ValueError("event times must lie in (0, T]")
+        if ev_marks.size and (ev_marks.min() < 0 or ev_marks.max() >= jumps.n_marks):
+            raise ValueError("path carries mark indices outside the declared mark set")
+
+        # an event at t in (t_k, t_{k+1}] lands on node k + 1 (exactly t_{k+1} in
+        # common mode, whose grid holds every event time)
+        ev_nodes = np.searchsorted(grid.times, ev_times, side="left")
+        self.bounds = np.searchsorted(ev_nodes, np.arange(grid.n_steps + 2)).tolist()
+        self.event_nodes = np.unique(ev_nodes).tolist()
+        self.marks, self.owners = ev_marks, ev_owners
+        self.grid, self.path, self.paths = grid, path, paths
+        self.times = grid.times.tolist()
+        base = build_grid(T, dt).times
+        self.base_times = base.tolist()
+        self.base_pos = np.searchsorted(grid.times, base).tolist()
+        self.mode, self.seed, self.scenario = mode, seed, scenario
+        self.gen_init = substream(seed, scenario, "init")
+        self.gen_brownian = substream(seed, scenario, "brownian")
+
+
+def _check_run(mode: str, n_particles: int):
+    if mode not in ("common", "idiosyncratic"):
+        raise ValueError("mode must be 'common' or 'idiosyncratic'")
+    if n_particles < 2:
+        raise ValueError("need at least two particles for an empirical law")
+
+
+def _run(coeffs: CoefficientSet, rules: Sequence, n_particles: int, init: InitSpec,
+         scenarios: list, history: bool) -> list:
+    """The Euler loop behind every entry point: ``rules`` on ``scenarios``.
+
+    Rule r on the s-th scenario is row ``s * R + r`` of one (S·R, N) cloud;
+    one row is kept 1-D.  Strict rules run together, a relaxed rule alone
+    (R = 1), and under a relaxed rule every row plays the same atoms.  Each
+    scenario draws its initial states once for its R rows, its Brownian
+    vector once per step of its own grid from its own substream, and keeps
+    its events, node indices, means and event log.
+
+    The rows walk the uniform base grid with one scalar ``t`` and ``h``.  A
+    scenario whose own grid has event nodes inside base step j takes those
+    sub-steps on its own rows in that iteration, so every row takes exactly
+    the (t, h) steps, draws and jumps of its own grid and keeps the bits of
+    its rule run alone on its scenario alone.  The coefficients are
+    evaluated once per step on all the rows that take it, and derived rules
+    share one evaluation (:func:`_paired_plan`).  The step's own arithmetic,
+    in the order of ``x + drift*h + diffusion*sqrt(h)*noise`` with the
+    compensator subtracted mark by mark from the drift, runs in buffers made
+    once per run: the compensated drift, the diffusion term and the normals
+    each have one.  The next states of a base step go into an array made
+    after the coefficients' temporaries, which lives through the next step:
+    over the mmap threshold, an array above the temporaries keeps the heap
+    top from being trimmed and faulted in again every step, which two state
+    buffers made once per run and swapped do not.  The sub-steps of a base step write
+    into an array made for it.  Each step ends, after its jumps, with one
+    row-sum pass: the sums over N are the next node's means, and a
+    non-finite sum leads to the entry-wise finite test, so a cloud that is
+    not finite at node k + 1, the last included, raises
+    :class:`DivergenceError` with that step and time.
+
+    With ``history`` (one rule, one scenario) it returns ``[cloud]``, the
+    :class:`ParticleCloud`; without, it keeps only the current clouds and
+    returns one :class:`ScenarioRecord` per scenario: the sample costs, with
+    the running cost summed step by step in the order :func:`cost_of_cloud`
+    sums it, the row means the step already forms, and the event log.
+
+    The first error of any row is raised at once; :func:`simulate_records`
+    and :func:`simulate_record` replay the scenarios and the rules one by one
+    to tell which of them failed.
+    """
+    n = n_particles
+    n_rules, n_scenarios = len(rules), len(scenarios)
+    n_rows = n_rules * n_scenarios
+    relaxed = rules[0].kind == "relaxed"
+    jumps = coeffs.jumps
+    lam, n_marks = jumps.intensities, jumps.n_marks
+    w_cloud = np.full(n, 1.0 / n)
+
+    def rows(a, b):
+        """The rows of scenarios a..b-1; every row when the cloud is 1-D."""
+        return Ellipsis if n_rows == 1 else slice(a * n_rules, b * n_rules)
+
+    shape = (n,) if n_rows == 1 else (n_rows, n)
+    x, drift_buf, work = (np.empty(shape) for _ in range(3))
+    noise = np.empty((n_scenarios, n))
+    noise_rows = list(noise)
+    draws = [scen.gen_brownian.standard_normal for scen in scenarios]
+    for s, scen in enumerate(scenarios):
+        x[rows(s, s + 1)] = init.sample(n, scen.gen_init)
+    # each row's mean has the bits of rows[r].mean(): the same sum, over N
+    means = np.add.reduce(x.reshape(n_rows, n), axis=1) / n
+    running = np.zeros(n_rows)
+    paired = not relaxed and n_rows > 1
+    control_buf = np.empty(shape) if paired else None
+    plans = {}  # scenario count -> _paired_plan
+
+    first = scenarios[0]
+    base_times = first.base_times
+    m_base = len(base_times) - 1
+    # the base steps some scenario splits into sub-steps, and the jumps that
+    # end an unsplit base step: base step j -> [scenario] and [(scenario, node)]
+    split_at, jumps_at = {}, {}
+    for s, scen in enumerate(scenarios):
+        pos = scen.base_pos
+        for j in np.flatnonzero(np.diff(pos) > 1).tolist():
+            split_at.setdefault(j, []).append(s)
+        for node in scen.event_nodes:
+            j = bisect.bisect_left(pos, node) - 1
+            if pos[j + 1] == node and pos[j] == node - 1:
+                jumps_at.setdefault(j, []).append((s, node))
+    base_means = np.empty((m_base + 1, n_rows))
+    base_means[0] = means
+    inner_means = [[] for _ in scenarios]  # (node, row means) at sub-step nodes
+    logs = [[] for _ in scenarios]
+    unwrap = n_rules == 1 and n_rows > 1  # one rule's event shifts are floats
+    if history:
+        m_steps = first.grid.n_steps
+        states = np.empty((m_steps + 1, n))
+        states[0] = x
+        controls = None if relaxed else np.empty((m_steps, n))
+        relaxed_controls = [] if relaxed else None
+        pre_jump_states: dict = {}
+
+    def step(src, dst, a, b, t, h, ends, j, k=None):
+        """One Euler step of scenarios a..b-1 from ``src``; returns their next
+        states, written into the rows of ``dst`` or, with ``dst=None``, into
+        an array made late in the step.
+
+        ``ends`` lists the ``(scenario, node)`` pairs whose events land at the
+        end of the step.  The step is base step j of every scenario, or, when
+        ``k`` is given, step k of scenario a's own grid inside base step j.
+        """
+        sl = rows(a, b)
+        xv, cur = src[sl], means[sl]
+        if relaxed:
+            # evaluate has validated and normalized the rows; every row plays them
+            control = RelaxedKernel.trusted(*rules[0].evaluate(t, xv.reshape(-1, n)[0], float(cur[0])))
+        elif not paired:
+            control = rules[0].evaluate(t, xv, float(cur[0]))
+        else:
+            control = control_buf[sl]
+            if b - a not in plans:
+                plans[b - a] = _paired_plan(rules, b - a)
+            _paired_controls(plans[b - a], t, xv, cur, control)
+
+        for s in range(a, b):
+            draws[s](out=noise_rows[s])
+        rho = _law_view(xv, control, w_cloud)
+        drift = _per_particle(coeffs.drift, xv, rho, control)
+        wv = work[sl]
+        for mark in range(n_marks):
+            np.multiply(lam[mark], _per_particle(coeffs.jump, xv, rho, control, mark), out=wv)
+            drift = np.subtract(drift, wv, out=drift_buf[sl])
+        diffusion = _per_particle(coeffs.diffusion, xv, rho, control)
+        rate = None if history else _running_cost_rate(coeffs, xv, rho, control)
+        np.multiply(drift, h, out=wv)
+        xn = np.add(xv, wv) if dst is None else np.add(xv, wv, out=dst[sl])
+        np.multiply(diffusion, math.sqrt(h), out=wv)
+        if n_rows == 1:
+            wv *= noise_rows[a]
+        else:
+            scaled = wv.reshape(b - a, n_rules, n)
+            scaled *= noise[a:b, None]
+        xn += wv
+
+        if history:
+            k_own = first.base_pos[j] if k is None else k
+            if ends:
+                pre_jump_states[k_own + 1] = xn.copy()
+        for s, node in ends:
+            scen, log = scenarios[s], logs[s]
+            lo, hi = scen.bounds[node], scen.bounds[node + 1]
+            own = rows(s - a, s - a + 1)
+            xs = xn[own]
+            cs = control if relaxed else control[own]
+            if scen.owners is None:
+                for mark in scen.marks[lo:hi].tolist():
+                    disp = _per_particle(coeffs.jump, xs, _law_view(xs, cs, w_cloud), cs, mark)
+                    shift = disp.mean(axis=-1).tolist()
+                    xs += disp
+                    log.append((node, mark, shift[0] if unwrap else shift))
+            else:
+                # every jump of the step reads the end-of-step cloud and law
+                rho_minus = _law_view(xs, cs, w_cloud)
+                marks, owners = scen.marks[lo:hi], scen.owners[lo:hi]
+                shifts = np.empty(xs.shape[:-1] + (hi - lo,))
+                for mark in set(marks.tolist()):
+                    sel = marks == mark
+                    disp = _per_particle(coeffs.jump, xs, rho_minus, cs, mark)
+                    shifts[..., sel] = disp[..., owners[sel]]
+                np.add.at(xs, (Ellipsis, owners), shifts)
+                per_event = (shifts / n).T.tolist()
+                log.extend(zip(
+                    [node] * (hi - lo), marks.tolist(),
+                    [d[0] for d in per_event] if unwrap else per_event,
+                ))
+
+        # a finite row sum means a finite row; only a non-finite sum, which
+        # finite entries can reach by overflow, needs the entry-wise test
+        sums = np.add.reduce(xn.reshape(-1, n), axis=1)
+        if not math.isfinite(sum(sums.tolist())) and not np.isfinite(xn).all():
+            s = a + int(np.flatnonzero(~np.isfinite(xn.reshape(-1, n)).all(axis=1))[0]) // n_rules
+            node = k + 1 if k is not None else scenarios[s].base_pos[j + 1]
+            raise DivergenceError(node, scenarios[s].times[node])
+        np.divide(sums, n, out=cur)
+        if history:
+            if relaxed:
+                relaxed_controls.append(control)
+            else:
+                controls[k_own] = control
+            states[k_own + 1] = xn
+        else:
+            running[sl] += h * rate
+        return xn
+
+    def sub_steps(src, dst, s, j):
+        """Scenario s's own steps inside base step j, ending in ``dst``."""
+        scen, own = scenarios[s], rows(s, s + 1)
+        times, bounds = scen.times, scen.bounds
+        start, stop = scen.base_pos[j], scen.base_pos[j + 1]
+        for k in range(start, stop):
+            if k > start:
+                src[own] = dst[own]
+            node = k + 1
+            ends = [(s, node)] if bounds[node + 1] > bounds[node] else []
+            step(src, dst, s, s + 1, times[k], times[node] - times[k], ends, j, k)
+            if node < stop:
+                inner_means[s].append((node, means[own].copy()))
+
+    for j in range(m_base):
+        t = base_times[j]
+        h = base_times[j + 1] - t
+        ends = jumps_at.get(j, ())
+        split = split_at.get(j)
+        if split is None:
+            x = step(x, None, 0, n_scenarios, t, h, ends, j)
+        else:
+            x_next = np.empty(shape)
+            a = 0
+            for s in split + [n_scenarios]:
+                if s > a:
+                    step(x, x_next, a, s, t, h, [e for e in ends if a <= e[0] < s], j)
+                if s < n_scenarios:
+                    sub_steps(x, x_next, s, j)
+                a = s + 1
+            x = x_next
+        base_means[j + 1] = means
+
+    if history:
+        return [ParticleCloud(
+            grid=first.grid, states=states, mode=first.mode,
+            seed=first.seed, scenario=first.scenario, path=first.path, paths=first.paths,
+            controls=controls, relaxed_controls=relaxed_controls,
+            pre_jump_states=pre_jump_states, event_log=logs[0],
+        )]
+    final = x.reshape(n_rows, n)
+    records = []
+    for s, scen in enumerate(scenarios):
+        own = slice(s * n_rules, (s + 1) * n_rules)
+        node_means = np.empty((scen.grid.n_steps + 1, n_rules))
+        node_means[scen.base_pos] = base_means[:, own]
+        for node, values in inner_means[s]:
+            node_means[node] = values
+        records.append(ScenarioRecord(
+            costs=[running[r] + _terminal_cost(coeffs, final[r]) for r in range(own.start, own.stop)],
+            means=node_means.reshape(-1) if n_rules == 1 else node_means,
+            event_log=logs[s],
+        ))
+    return records
 
 
 def _simulate(
@@ -555,176 +925,13 @@ def _simulate(
     paths: Optional[list],
     history: bool,
 ):
-    """The Euler loop behind every entry point.
-
-    ``rules`` are paired variants of one scenario: strict rules advance in
-    lock-step as the rows of one (R, N) cloud on a single draw of the
-    initial states, Brownian increments and Poisson events, with the
-    coefficients evaluated once on the whole array.  Each row takes exactly
-    the steps of a run of its rule alone, so each cost keeps its bits.  A
-    relaxed rule runs alone (R = 1).  Rules derived from one feedback share
-    one evaluation on their stacked rows (:func:`_paired_plan`).  Each step
-    ends, after its jumps, with one row-sum pass: the sums over N are the
-    next node's means, and a non-finite sum leads to the entry-wise finite
-    test, so a cloud that is not finite at node k + 1, the last included,
-    raises :class:`DivergenceError` with that step and time.
-
-    With ``history`` (one rule) it returns the :class:`ParticleCloud`;
-    without, it keeps only the current clouds and returns a
-    :class:`ScenarioRecord`: the sample costs, with the running cost summed
-    step by step in the order :func:`cost_of_cloud` sums it, the row means
-    the step already forms for the rules, and the event log.  Its memory
-    is then one cloud plus one mean per node and one entry per event.
-
-    The first error of any row is raised at once; :func:`simulate_record`
-    replays the rules one by one to tell which of them failed.
-    """
-    if mode not in ("common", "idiosyncratic"):
-        raise ValueError("mode must be 'common' or 'idiosyncratic'")
-    if n_particles < 2:
-        raise ValueError("need at least two particles for an empirical law")
-    relaxed = rules[0].kind == "relaxed"
-
-    jumps = coeffs.jumps
-    if mode == "common":
-        if path is None:
-            path = sample_poisson_path(jumps, T, substream(seed, scenario, "poisson"))
-        ev_times, ev_marks, ev_owners = path.times, path.marks, None
-        grid = build_grid(T, dt, path.times)
-    else:
-        if paths is None:
-            gen = substream(seed, scenario, "poisson")
-            paths = [sample_poisson_path(jumps, T, gen) for _ in range(n_particles)]
-        elif len(paths) != n_particles:
-            raise ValueError("idiosyncratic mode needs one Poisson path per particle")
-        ev_times = np.concatenate([p.times for p in paths])
-        order = np.argsort(ev_times, kind="stable")
-        ev_times = ev_times[order]
-        ev_marks = np.concatenate([p.marks for p in paths])[order]
-        ev_owners = np.repeat(np.arange(n_particles), [p.n_events for p in paths])[order]
-        grid = build_grid(T, dt)
-        if ev_times.size and ev_times[-1] > T:
-            raise ValueError("event times must lie in (0, T]")
-
-    if ev_marks.size and (ev_marks.min() < 0 or ev_marks.max() >= jumps.n_marks):
-        raise ValueError("path carries mark indices outside the declared mark set")
-
-    # an event at t in (t_k, t_{k+1}] lands on node k + 1 (exactly t_{k+1} in
-    # common mode, whose grid holds every event time); node k's events are
-    # ev_*[bounds[k]:bounds[k + 1]]
-    ev_nodes = np.searchsorted(grid.times, ev_times, side="left")
-    bounds = np.searchsorted(ev_nodes, np.arange(grid.n_steps + 2)).tolist()
-
-    gen_init = substream(seed, scenario, "init")
-    gen_brownian = substream(seed, scenario, "brownian")
-    # one rule's cloud is kept 1-D, paired rules are the rows of an (R, N)
-    # cloud, and ``x[r]`` is contiguous either way
-    n_rules = len(rules)
-    x = init.sample(n_particles, gen_init)
-    if n_rules > 1:
-        x = np.tile(x, (n_rules, 1))
-
-    m_steps = grid.n_steps
-    if history:
-        states = np.empty((m_steps + 1, n_particles))
-        states[0] = x
-        controls = None if relaxed else np.empty((m_steps, n_particles))
-        relaxed_controls = [] if relaxed else None
-    means = np.empty((m_steps + 1, n_rules))
-    # each row's mean has the bits of rows[r].mean(): the same sum, over N
-    means[0] = np.add.reduce(x.reshape(n_rules, n_particles), axis=1) / n_particles
-    pre_jump_states: dict = {}
-    event_log: list = []
-    running = np.zeros(n_rules)
-    lam = jumps.intensities
-    w_cloud = np.full(n_particles, 1.0 / n_particles)
-    times = grid.times.tolist()
-    plan = _paired_plan(rules) if n_rules > 1 else None
-
-    for k in range(m_steps):
-        t = times[k]
-        node = k + 1
-        h = times[node] - t
-
-        cond_means = means[k].tolist()
-        if plan is None:
-            control = rules[0].evaluate(t, x, cond_means[0])
-            if relaxed:
-                # evaluate has validated and normalized the rows
-                control = RelaxedKernel.trusted(*control)
-        else:
-            control = _paired_controls(plan, t, x, means[k], cond_means)
-
-        noise = gen_brownian.standard_normal(n_particles)
-        rho = _law_view(x, control, w_cloud)
-        drift = _per_particle(coeffs.drift, x, rho, control)
-        for j in range(jumps.n_marks):
-            drift = drift - lam[j] * _per_particle(coeffs.jump, x, rho, control, j)
-        diffusion = _per_particle(coeffs.diffusion, x, rho, control)
-        rate = None if history else _running_cost_rate(coeffs, x, rho, control)
-        x_new = x + drift * h + diffusion * math.sqrt(h) * noise
-
-        lo, hi = bounds[node], bounds[node + 1]
-        if hi > lo:
-            if history:
-                pre_jump_states[node] = x_new.copy()
-            if ev_owners is None:
-                for mark in ev_marks[lo:hi].tolist():
-                    rho_minus = _law_view(x_new, control, w_cloud)
-                    disp = _per_particle(coeffs.jump, x_new, rho_minus, control, mark)
-                    x_new = x_new + disp
-                    event_log.append((node, mark, disp.mean(axis=-1).tolist()))
-            else:
-                # every jump of the step reads the end-of-step cloud and law;
-                # x_new is this step's own array, so the owners move in place
-                rho_minus = _law_view(x_new, control, w_cloud)
-                marks, owners = ev_marks[lo:hi], ev_owners[lo:hi]
-                shifts = np.empty(x_new.shape[:-1] + (hi - lo,))
-                for mark in set(marks.tolist()):
-                    sel = marks == mark
-                    disp = _per_particle(coeffs.jump, x_new, rho_minus, control, mark)
-                    shifts[..., sel] = disp[..., owners[sel]]
-                np.add.at(x_new, (Ellipsis, owners), shifts)
-                event_log.extend(zip(
-                    [node] * (hi - lo), marks.tolist(), (shifts / n_particles).T.tolist()
-                ))
-
-        # a finite row sum means a finite row; only a non-finite sum, which
-        # finite entries can reach by overflow, needs the entry-wise test
-        sums = np.add.reduce(x_new.reshape(n_rules, n_particles), axis=1)
-        if not math.isfinite(sum(sums.tolist())) and not np.isfinite(x_new).all():
-            raise DivergenceError(node, times[node])
-        means[node] = sums / n_particles
-        if history:
-            if relaxed:
-                relaxed_controls.append(control)
-            else:
-                controls[k] = control
-            states[node] = x_new
-        else:
-            running += h * rate
-        x = x_new
-
-    if not history:
-        rows = x.reshape(n_rules, n_particles)
-        return ScenarioRecord(
-            costs=[running[r] + _terminal_cost(coeffs, rows[r]) for r in range(n_rules)],
-            means=means.reshape(means.shape[:1] + x.shape[:-1]),
-            event_log=event_log,
-        )
-    return ParticleCloud(
-        grid=grid,
-        states=states,
-        mode=mode,
-        seed=seed,
-        scenario=scenario,
-        path=path,
-        paths=paths,
-        controls=controls,
-        relaxed_controls=relaxed_controls,
-        pre_jump_states=pre_jump_states,
-        event_log=event_log,
-    )
+    """:func:`_run` on one scenario, whose Poisson path (common noise) or
+    per-particle paths (idiosyncratic noise) may be given; it returns the
+    scenario's :class:`ScenarioRecord`, or its :class:`ParticleCloud` with
+    ``history``."""
+    _check_run(mode, n_particles)
+    scen = _Scenario(coeffs.jumps, n_particles, T, dt, mode, seed, scenario, path, paths)
+    return _run(coeffs, rules, n_particles, init, [scen], history)[0]
 
 
 def simulate_strict(
@@ -775,6 +982,26 @@ def simulate_relaxed(
 # Cost
 # ---------------------------------------------------------------------------
 
+def _checked_rules(rules) -> list:
+    if not rules:
+        raise ValueError("need at least one rule")
+    for rule in rules:
+        if rule.kind not in ("strict", "relaxed"):
+            raise TypeError(f"unknown control rule kind {rule.kind!r}")
+    if len(rules) > 1 and any(rule.kind != "strict" for rule in rules):
+        raise ValueError("only strict rules run paired")
+    return list(rules)
+
+
+def _split(seq, parts: int) -> list:
+    """``seq`` cut into ``parts`` contiguous pieces of nearly equal length, longer first."""
+    size, extra = divmod(len(seq), parts)
+    cuts = [0]
+    for i in range(parts):
+        cuts.append(cuts[-1] + size + (i < extra))
+    return [seq[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
 def simulate_record(
     coeffs: CoefficientSet,
     rules: Sequence,
@@ -797,23 +1024,17 @@ def simulate_record(
     single rule's costs, means and event log equal :func:`cost_of_cloud`,
     ``states.mean(axis=1)`` and ``event_log`` of the matching
     :func:`simulate_strict` / :func:`simulate_relaxed` cloud, while memory
-    stays at one cloud.
+    stays at one cloud.  :func:`simulate_records` runs a block of scenarios.
 
     A failure is what running the rules one after another raises first: when
     the lock-step run raises, the rules are replayed one by one and the first
     that fails alone raises its own error.  If every rule succeeds alone, the
     lock-step error is raised.
     """
-    if not rules:
-        raise ValueError("need at least one rule")
-    for rule in rules:
-        if rule.kind not in ("strict", "relaxed"):
-            raise TypeError(f"unknown control rule kind {rule.kind!r}")
-    if len(rules) > 1 and any(rule.kind != "strict" for rule in rules):
-        raise ValueError("only strict rules run paired")
+    rules = _checked_rules(rules)
     run = (n_particles, T, dt, mode, seed, scenario, init, path, paths)
     try:
-        return _simulate(coeffs, list(rules), *run, history=False)
+        return _simulate(coeffs, rules, *run, history=False)
     except Exception as err:
         if len(rules) == 1:
             raise
@@ -821,6 +1042,56 @@ def simulate_record(
     for rule in rules:
         _simulate(coeffs, [rule], *run, history=False)
     raise lock_step_error
+
+
+def simulate_records(
+    coeffs: CoefficientSet,
+    rules: Sequence,
+    n_particles: int,
+    T: float,
+    dt: float,
+    mode: str = "common",
+    seed: int = 0,
+    scenarios: Sequence[int] = (0,),
+    init: InitSpec = InitSpec(),
+) -> list:
+    """``[simulate_record(..., scenario=s) for s in scenarios]``, in lock-step.
+
+    Every rule on every scenario of the block is one row of one cloud
+    (:func:`_run`), and each record equals that of its scenario run alone
+    bit for bit.  The block is cut into batches of whole scenarios, as few
+    as keep each (rows, N) array within :data:`BATCH_FLOATS` floats and of
+    nearly equal size; a batch holds one scenario when one scenario is over
+    the bound, and so does every batch of a relaxed rule that is not
+    constant, whose atoms depend on the states.
+
+    A failure is what running the scenarios one after another raises first:
+    when a batch raises, its scenarios are replayed one by one through
+    :func:`simulate_record`, which replays the rules, and the first that
+    fails alone raises its own error.  If each succeeds alone, the lock-step
+    error is raised.
+    """
+    rules = _checked_rules(rules)
+    _check_run(mode, n_particles)
+    scenarios = list(scenarios)
+    if not scenarios:
+        return []
+    if rules[0].kind == "relaxed" and not rules[0]._constant:
+        per_batch = 1
+    else:
+        per_batch = max(1, BATCH_FLOATS // (len(rules) * n_particles))
+    records = []
+    for batch in _split(scenarios, -(-len(scenarios) // per_batch)):
+        try:
+            records += _run(coeffs, rules, n_particles, init, [
+                _Scenario(coeffs.jumps, n_particles, T, dt, mode, seed, s, None, None)
+                for s in batch
+            ], history=False)
+        except Exception as err:
+            for s in batch:
+                simulate_record(coeffs, rules, n_particles, T, dt, mode, seed, s, init)
+            raise err
+    return records
 
 
 def cost_of_cloud(cloud: ParticleCloud, coeffs: CoefficientSet) -> float:
@@ -848,30 +1119,43 @@ def _install_task(task: Callable):
     _TASK = task
 
 
-def _run_task(scenario: int):
-    return _TASK(scenario)
+def _run_task(block: range):
+    return _TASK(block)
 
 
-def map_scenarios(task: Callable, n_scenarios: int, workers: int = 1) -> list:
-    """``[task(0), ..., task(n_scenarios - 1)]``, on up to ``workers`` processes.
+def map_blocks(task: Callable, n_scenarios: int, workers: int = 1) -> list:
+    """``task(block)`` over contiguous blocks of the scenarios, on up to
+    ``workers`` processes, the results of the blocks joined in scenario order.
 
-    Workers are forked, and the task reaches them through the pool
-    initializer, which fork hands over without pickling: it may close over
-    lambdas, rules and coefficient sets (spawn would have to pickle them).
-    The program starts no threads of its own, which fork needs to be safe.
-    Only scenario indices and results cross the process boundary, and
-    results come back in scenario order, so the list does not depend on the
-    worker count.
+    ``task`` takes a ``range`` of scenario indices and returns one result
+    per scenario.  Each of min(workers, n_scenarios) workers gets one block,
+    of nearly equal sizes, the longer first: 4 scenarios on 3 workers give
+    blocks of 2, 1 and 1.  Workers are forked, and the task reaches them
+    through the pool initializer, which fork hands over without pickling: it
+    may close over lambdas, rules and coefficient sets (spawn would have to
+    pickle them).  The program starts no threads of its own, which fork
+    needs to be safe.  Only blocks and results cross the process boundary,
+    so the list does not depend on the worker count as long as the task's
+    results do not depend on its block.
     """
-    if workers <= 1 or n_scenarios <= 1:
-        return [task(s) for s in range(n_scenarios)]
+    if n_scenarios <= 0:
+        return []
+    blocks = _split(range(n_scenarios), min(max(workers, 1), n_scenarios))
+    if len(blocks) == 1:
+        return list(task(blocks[0]))
     with ProcessPoolExecutor(
-        max_workers=min(workers, n_scenarios),
+        max_workers=len(blocks),
         mp_context=multiprocessing.get_context("fork"),
         initializer=_install_task,
         initargs=(task,),
     ) as pool:
-        return list(pool.map(_run_task, range(n_scenarios)))
+        return [result for part in pool.map(_run_task, blocks) for result in part]
+
+
+def map_scenarios(task: Callable, n_scenarios: int, workers: int = 1) -> list:
+    """``[task(0), ..., task(n_scenarios - 1)]``, one block of scenarios per
+    worker (:func:`map_blocks`)."""
+    return map_blocks(lambda block: [task(s) for s in block], n_scenarios, workers)
 
 
 def standard_error(samples: np.ndarray) -> float:

@@ -40,7 +40,6 @@ from .coefficients import (
 from .lq import (
     RiccatiSolution,
     adjoint_ansatz,
-    mean_optimal_control,
     optimal_control,
     quadratic_minimizer,
     solve_riccati,
@@ -62,8 +61,9 @@ from .simulate import (
     InitSpec,
     ParticleCloud,
     RelaxedRule,
+    map_blocks,
     map_scenarios,
-    simulate_record,
+    simulate_records,
     simulate_strict,
     standard_error,
 )
@@ -165,6 +165,36 @@ class Perturbation:
         raise ValueError(f"unknown perturbation kind {self.kind!r}")
 
 
+def block_costs(
+    coeffs: CoefficientSet,
+    rules: Sequence,
+    horizon: float,
+    mc: MonteCarloSettings,
+    scenarios: Sequence[int],
+) -> list:
+    """Sample cost of each rule on each scenario of a block, one list per
+    scenario; the rules of a scenario share its noise.
+
+    The strict rules on every scenario advance together in one lock-step
+    :func:`simulate.simulate_records` run and each relaxed rule on every
+    scenario in another; every cost equals that of its rule run alone on its
+    scenario alone.
+    """
+    def costs(group):
+        return [record.costs for record in simulate_records(
+            coeffs, group, mc.particles, horizon, mc.dt,
+            mode=mc.mode, seed=mc.seed, scenarios=scenarios, init=mc.init,
+        )]
+
+    strict = [rule for rule in rules if rule.kind == "strict"]
+    strict_columns = iter(zip(*costs(strict))) if strict else None
+    columns = [
+        next(strict_columns) if rule.kind == "strict" else [c for c, in costs([rule])]
+        for rule in rules
+    ]
+    return [list(row) for row in zip(*columns)]
+
+
 def scenario_costs(
     coeffs: CoefficientSet,
     rules: Sequence,
@@ -172,24 +202,8 @@ def scenario_costs(
     mc: MonteCarloSettings,
     scenario: int,
 ) -> list:
-    """Sample cost of each rule on one scenario; the rules share its noise.
-
-    The strict rules advance together in one lock-step
-    :func:`simulate.simulate_record` run and each relaxed rule runs alone in
-    another; every cost equals that of its rule run alone.
-    """
-    def costs(group):
-        return simulate_record(
-            coeffs, group, mc.particles, horizon, mc.dt,
-            mode=mc.mode, seed=mc.seed, scenario=scenario, init=mc.init,
-        ).costs
-
-    strict = [rule for rule in rules if rule.kind == "strict"]
-    strict_costs = iter(costs(strict) if strict else [])
-    return [
-        next(strict_costs) if rule.kind == "strict" else costs([rule])[0]
-        for rule in rules
-    ]
+    """Sample cost of each rule on one scenario (:func:`block_costs`)."""
+    return block_costs(coeffs, rules, horizon, mc, [scenario])[0]
 
 
 def simulate_optimal(
@@ -535,11 +549,14 @@ def check_optimality(
         rules[pert.label] = pert.wrap(sol)
 
     coarse_mc = replace(mc, dt=2 * mc.dt)
-    table = np.array(map_scenarios(
-        lambda s: scenario_costs(coeffs, list(rules.values()), params.T, mc, s)
-        + scenario_costs(coeffs, [rules["optimal"]], params.T, coarse_mc, s),
-        mc.scenarios, workers,
-    )).T
+
+    def costs_of(block):
+        # the coarse run has its own grid, so it runs as a block of its own
+        fine = block_costs(coeffs, list(rules.values()), params.T, mc, block)
+        coarse = block_costs(coeffs, [rules["optimal"]], params.T, coarse_mc, block)
+        return [f + c for f, c in zip(fine, coarse)]
+
+    table = np.array(map_blocks(costs_of, mc.scenarios, workers)).T
     costs = dict(zip(rules, table))
     coarse = table[-1]
 
@@ -720,10 +737,11 @@ def compare_noise_modes(
     """Shared vs per-particle jumps: Riccati agreement without jumps, and the
     conditional-mean jump statistic dominance with them.
 
-    Each scenario runs the optimal feedback history-free
-    (:func:`simulate.simulate_record`): its node means and event log give the
-    jump statistics, so memory holds one cloud per worker, not the
-    ``(steps + 1) x N`` history of a :class:`ParticleCloud`.
+    Each worker runs the optimal feedback history-free on its block of
+    scenarios (:func:`simulate.simulate_records`): each scenario's node means
+    and event log give the jump statistics, so memory holds one batch of
+    clouds per worker, not the ``(steps + 1) x N`` history of a
+    :class:`ParticleCloud`.
     """
     stripped = replace(params, jumps=JumpSpec.empty())
     sol_c0 = solve_riccati(stripped, "common", mc.riccati_steps)
@@ -746,11 +764,7 @@ def compare_noise_modes(
         for mode in ("common", "idiosyncratic"):
             rule = optimal_feedback_rule(solve_riccati(params, mode, mc.riccati_steps))
 
-            def jump_statistics(scenario):
-                record = simulate_record(
-                    coeffs, [rule], mc.particles, params.T, mc.dt, mode=mode,
-                    seed=mc.seed, scenario=scenario, init=mc.init,
-                )
+            def jump_statistics(record):
                 event_nodes = {node for node, _, _ in record.event_log}
                 incr = np.abs(np.diff(record.means))
                 return (
@@ -759,8 +773,14 @@ def compare_noise_modes(
                     [incr[k] for k in range(len(incr)) if (k + 1) in event_nodes],
                 )
 
+            def block_statistics(block):
+                return [jump_statistics(record) for record in simulate_records(
+                    coeffs, [rule], mc.particles, params.T, mc.dt, mode=mode,
+                    seed=mc.seed, scenarios=block, init=mc.init,
+                )]
+
             displacements, quiet_incr, event_incr = [], [], []
-            for disp, quiet, event in map_scenarios(jump_statistics, mc.scenarios, workers):
+            for disp, quiet, event in map_blocks(block_statistics, mc.scenarios, workers):
                 displacements += disp
                 quiet_incr += quiet
                 event_incr += event
@@ -816,8 +836,8 @@ def check_chattering(
 ) -> CheckReport:
     """Paired cost gaps between slab approximations and the relaxed control."""
     rules = [relaxed_rule] + [ChatteringRule(relaxed_rule, n, horizon) for n in levels]
-    table = np.array(map_scenarios(
-        lambda s: scenario_costs(coeffs, rules, horizon, mc, s), mc.scenarios, workers
+    table = np.array(map_blocks(
+        lambda block: block_costs(coeffs, rules, horizon, mc, block), mc.scenarios, workers
     )).T
     relaxed_costs = table[0]
     gaps, sigmas = [], []

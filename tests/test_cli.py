@@ -856,10 +856,11 @@ class TestThreadInvariance:
     )
     def test_output_is_byte_identical_across_threads(self, tmp_path, command):
         path = write_config(tmp_path, small_config())
-        outs = [tmp_path / f"t{threads}.json" for threads in (1, 2)]
-        for threads, out in zip((1, 2), outs):
+        # small_config's 4 scenarios run as blocks of 4, 2 + 2 and 2 + 1 + 1
+        outs = [tmp_path / f"t{threads}.json" for threads in (1, 2, 3)]
+        for threads, out in zip((1, 2, 3), outs):
             main(command + ["--config", path, "--out", str(out), "--threads", str(threads)])
-        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
 
 
 class TestFpPairingDump:

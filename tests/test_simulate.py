@@ -18,6 +18,7 @@ from mfcpoisson.simulate import (
     map_scenarios,
     sample_poisson_path,
     simulate_record,
+    simulate_records,
     simulate_relaxed,
     simulate_strict,
     substream,
@@ -850,16 +851,172 @@ class TestDivergenceOnTheLastStep:
             assert (record.means[:, 0] == cloud.states.mean(axis=1)).all()
 
 
+# hand-made common Poisson paths, keyed by scenario, on the base grid of
+# dt = 1/64: one event inside base step 10; two inside base step 20; one on
+# base node 32; none; one inside base step 10 and one on the last node; one
+# on node 32 followed by one inside the next step
+HAND_PATHS = {
+    0: ([10.5 / 64], [0]),
+    1: ([20.25 / 64, 20.75 / 64], [0, 1]),
+    2: ([0.5], [1]),
+    3: ([], []),
+    4: ([10.25 / 64, 1.0], [1, 0]),
+    5: ([0.5, 32.5 / 64], [0, 1]),
+}
+
+
+@pytest.fixture
+def hand_paths(monkeypatch):
+    """Scenario s of a common-noise run gets ``paths[s]``, set by the test."""
+    paths = {}
+    substream_of = simulate.substream
+
+    def keyed(seed, scenario, purpose):
+        return ("poisson", scenario) if purpose == "poisson" else substream_of(seed, scenario, purpose)
+
+    def hand_path(jumps, T, gen):
+        return PoissonPath(*paths[gen[1]])
+
+    monkeypatch.setattr(simulate, "substream", keyed)
+    monkeypatch.setattr(simulate, "sample_poisson_path", hand_path)
+    return paths
+
+
+class _CountingRelaxed(RelaxedRule):
+    def __init__(self, fn):
+        super().__init__(fn)
+        self.slab_calls = 0
+
+    def slab_atoms(self, t, states, cond_mean):
+        self.slab_calls += 1
+        return super().slab_atoms(t, states, cond_mean)
+
+
+class TestScenarioBlocks:
+    """Every rule on every scenario of a block is one row of one lock-step
+    cloud, and each scenario's record keeps the bits of its run alone."""
+
+    COEFFS = lq(b1=0.5, b2=0.4, sigma=0.4, jumps=JumpSpec([1.0, 2.0], [2.0, 1.5], [0.3, -0.2]))
+    RUN = dict(n_particles=40, T=1.0, dt=1 / 64, seed=5)
+
+    def assert_each_alone(self, rules, scenarios, coeffs=None, **run):
+        coeffs = coeffs or self.COEFFS
+        run = dict(self.RUN, **run)
+        block = simulate_records(coeffs, rules, scenarios=scenarios, **run)
+        assert len(block) == len(scenarios)
+        for s, record in zip(scenarios, block):
+            alone = simulate_record(coeffs, rules, scenario=s, **run)
+            assert np.array(record.costs).tobytes() == np.array(alone.costs).tobytes()
+            assert record.means.shape == alone.means.shape
+            assert record.means.tobytes() == alone.means.tobytes()
+            assert record.event_log == alone.event_log
+        return block
+
+    @staticmethod
+    def strict_rules():
+        base = lambda t, x, m: -0.7 * x + 0.2 * m  # noqa: E731
+        return [
+            FeedbackRule.derived(base),
+            FeedbackRule(lambda t, x, m: -0.3 * x + np.sin(t)),
+            FeedbackRule.derived(base, gain=1.5),
+            FeedbackRule.derived(base, offset=-0.25),
+        ]
+
+    @pytest.mark.parametrize("mode", ["common", "idiosyncratic"])
+    @pytest.mark.parametrize("n_rules", [1, 4])
+    def test_each_record_equals_its_scenario_alone(self, mode, n_rules):
+        rules = self.strict_rules()[:n_rules]
+        block = self.assert_each_alone(rules, range(2, 8), mode=mode)
+        assert sum(len(record.event_log) for record in block) > 6
+
+    @pytest.mark.parametrize("n_rules", [1, 3])
+    def test_sub_steps_of_events_inside_base_steps(self, hand_paths, n_rules):
+        hand_paths.update(HAND_PATHS)
+        rules = self.strict_rules()[:n_rules]
+        block = self.assert_each_alone(rules, list(HAND_PATHS))
+        nodes = [record.means.shape[0] for record in block]
+        # the base grid's 65 nodes plus one per event off a base node
+        assert nodes == [66, 67, 65, 65, 66, 66]
+        assert [len(record.event_log) for record in block] == [1, 2, 1, 0, 2, 2]
+        for s, record in zip(HAND_PATHS, block):
+            cloud = simulate_strict(self.COEFFS, rules[0], scenario=s, **self.RUN)
+            means = record.means if n_rules == 1 else record.means[:, 0]
+            assert means.tobytes() == cloud.states.mean(axis=1).tobytes()
+            assert record.costs[0] == cost_of_cloud(cloud, self.COEFFS)
+
+    @pytest.mark.parametrize("mode", ["common", "idiosyncratic"])
+    @pytest.mark.parametrize("n_atoms", [2, 9])
+    def test_a_block_of_a_constant_relaxed_rule(self, mode, n_atoms):
+        gen = np.random.default_rng(n_atoms)
+        rule = RelaxedRule.constant(gen.normal(size=n_atoms), gen.uniform(0.1, 1.0, n_atoms))
+        self.assert_each_alone([rule], range(5), mode=mode)
+
+    def test_a_block_of_a_general_relaxed_rule(self):
+        rule = RelaxedRule(lambda t, x, m: (
+            np.stack([-0.5 * x, 0.2 + 0.0 * x], axis=1),
+            np.stack([1.0 + 0.0 * x, np.exp(-(x**2))], axis=1),
+        ))
+        self.assert_each_alone([rule], range(3))
+
+    @pytest.mark.parametrize("mode", ["common", "idiosyncratic"])
+    def test_a_block_of_slab_rules_shares_one_slab_atoms_call_per_step(self, mode):
+        relaxed = _CountingRelaxed.constant([-0.4, 0.3, 1.1], [0.2, 0.5, 0.3])
+        rules = [ChatteringRule(relaxed, n, 1.0) for n in (1, 2, 4, 8, 16)]
+        self.assert_each_alone(rules, range(4), mode=mode)
+        if mode == "idiosyncratic":
+            relaxed.slab_calls = 0
+            simulate_records(self.COEFFS, rules, scenarios=range(4), mode=mode, **self.RUN)
+            assert relaxed.slab_calls == 64  # one per step of the uniform grid
+
+    def test_a_block_over_the_batch_bound_is_split(self, monkeypatch):
+        batches = []
+        run_batch = simulate._run
+
+        def recording(coeffs, rules, n_particles, init, scenarios, history):
+            batches.append([scen.scenario for scen in scenarios])
+            return run_batch(coeffs, rules, n_particles, init, scenarios, history)
+
+        rules = self.strict_rules()[:3]
+        monkeypatch.setattr(simulate, "BATCH_FLOATS", 2 * 3 * 40 + 1)
+        monkeypatch.setattr(simulate, "_run", recording)
+        self.assert_each_alone(rules, range(1, 6))
+        # 5 scenarios of 3 x 40 floats, at most 2 a batch: 2 + 2 + 1
+        assert batches[0] == [1, 2] and batches[1] == [3, 4] and batches[2] == [5]
+        assert all(len(batch) == 1 for batch in batches[3:])  # the runs alone
+
+    @pytest.mark.parametrize("n_rules", [1, 2])
+    def test_the_error_is_the_one_the_serial_run_raises_first(self, hand_paths, n_rules):
+        # a mark-1 event lifts the cloud mean by 50, and the first rule then
+        # plays an infinite control; scenario 3's event comes first in time
+        hand_paths.update({0: ([0.2], [0]), 1: ([], []), 2: ([0.7], [1]), 3: ([0.3], [1])})
+        coeffs = lq(jumps=JumpSpec([1.0, 2.0], [1.0, 0.01], [0.3, 50.0]))
+        rules = [
+            FeedbackRule(lambda t, x, m: np.full_like(x, np.inf if m > 20.0 else 1.0)),
+            FeedbackRule.constant(0.1),
+        ][:n_rules]
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError) as alone:
+                simulate_record(coeffs, rules, scenario=2, **self.RUN)
+            with pytest.raises(DivergenceError) as block:
+                simulate_records(coeffs, rules, scenarios=range(4), **self.RUN)
+        assert type(block.value) is type(alone.value)
+        assert (block.value.step, block.value.time) == (alone.value.step, alone.value.time)
+        assert 0.7 < block.value.time < 0.75
+
+
 class TestLeanStepMeans:
     """The step's batched means have the bits of each row's own computation."""
 
     @staticmethod
     def clouds(gen):
-        """(R, N) arrays: R in 1..6, N in 2..5,000, scales 1e-3..1e3."""
+        """(R, N) arrays: R in 1..16, N in 2..5,000, scales 1e-3..1e3.
+
+        16 rows of 1,000 particles is the largest batch at that N
+        (``simulate.BATCH_FLOATS``)."""
         sizes = [2, 3, 7, 8, 9, 16, 17, 127, 128, 129, 1000, 4999, 5000]
         sizes += [int(n) for n in np.exp(gen.uniform(np.log(2), np.log(5000), 60))]
         for n in sizes:
-            for n_rows in (1, 2, 3, 4, 5, 6):
+            for n_rows in range(1, 17):
                 scale = 10.0 ** gen.uniform(-3.0, 3.0)
                 yield scale * (gen.normal() + gen.standard_normal((n_rows, n)))
 

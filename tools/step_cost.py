@@ -4,31 +4,42 @@
 
 For R = 1 rule (the optimal feedback) and R = 5 paired rules (the optimum
 and its gain 0.5 / 1.5 and offset +-0.5 perturbations, the rules of the
-paired-mc benchmark workload), at N = 10, 1,000, 2,000 and 20,000
-particles, it times ``simulate_record`` on one common-noise scenario of the
-benchmark's model (b1 = 0.5, b2 = 0.4, b3 = 1, sigma = 0.4, c = 1, T = 1,
-one jump mark with lambda = 1 and gamma = 0.3) and prints microseconds per
-grid step and nanoseconds per particle-step (one particle of one row over
-one step).  Each figure is the fastest of ``--repeats`` runs, which is the
-least disturbed by other load on the host.  At N = 10 the step is nearly
-all fixed cost: numpy calls and Python glue that do not grow with N.
+paired-mc benchmark workload) it times ``simulate_records`` on S
+common-noise scenarios of the benchmark's model (b1 = 0.5, b2 = 0.4,
+b3 = 1, sigma = 0.4, c = 1, T = 1, one jump mark with lambda = 1 and
+gamma = 0.3):
+
+* S = 1 at N = 10, 1,000, 2,000 and 20,000 particles;
+* S = 2, 3, 4 and 8 at N = 1,000, the scenarios-per-call axis: a block of
+  S scenarios runs as the rows of lock-step batches of at most
+  ``simulate.BATCH_FLOATS`` floats.
+
+It prints microseconds per grid step of the uniform grid (the whole block),
+microseconds per row-step (one rule on one scenario over one step),
+nanoseconds per particle-step, and minor page faults per step, read from
+``getrusage(RUSAGE_SELF).ru_minflt`` around each run.  Time and faults are
+those of the fastest of ``--repeats`` runs, which is the least disturbed by
+other load on the host.  At N = 10 the step is nearly all fixed cost: numpy
+calls and Python glue that do not grow with N.
 
 The program is imported from this checkout's ``src/``.  Nothing is written.
 """
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from mfcpoisson import InitSpec, JumpSpec, LQParams, lq_coefficients, simulate_record  # noqa: E402
+from mfcpoisson import InitSpec, JumpSpec, LQParams, lq_coefficients, simulate_records  # noqa: E402
 from mfcpoisson.lq import solve_riccati  # noqa: E402
 from mfcpoisson.verify import Perturbation, optimal_feedback_rule  # noqa: E402
 
-PARTICLES = (10, 1_000, 2_000, 20_000)
+#: (scenarios, particles) cells, run for R = 1 and R = 5
+CELLS = [(1, 10), (1, 1_000), (1, 2_000), (1, 20_000), (2, 1_000), (3, 1_000), (4, 1_000), (8, 1_000)]
 PERTURBATIONS = [("gain", 0.5), ("gain", 1.5), ("offset", 0.5), ("offset", -0.5)]
 
 
@@ -40,17 +51,19 @@ def rule_sets(sol) -> dict:
     }
 
 
-def step_seconds(coeffs, rules, n: int, T: float, steps: int, repeats: int) -> float:
-    """Fastest wall time of one ``simulate_record`` run over its grid steps."""
-    best = float("inf")
+def step_cost(coeffs, rules, n_scenarios: int, n: int, T: float, steps: int, repeats: int):
+    """Seconds and minor faults per uniform grid step of the fastest run."""
+    best = (float("inf"), 0)
     for _ in range(repeats):
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
-        record = simulate_record(
-            coeffs, rules, n, T, T / steps, mode="common", seed=1, scenario=0,
-            init=InitSpec("gaussian", 1.0, 0.5),
+        simulate_records(
+            coeffs, rules, n, T, T / steps, mode="common", seed=1,
+            scenarios=range(n_scenarios), init=InitSpec("gaussian", 1.0, 0.5),
         )
-        best = min(best, time.perf_counter() - start)
-    return best / (record.means.shape[0] - 1)
+        seconds = time.perf_counter() - start
+        best = min(best, (seconds, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults))
+    return best[0] / steps, best[1] / steps
 
 
 def main(argv=None) -> int:
@@ -64,11 +77,17 @@ def main(argv=None) -> int:
     )
     coeffs = lq_coefficients(params)
     sets = rule_sets(solve_riccati(params, "common", 4096))
-    print(f"{'R':>2} {'N':>7} {'us/step':>9} {'ns/particle-step':>17}")
+    print(f"{'R':>2} {'S':>2} {'N':>7} {'us/step':>9} {'us/row-step':>12} "
+          f"{'ns/particle-step':>17} {'faults/step':>12}")
     for n_rules, rules in sets.items():
-        for n in PARTICLES:
-            seconds = step_seconds(coeffs, rules, n, params.T, args.steps, args.repeats)
-            print(f"{n_rules:>2} {n:>7} {seconds * 1e6:>9.1f} {seconds * 1e9 / (n_rules * n):>17.2f}")
+        for n_scenarios, n in CELLS:
+            seconds, faults = step_cost(
+                coeffs, rules, n_scenarios, n, params.T, args.steps, args.repeats
+            )
+            row_steps = n_rules * n_scenarios
+            print(f"{n_rules:>2} {n_scenarios:>2} {n:>7} {seconds * 1e6:>9.1f} "
+                  f"{seconds * 1e6 / row_steps:>12.1f} {seconds * 1e9 / (row_steps * n):>17.2f} "
+                  f"{faults:>12.2f}")
     return 0
 
 
