@@ -39,13 +39,15 @@ Each row's means are the same dot products that a run of its rule alone
 forms, and each scenario takes the steps of its own grid, so every record
 of a block equals the record of its scenario alone bit for bit, and every
 row of a paired record that of its rule alone.  When a lock-step run fails,
-the scenarios and then the rules are replayed one by one, and the first that
-fails alone reports the failure.
+each (scenario, rule) pair is replayed alone, scenario by scenario and the
+rules of a scenario in order, and the first that fails alone reports the
+failure.
 
 Memory is bounded by one batch of scenarios.  Only :func:`simulate_strict`
 and :func:`simulate_relaxed` keep the ``(steps + 1) x N`` history of a
-:class:`ParticleCloud`; :func:`simulate_record` and :func:`simulate_records`
-run history-free, holding the current clouds and returning a
+:class:`ParticleCloud`; every other run is history-free and goes through
+:func:`simulate_records`, of which :func:`simulate_record` is the
+one-scenario case.  It holds the current clouds and returns a
 :class:`ScenarioRecord` per scenario: the sample costs, the cloud mean at
 every node and the event log, the same numbers a cloud's history gives.
 """
@@ -613,7 +615,10 @@ BATCH_FLOATS = 2**14
 
 
 class _Scenario:
-    """One scenario's Poisson events, grid and generators, for :func:`_run`.
+    """One scenario's key, Poisson events and grid, checked, for :func:`_run`.
+
+    It holds no generator: each run draws from fresh substreams of
+    ``(seed, scenario)``, so a scenario can be run again with the same bits.
 
     ``base_pos[j]`` is the index, on the scenario's own grid, of node j of
     the uniform base grid: under common noise the own grid adds the event
@@ -623,6 +628,7 @@ class _Scenario:
     """
 
     def __init__(self, jumps, n_particles, T, dt, mode, seed, scenario, path, paths):
+        _check_run(mode, n_particles)
         if mode == "common":
             if path is None:
                 path = sample_poisson_path(jumps, T, substream(seed, scenario, "poisson"))
@@ -657,8 +663,6 @@ class _Scenario:
         self.base_times = base.tolist()
         self.base_pos = np.searchsorted(grid.times, base).tolist()
         self.mode, self.seed, self.scenario = mode, seed, scenario
-        self.gen_init = substream(seed, scenario, "init")
-        self.gen_brownian = substream(seed, scenario, "brownian")
 
 
 def _check_run(mode: str, n_particles: int):
@@ -700,15 +704,16 @@ def _run(coeffs: CoefficientSet, rules: Sequence, n_particles: int, init: InitSp
     not finite at node k + 1, the last included, raises
     :class:`DivergenceError` with that step and time.
 
-    With ``history`` (one rule, one scenario) it returns ``[cloud]``, the
+    With ``history`` (one rule, one scenario: :func:`simulate_strict` and
+    :func:`simulate_relaxed`) it returns ``[cloud]``, the
     :class:`ParticleCloud`; without, it keeps only the current clouds and
     returns one :class:`ScenarioRecord` per scenario: the sample costs, with
     the running cost summed step by step in the order :func:`cost_of_cloud`
     sums it, the row means the step already forms, and the event log.
 
-    The first error of any row is raised at once; :func:`simulate_records`
-    and :func:`simulate_record` replay the scenarios and the rules one by one
-    to tell which of them failed.
+    The first error of any row is raised at once; :func:`_run_batch`, which
+    every history-free run goes through, replays the (scenario, rule) pairs
+    one by one to tell which of them failed.
     """
     n = n_particles
     n_rules, n_scenarios = len(rules), len(scenarios)
@@ -726,9 +731,11 @@ def _run(coeffs: CoefficientSet, rules: Sequence, n_particles: int, init: InitSp
     x, drift_buf, work = (np.empty(shape) for _ in range(3))
     noise = np.empty((n_scenarios, n))
     noise_rows = list(noise)
-    draws = [scen.gen_brownian.standard_normal for scen in scenarios]
+    draws = [
+        substream(scen.seed, scen.scenario, "brownian").standard_normal for scen in scenarios
+    ]
     for s, scen in enumerate(scenarios):
-        x[rows(s, s + 1)] = init.sample(n, scen.gen_init)
+        x[rows(s, s + 1)] = init.sample(n, substream(scen.seed, scen.scenario, "init"))
     # each row's mean has the bits of rows[r].mean(): the same sum, over N
     means = np.add.reduce(x.reshape(n_rows, n), axis=1) / n
     running = np.zeros(n_rows)
@@ -911,29 +918,6 @@ def _run(coeffs: CoefficientSet, rules: Sequence, n_particles: int, init: InitSp
     return records
 
 
-def _simulate(
-    coeffs: CoefficientSet,
-    rules: Sequence,
-    n_particles: int,
-    T: float,
-    dt: float,
-    mode: str,
-    seed: int,
-    scenario: int,
-    init: InitSpec,
-    path: Optional[PoissonPath],
-    paths: Optional[list],
-    history: bool,
-):
-    """:func:`_run` on one scenario, whose Poisson path (common noise) or
-    per-particle paths (idiosyncratic noise) may be given; it returns the
-    scenario's :class:`ScenarioRecord`, or its :class:`ParticleCloud` with
-    ``history``."""
-    _check_run(mode, n_particles)
-    scen = _Scenario(coeffs.jumps, n_particles, T, dt, mode, seed, scenario, path, paths)
-    return _run(coeffs, rules, n_particles, init, [scen], history)[0]
-
-
 def simulate_strict(
     coeffs: CoefficientSet,
     rule,
@@ -950,10 +934,8 @@ def simulate_strict(
     """Euler cloud under a strict control rule."""
     if rule.kind != "strict":
         raise TypeError("simulate_strict needs a strict control rule")
-    return _simulate(
-        coeffs, [rule], n_particles, T, dt, mode, seed, scenario, init, path, paths,
-        history=True,
-    )
+    scen = _Scenario(coeffs.jumps, n_particles, T, dt, mode, seed, scenario, path, paths)
+    return _run(coeffs, [rule], n_particles, init, [scen], history=True)[0]
 
 
 def simulate_relaxed(
@@ -972,10 +954,8 @@ def simulate_relaxed(
     """Euler cloud with every coefficient averaged against the control measure."""
     if rule.kind != "relaxed":
         raise TypeError("simulate_relaxed needs a relaxed control rule")
-    return _simulate(
-        coeffs, [rule], n_particles, T, dt, mode, seed, scenario, init, path, paths,
-        history=True,
-    )
+    scen = _Scenario(coeffs.jumps, n_particles, T, dt, mode, seed, scenario, path, paths)
+    return _run(coeffs, [rule], n_particles, init, [scen], history=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1002,6 +982,29 @@ def _split(seq, parts: int) -> list:
     return [seq[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
+def _run_batch(coeffs: CoefficientSet, rules: list, n_particles: int, init: InitSpec,
+               scenarios: list) -> list:
+    """History-free :func:`_run` of ``rules`` on a batch of ``scenarios``,
+    failing as running each (scenario, rule) pair alone, scenario-major,
+    fails first.
+
+    When the lock-step run raises, every pair is replayed alone in that order
+    and the first that fails alone raises its own error; if every pair
+    succeeds alone, the lock-step error is raised.  A batch of one pair
+    raises at once.
+    """
+    try:
+        return _run(coeffs, rules, n_particles, init, scenarios, history=False)
+    except Exception as err:
+        if len(rules) * len(scenarios) == 1:
+            raise
+        lock_step_error = err
+    for scen in scenarios:
+        for rule in rules:
+            _run(coeffs, [rule], n_particles, init, [scen], history=False)
+    raise lock_step_error
+
+
 def simulate_record(
     coeffs: CoefficientSet,
     rules: Sequence,
@@ -1015,7 +1018,9 @@ def simulate_record(
     path: Optional[PoissonPath] = None,
     paths: Optional[list] = None,
 ) -> ScenarioRecord:
-    """History-free run of paired rules on one scenario, in lock-step.
+    """History-free run of paired rules on one scenario, in lock-step: the
+    one-scenario case of :func:`simulate_records`, whose Poisson path (common
+    noise) or per-particle paths (idiosyncratic noise) may be given.
 
     ``rules`` is any number of strict rules or one relaxed rule; they share
     the scenario's noise (common random numbers).  Row r of a paired record
@@ -1024,24 +1029,14 @@ def simulate_record(
     single rule's costs, means and event log equal :func:`cost_of_cloud`,
     ``states.mean(axis=1)`` and ``event_log`` of the matching
     :func:`simulate_strict` / :func:`simulate_relaxed` cloud, while memory
-    stays at one cloud.  :func:`simulate_records` runs a block of scenarios.
+    stays at one cloud.
 
-    A failure is what running the rules one after another raises first: when
-    the lock-step run raises, the rules are replayed one by one and the first
-    that fails alone raises its own error.  If every rule succeeds alone, the
-    lock-step error is raised.
+    A failure is what running the rules one after another raises first
+    (:func:`_run_batch`).
     """
     rules = _checked_rules(rules)
-    run = (n_particles, T, dt, mode, seed, scenario, init, path, paths)
-    try:
-        return _simulate(coeffs, rules, *run, history=False)
-    except Exception as err:
-        if len(rules) == 1:
-            raise
-        lock_step_error = err
-    for rule in rules:
-        _simulate(coeffs, [rule], *run, history=False)
-    raise lock_step_error
+    scen = _Scenario(coeffs.jumps, n_particles, T, dt, mode, seed, scenario, path, paths)
+    return _run_batch(coeffs, rules, n_particles, init, [scen])[0]
 
 
 def simulate_records(
@@ -1065,11 +1060,8 @@ def simulate_records(
     the bound, and so does every batch of a relaxed rule that is not
     constant, whose atoms depend on the states.
 
-    A failure is what running the scenarios one after another raises first:
-    when a batch raises, its scenarios are replayed one by one through
-    :func:`simulate_record`, which replays the rules, and the first that
-    fails alone raises its own error.  If each succeeds alone, the lock-step
-    error is raised.
+    A failure is what running the scenarios one after another, and the
+    rules of each one after another, raises first (:func:`_run_batch`).
     """
     rules = _checked_rules(rules)
     _check_run(mode, n_particles)
@@ -1082,15 +1074,10 @@ def simulate_records(
         per_batch = max(1, BATCH_FLOATS // (len(rules) * n_particles))
     records = []
     for batch in _split(scenarios, -(-len(scenarios) // per_batch)):
-        try:
-            records += _run(coeffs, rules, n_particles, init, [
-                _Scenario(coeffs.jumps, n_particles, T, dt, mode, seed, s, None, None)
-                for s in batch
-            ], history=False)
-        except Exception as err:
-            for s in batch:
-                simulate_record(coeffs, rules, n_particles, T, dt, mode, seed, s, init)
-            raise err
+        records += _run_batch(coeffs, rules, n_particles, init, [
+            _Scenario(coeffs.jumps, n_particles, T, dt, mode, seed, s, None, None)
+            for s in batch
+        ])
     return records
 
 
@@ -1150,12 +1137,6 @@ def map_blocks(task: Callable, n_scenarios: int, workers: int = 1) -> list:
         initargs=(task,),
     ) as pool:
         return [result for part in pool.map(_run_task, blocks) for result in part]
-
-
-def map_scenarios(task: Callable, n_scenarios: int, workers: int = 1) -> list:
-    """``[task(0), ..., task(n_scenarios - 1)]``, one block of scenarios per
-    worker (:func:`map_blocks`)."""
-    return map_blocks(lambda block: [task(s) for s in block], n_scenarios, workers)
 
 
 def standard_error(samples: np.ndarray) -> float:

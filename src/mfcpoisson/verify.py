@@ -62,7 +62,6 @@ from .simulate import (
     ParticleCloud,
     RelaxedRule,
     map_blocks,
-    map_scenarios,
     simulate_records,
     simulate_strict,
     standard_error,
@@ -178,7 +177,10 @@ def block_costs(
     The strict rules on every scenario advance together in one lock-step
     :func:`simulate.simulate_records` run and each relaxed rule on every
     scenario in another; every cost equals that of its rule run alone on its
-    scenario alone.
+    scenario alone, and ``block_costs(..., [s])[0]`` is scenario s's list.
+    A failure is the first that the strict group's call raises, then each
+    relaxed rule's in turn, so across those calls it is call by call, not
+    scenario by scenario.
     """
     def costs(group):
         return [record.costs for record in simulate_records(
@@ -193,17 +195,6 @@ def block_costs(
         for rule in rules
     ]
     return [list(row) for row in zip(*columns)]
-
-
-def scenario_costs(
-    coeffs: CoefficientSet,
-    rules: Sequence,
-    horizon: float,
-    mc: MonteCarloSettings,
-    scenario: int,
-) -> list:
-    """Sample cost of each rule on one scenario (:func:`block_costs`)."""
-    return block_costs(coeffs, rules, horizon, mc, [scenario])[0]
 
 
 def simulate_optimal(
@@ -698,8 +689,10 @@ def check_fp(
     fine = replace(mc, dt=mc.dt / 2.0, particles=4 * mc.particles)
     rms = {}
     for label, settings in (("coarse", mc), ("fine", fine)):
-        per_scenario = np.stack(map_scenarios(
-            lambda s: _fp_terminal_error(params, sol, settings, dictionary, s),
+        per_scenario = np.stack(map_blocks(
+            lambda block: [
+                _fp_terminal_error(params, sol, settings, dictionary, s) for s in block
+            ],
             settings.scenarios, workers,
         ))
         rms[label] = np.sqrt(np.mean(per_scenario**2, axis=0))

@@ -581,7 +581,7 @@ def no_euler_loop(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an Euler loop ran")
 
-    monkeypatch.setattr(simulate, "_simulate", refuse)
+    monkeypatch.setattr(simulate, "_run", refuse)
 
 
 class TestOutputErrors:
@@ -772,18 +772,18 @@ class TestNoiseModesWithoutCommonJump:
 
 class TestCostPool:
     def test_pool_is_no_larger_than_the_task_list(self, pool_sizes):
-        from mfcpoisson.verify import optimal_feedback_rule, scenario_costs
+        from mfcpoisson.verify import block_costs, optimal_feedback_rule
 
         cfg = parse_config(small_config(particles=20, scenarios=2, dt=0.05))
         coeffs = lq_coefficients(cfg.params)
         rule = optimal_feedback_rule(solve_riccati(cfg.params, cfg.mc.mode, 256))
 
-        def task(s):
-            return scenario_costs(coeffs, [rule], cfg.params.T, cfg.mc, s)[0]
+        def task(block):
+            return [block_costs(coeffs, [rule], cfg.params.T, cfg.mc, [s])[0][0] for s in block]
 
-        costs = simulate.map_scenarios(task, 2, workers=8)
+        costs = simulate.map_blocks(task, 2, workers=8)
         assert pool_sizes == [2]
-        assert costs == simulate.map_scenarios(task, 2, workers=1)
+        assert costs == simulate.map_blocks(task, 2, workers=1)
 
     def test_verify_optimality_honours_threads(self, tmp_path, pool_sizes):
         path = write_config(tmp_path, small_config(particles=20, scenarios=4, dt=0.05))

@@ -15,7 +15,7 @@ from mfcpoisson.simulate import (
     RelaxedRule,
     build_grid,
     cost_of_cloud,
-    map_scenarios,
+    map_blocks,
     sample_poisson_path,
     simulate_record,
     simulate_records,
@@ -342,9 +342,7 @@ class TestScenarioRecord:
     def test_paired_rows_match_their_rules_alone(self, mode):
         rules = [FeedbackRule(lambda t, x, m, g=g: -g * x) for g in (0.3, 0.9, 1.4)]
         run = dict(self.RUN, mode=mode)
-        args = (run["n_particles"], run["T"], run["dt"], mode, run["seed"], run["scenario"],
-                InitSpec(), None, None)
-        paired = simulate._simulate(self.COEFFS, rules, *args, history=False)
+        paired = simulate_record(self.COEFFS, rules, **run)
         alone = [simulate_record(self.COEFFS, [rule], **run) for rule in rules]
         assert paired.means.shape == (alone[0].means.size, len(rules))
         assert paired.costs == [rec.costs[0] for rec in alone]
@@ -1003,6 +1001,26 @@ class TestScenarioBlocks:
         assert (block.value.step, block.value.time) == (alone.value.step, alone.value.time)
         assert 0.7 < block.value.time < 0.75
 
+    def test_a_later_rule_in_an_earlier_scenario_wins(self, hand_paths):
+        # rule 1 diverges late on scenario 0; rule 0 diverges earlier in time,
+        # but on scenario 1, after its mark-1 event lifts the mean by 50
+        hand_paths.update({0: ([], []), 1: ([0.3], [1])})
+        coeffs = lq(jumps=JumpSpec([1.0, 2.0], [1.0, 0.01], [0.3, 50.0]))
+        rules = [
+            FeedbackRule(lambda t, x, m: np.full_like(x, np.inf if m > 20.0 else 1.0)),
+            _blows_up_from(0.8),
+        ]
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError) as first:
+                simulate_record(coeffs, [rules[1]], scenario=0, **self.RUN)
+            with pytest.raises(DivergenceError) as earlier:
+                simulate_record(coeffs, [rules[0]], scenario=1, **self.RUN)
+            with pytest.raises(DivergenceError) as block:
+                simulate_records(coeffs, rules, scenarios=range(2), **self.RUN)
+        assert earlier.value.time < first.value.time
+        assert (block.value.step, block.value.time) == (first.value.step, first.value.time)
+        assert 0.8 < block.value.time < 0.85
+
 
 class TestLeanStepMeans:
     """The step's batched means have the bits of each row's own computation."""
@@ -1075,7 +1093,9 @@ class TestRelaxedLoopOracle:
 class TestMapScenarios:
     def test_forked_workers_run_a_closure_in_scenario_order(self):
         offset = 10
-        results = map_scenarios(lambda s: (s + offset, os.getpid()), 5, workers=2)
+        results = map_blocks(
+            lambda block: [(s + offset, os.getpid()) for s in block], 5, workers=2
+        )
         assert [value for value, _ in results] == [10, 11, 12, 13, 14]
         pids = {pid for _, pid in results}
         assert os.getpid() not in pids and 1 <= len(pids) <= 2

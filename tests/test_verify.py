@@ -32,6 +32,7 @@ from mfcpoisson.simulate import (
 from mfcpoisson.verify import (
     MonteCarloSettings,
     Perturbation,
+    block_costs,
     check_bsde,
     check_chattering,
     check_fp,
@@ -43,7 +44,6 @@ from mfcpoisson.verify import (
     hjb_residual,
     hjb_sample_measures,
     optimal_feedback_rule,
-    scenario_costs,
     simulate_optimal,
 )
 
@@ -495,7 +495,7 @@ class TestLockStep:
             particles=n, scenarios=1, dt=1 / 128, seed=4, mode=mode,
             init=InitSpec("gaussian", 1.0, 0.5),
         )
-        paired = scenario_costs(coeffs, rules, params.T, mc, 3)
+        paired = block_costs(coeffs, rules, params.T, mc, [3])[0]
         alone = [
             simulate_record(
                 coeffs, [rule], n, params.T, mc.dt, mode=mode, seed=mc.seed, scenario=3,
@@ -516,7 +516,7 @@ class TestLockStep:
             simulate_record(coeffs, [r], 40, 1.0, mc.dt, seed=2, scenario=1, init=mc.init).costs[0]
             for r in rules
         ]
-        assert scenario_costs(coeffs, rules, 1.0, mc, 1) == alone
+        assert block_costs(coeffs, rules, 1.0, mc, [1])[0] == alone
 
 
 class TestFp:
