@@ -2,13 +2,14 @@
 
 The toolkit works with scalar state and scalar control.  A ``CoefficientSet``
 bundles the drift/diffusion/jump/cost evaluators together with the optional
-state-derivative and linear-derivative (measure-kernel) evaluators needed by
-the adjoint machinery.  Evaluators must be pure and vectorized over particle
-arrays; measure arguments arrive as atom measures from :mod:`mfcpoisson.measures`.
-Paired rules simulated in lock-step pass (R, N) arrays, one row per rule, with
-a law view whose ``mean_state[0]`` and ``mean_control[0]`` are (R, 1) columns;
-evaluators used there must be elementwise and read the law only through those
-two means, as the linear-quadratic family does.
+linear-derivative (measure-kernel) evaluators of the linear-derivative
+Hamiltonian.  Evaluators must be pure and vectorized over particle arrays.
+Every simulation run passes them (rows, N) arrays, one row per cloud, with a
+law view that carries only ``mean_state[0]`` and ``mean_control[0]``, as
+(rows, 1) columns; they must be elementwise and read the law only through
+those two means, as the linear-quadratic family does.  Elsewhere (the
+Hamiltonians and the measure-flow operators) measure arguments arrive as atom
+measures from :mod:`mfcpoisson.measures`.
 
 Jump marks form a finite set: integrals over the mark space are finite sums
 weighted by per-mark intensities.
@@ -168,9 +169,9 @@ class CoefficientSet:
     Required: ``drift(x, rho, u)``, ``diffusion(x, rho, u)``,
     ``jump(x, rho, u, mark)``, ``running_cost(x, rho, u)``,
     ``terminal_cost(x, mu)`` plus the ``jumps`` mark set.  ``mark`` is an index
-    into ``jumps``.  Optional entries supply the state derivatives and the
-    linear-derivative kernels in the joint law; operations that need a missing
-    evaluator raise :class:`ConfigurationError`.
+    into ``jumps``.  Optional entries supply the linear-derivative kernels in
+    the joint law, which :func:`delta_hamiltonian_strict` needs; it raises
+    :class:`ConfigurationError` when one is missing.
     """
 
     jumps: JumpSpec
@@ -179,20 +180,11 @@ class CoefficientSet:
     jump: Evaluator
     running_cost: Evaluator
     terminal_cost: Evaluator
-    # state derivatives
-    dx_drift: Optional[Evaluator] = None
-    dx_diffusion: Optional[Evaluator] = None
-    dx_jump: Optional[Evaluator] = None
-    dx_running_cost: Optional[Evaluator] = None
-    dx_terminal_cost: Optional[Evaluator] = None
     # linear-derivative kernels in the joint law: signature (x, u, rho, xp, up)
     ddrho_drift: Optional[Evaluator] = None
     ddrho_diffusion: Optional[Evaluator] = None
     ddrho_jump: Optional[Evaluator] = None  # (x, u, rho, xp, up, mark)
     ddrho_running_cost: Optional[Evaluator] = None
-    # terminal-cost kernel in the state law and its derivative in the new point
-    ddmu_terminal: Optional[Evaluator] = None  # (x, mu, xp)
-    dxp_ddmu_terminal: Optional[Evaluator] = None
 
     def require(self, *names: str):
         missing = [n for n in names if getattr(self, n) is None]
@@ -203,7 +195,7 @@ class CoefficientSet:
 
 
 def lq_coefficients(params: LQParams) -> CoefficientSet:
-    """Built-in linear-quadratic coefficient family, all derivatives included."""
+    """Built-in linear-quadratic coefficient family, its linear-derivative kernels included."""
     b1, b2, b3, sig, c = params.b1, params.b2, params.b3, params.sigma, params.c
     gamma = params.jumps.gamma_values
 
@@ -222,8 +214,6 @@ def lq_coefficients(params: LQParams) -> CoefficientSet:
     def terminal_cost(x, mu):
         return 0.5 * c * (x - mu.mean[0]) ** 2
 
-    zero = lambda x, *a: np.zeros_like(np.asarray(x, dtype=float)) + 0.0
-
     return CoefficientSet(
         jumps=params.jumps,
         drift=drift,
@@ -231,18 +221,10 @@ def lq_coefficients(params: LQParams) -> CoefficientSet:
         jump=jump,
         running_cost=running_cost,
         terminal_cost=terminal_cost,
-        dx_drift=zero,
-        dx_diffusion=lambda x, rho, u: sig + 0.0 * np.asarray(x, dtype=float),
-        dx_jump=lambda x, rho, u, mark: 0.0 * np.asarray(x, dtype=float),
-        dx_running_cost=zero,
-        dx_terminal_cost=lambda x, mu: c * (x - mu.mean[0]),
         ddrho_drift=lambda x, u, rho, xp, up: b1 * xp + b2 * up,
         ddrho_diffusion=lambda x, u, rho, xp, up: 0.0 * np.asarray(xp, dtype=float),
         ddrho_jump=lambda x, u, rho, xp, up, mark: 0.0 * np.asarray(xp, dtype=float),
         ddrho_running_cost=lambda x, u, rho, xp, up: 0.0 * np.asarray(xp, dtype=float),
-        ddmu_terminal=lambda x, mu, xp: -c * (x - mu.mean[0]) * xp,
-        dxp_ddmu_terminal=lambda x, mu, xp: -c * (x - mu.mean[0])
-        + 0.0 * np.asarray(xp, dtype=float),
     )
 
 

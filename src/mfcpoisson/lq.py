@@ -15,6 +15,7 @@ rather than silently clipped.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Tuple
@@ -129,9 +130,9 @@ class RiccatiSolution:
 def solve_riccati(params: LQParams, mode: str, n_steps: int) -> RiccatiSolution:
     """Integrate the Riccati system backward from T with classical RK4.
 
-    Positivity of the denominators is checked a posteriori at every node;
-    the first violating time (in integration order, so closest to T) raises
-    :class:`IllPosedError`.
+    Finiteness of beta and eta and positivity of the denominators are
+    checked a posteriori at every node; the first violating time (in
+    integration order, so closest to T) raises :class:`IllPosedError`.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -147,9 +148,12 @@ def solve_riccati(params: LQParams, mode: str, n_steps: int) -> RiccatiSolution:
 
     def check(idx: int, b: float, e: float):
         t = idx * h
-        if 1.0 + gamma_l2 * b <= 0.0:
+        if not (math.isfinite(b) and math.isfinite(e)):
+            raise IllPosedError(t, "finite beta and eta")
+        # written so that NaN fails each test
+        if not 1.0 + gamma_l2 * b > 0.0:
             raise IllPosedError(t, "1 + Gamma*beta > 0")
-        if mode == "common" and 1.0 + gamma_l2 * (b + e) <= 0.0:
+        if mode == "common" and not 1.0 + gamma_l2 * (b + e) > 0.0:
             raise IllPosedError(t, "1 + Gamma*(beta+eta) > 0")
 
     check(n_steps, beta[-1], eta[-1])

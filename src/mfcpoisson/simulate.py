@@ -25,23 +25,23 @@ Because a scenario's draws depend on nothing but its key, scenarios can run
 in any order on any worker: :func:`map_blocks` hands each worker one
 contiguous block of them.
 
-Rules and scenarios run in lock-step.  :func:`simulate_records` advances R
-strict rules on each of S scenarios as the rows of one (S·R, N) cloud in the
-same Euler loop that runs a single rule on a single scenario: each rule is
-called on its own row, except that rules derived from one shared feedback
-(:meth:`FeedbackRule.derived`, such as the LQ optimum and its gain and
-offset perturbations) share one call on their stacked rows, and slab rules
-over one constant relaxed rule share its atoms; each scenario draws its own
-Brownian vector per step, and the coefficients are evaluated once on the
-whole array.  Coefficient evaluators must therefore be elementwise, and they
-see ``rho.mean_state[0]`` and ``rho.mean_control[0]`` as (rows, 1) columns.
-Each row's means are the same dot products that a run of its rule alone
-forms, and each scenario takes the steps of its own grid, so every record
-of a block equals the record of its scenario alone bit for bit, and every
-row of a paired record that of its rule alone.  When a lock-step run fails,
-each (scenario, rule) pair is replayed alone, scenario by scenario and the
-rules of a scenario in order, and the first that fails alone reports the
-failure.
+Rules and scenarios run in lock-step.  Every run is one (rows, N) cloud in
+one Euler loop: :func:`simulate_records` advances R strict rules on each of S
+scenarios as its S·R rows, and a single rule on a single scenario is its one
+row.  Each rule is called on its own row, except that rules derived from one
+shared feedback (:meth:`FeedbackRule.derived`, such as the LQ optimum and its
+gain and offset perturbations) share one call on their stacked rows, and slab
+rules over one constant relaxed rule share its atoms; each scenario draws its
+own Brownian vector per step, and the coefficients are evaluated once on the
+whole array.  Coefficient evaluators must therefore be elementwise, and the
+law they see carries only ``rho.mean_state[0]`` and ``rho.mean_control[0]``,
+as (rows, 1) columns.  Each row's means are the same dot products that a run
+of its rule alone forms, and each scenario takes the steps of its own grid,
+so every record of a block equals the record of its scenario alone bit for
+bit, and every row of a paired record that of its rule alone.  When a
+lock-step run fails, each (scenario, rule) pair is replayed alone, scenario
+by scenario and the rules of a scenario in order, and the first that fails
+alone reports the failure.
 
 Memory is bounded by one batch of scenarios.  Only :func:`simulate_strict`
 and :func:`simulate_relaxed` keep the ``(steps + 1) x N`` history of a
@@ -434,11 +434,14 @@ class ParticleCloud:
         return EmpiricalMeasure.from_samples(self.states[node])
 
     def joint_at(self, node: int) -> JointEmpiricalMeasure:
-        """Validated strict joint of the cloud and its control at a node."""
+        """Validated strict joint of the cloud and its control at a node; a
+        relaxed control gives the Bayes product of :func:`joint_with_kernel`."""
         node = min(node, self.grid.n_steps - 1)
-        n = self.n_particles
-        rho = _law_view(self.states[node], self.control_at(node), np.full(n, 1.0 / n))
-        return JointEmpiricalMeasure.strict(rho.states, rho.controls, rho.weights)
+        control = self.control_at(node)
+        if isinstance(control, RelaxedKernel):
+            rho = joint_with_kernel(EmpiricalMeasure.from_samples(self.states[node]), control)
+            return JointEmpiricalMeasure.strict(rho.states, rho.controls, rho.weights)
+        return JointEmpiricalMeasure.strict(self.states[node], control)
 
     def control_at(self, k: int):
         """The strict control array or the relaxed kernel of step k."""
@@ -452,9 +455,9 @@ class ScenarioRecord:
     ``costs`` holds one sample cost per rule.  ``means[k]`` is the cloud
     mean at node k (post-jump), and ``event_log`` holds one (node, mark,
     shift of the cloud mean) entry per event, as in :class:`ParticleCloud`.
-    Means and shifts have the cloud's leading shape: floats for one rule,
-    one value per rule for paired rules.  For one rule they equal the
-    cloud's ``states.mean(axis=1)`` and ``event_log`` bit for bit.
+    Means and shifts are floats for one rule, and hold one value per rule
+    for paired rules.  For one rule they equal the cloud's
+    ``states.mean(axis=1)`` and ``event_log`` bit for bit.
     """
 
     costs: list
@@ -463,14 +466,15 @@ class ScenarioRecord:
 
 
 class _PairedLaw:
-    """Law view of the rows of a lock-step cloud, one row of ``x`` per cloud.
+    """The law view of every step of the loop: the joint law of each row of a
+    (rows, N) cloud ``x`` and its control, reduced to its two means.
 
     Strict evaluators see ``mean_state[0]`` and ``mean_control[0]`` as
-    (rows, 1) columns.  Row r is the ``w @ x[r]`` dot product that
-    :meth:`JointEmpiricalMeasure.trusted` forms for a single cloud: one
-    batched ``w @ x[:, :, None]`` product runs that same dot for each row,
-    with the operands in the same order, so every row keeps the bits of its
-    own run; one ``x @ w`` matrix-vector product over all rows would not.
+    (rows, 1) columns.  Row r is the ``w @ x[r]`` dot product that a
+    :class:`JointEmpiricalMeasure` of that row alone forms: one batched
+    ``w @ x[:, :, None]`` product runs that same dot for each row, with the
+    operands in the same order, so every row keeps the bits of its own run;
+    one ``x @ w`` matrix-vector product over all rows would not.
 
     Under a :class:`RelaxedKernel` shared by every row, the means are those
     of :func:`joint_with_kernel`'s Bayes product: ``mean_state[0]`` is a
@@ -490,21 +494,6 @@ class _PairedLaw:
         else:
             self.mean_state = (w_cloud @ x[:, :, None])[None]
             self.mean_control = (w_cloud @ u[:, :, None])[None]
-
-
-def _law_view(x, control, w_cloud):
-    """Joint law of the cloud and its control on one step, unvalidated.
-
-    ``control`` is the strict control array or a :class:`RelaxedKernel`;
-    ``w_cloud`` is the uniform particle weight vector.  A relaxed control
-    gets the Bayes product of :func:`joint_with_kernel`.  A 2-D ``x`` holds
-    lock-step clouds, one per row, and gets a :class:`_PairedLaw`.
-    """
-    if x.ndim == 2:
-        return _PairedLaw(x, control, w_cloud)
-    if isinstance(control, RelaxedKernel):
-        return joint_with_kernel(EmpiricalMeasure.trusted(x, w_cloud), control)
-    return JointEmpiricalMeasure.trusted(x, control, w_cloud)
 
 
 def _per_particle(fn, x, rho, control, *extra) -> np.ndarray:
@@ -676,12 +665,13 @@ def _run(coeffs: CoefficientSet, rules: Sequence, n_particles: int, init: InitSp
          scenarios: list, history: bool) -> list:
     """The Euler loop behind every entry point: ``rules`` on ``scenarios``.
 
-    Rule r on the s-th scenario is row ``s * R + r`` of one (S·R, N) cloud;
-    one row is kept 1-D.  Strict rules run together, a relaxed rule alone
-    (R = 1), and under a relaxed rule every row plays the same atoms.  Each
-    scenario draws its initial states once for its R rows, its Brownian
-    vector once per step of its own grid from its own substream, and keeps
-    its events, node indices, means and event log.
+    Rule r on the s-th scenario is row ``s * R + r`` of one (S·R, N) cloud,
+    which has one row for one rule on one scenario, and every step builds
+    one :class:`_PairedLaw` of its rows.  Strict rules run together, a
+    relaxed rule alone (R = 1), and under a relaxed rule every row plays the
+    same atoms.  Each scenario draws its initial states once for its R rows,
+    its Brownian vector once per step of its own grid from its own
+    substream, and keeps its events, node indices, means and event log.
 
     The rows walk the uniform base grid with one scalar ``t`` and ``h``.  A
     scenario whose own grid has event nodes inside base step j takes those
@@ -697,19 +687,20 @@ def _run(coeffs: CoefficientSet, rules: Sequence, n_particles: int, init: InitSp
     after the coefficients' temporaries, which lives through the next step:
     over the mmap threshold, an array above the temporaries keeps the heap
     top from being trimmed and faulted in again every step, which two state
-    buffers made once per run and swapped do not.  The sub-steps of a base step write
-    into an array made for it.  Each step ends, after its jumps, with one
-    row-sum pass: the sums over N are the next node's means, and a
+    buffers made once per run and swapped do not.  The sub-steps of a base
+    step write into an array made for it.  Each step ends, after its jumps,
+    with one row-sum pass: the sums over N are the next node's means, and a
     non-finite sum leads to the entry-wise finite test, so a cloud that is
     not finite at node k + 1, the last included, raises
     :class:`DivergenceError` with that step and time.
 
     With ``history`` (one rule, one scenario: :func:`simulate_strict` and
     :func:`simulate_relaxed`) it returns ``[cloud]``, the
-    :class:`ParticleCloud`; without, it keeps only the current clouds and
-    returns one :class:`ScenarioRecord` per scenario: the sample costs, with
-    the running cost summed step by step in the order :func:`cost_of_cloud`
-    sums it, the row means the step already forms, and the event log.
+    :class:`ParticleCloud`, whose ``(steps + 1, N)`` arrays store the one
+    row; without, it keeps only the current clouds and returns one
+    :class:`ScenarioRecord` per scenario: the sample costs, with the running
+    cost summed step by step in the order :func:`cost_of_cloud` sums it, the
+    row means the step already forms, and the event log.
 
     The first error of any row is raised at once; :func:`_run_batch`, which
     every history-free run goes through, replays the (scenario, rule) pairs
@@ -724,10 +715,10 @@ def _run(coeffs: CoefficientSet, rules: Sequence, n_particles: int, init: InitSp
     w_cloud = np.full(n, 1.0 / n)
 
     def rows(a, b):
-        """The rows of scenarios a..b-1; every row when the cloud is 1-D."""
-        return Ellipsis if n_rows == 1 else slice(a * n_rules, b * n_rules)
+        """The rows of scenarios a..b-1."""
+        return slice(a * n_rules, b * n_rules)
 
-    shape = (n,) if n_rows == 1 else (n_rows, n)
+    shape = (n_rows, n)
     x, drift_buf, work = (np.empty(shape) for _ in range(3))
     noise = np.empty((n_scenarios, n))
     noise_rows = list(noise)
@@ -737,10 +728,9 @@ def _run(coeffs: CoefficientSet, rules: Sequence, n_particles: int, init: InitSp
     for s, scen in enumerate(scenarios):
         x[rows(s, s + 1)] = init.sample(n, substream(scen.seed, scen.scenario, "init"))
     # each row's mean has the bits of rows[r].mean(): the same sum, over N
-    means = np.add.reduce(x.reshape(n_rows, n), axis=1) / n
+    means = np.add.reduce(x, axis=1) / n
     running = np.zeros(n_rows)
-    paired = not relaxed and n_rows > 1
-    control_buf = np.empty(shape) if paired else None
+    control_buf = None if relaxed else np.empty(shape)
     plans = {}  # scenario count -> _paired_plan
 
     first = scenarios[0]
@@ -761,11 +751,11 @@ def _run(coeffs: CoefficientSet, rules: Sequence, n_particles: int, init: InitSp
     base_means[0] = means
     inner_means = [[] for _ in scenarios]  # (node, row means) at sub-step nodes
     logs = [[] for _ in scenarios]
-    unwrap = n_rules == 1 and n_rows > 1  # one rule's event shifts are floats
+    unwrap = n_rules == 1  # one rule's event shifts are floats
     if history:
         m_steps = first.grid.n_steps
         states = np.empty((m_steps + 1, n))
-        states[0] = x
+        states[0] = x[0]
         controls = None if relaxed else np.empty((m_steps, n))
         relaxed_controls = [] if relaxed else None
         pre_jump_states: dict = {}
@@ -783,9 +773,7 @@ def _run(coeffs: CoefficientSet, rules: Sequence, n_particles: int, init: InitSp
         xv, cur = src[sl], means[sl]
         if relaxed:
             # evaluate has validated and normalized the rows; every row plays them
-            control = RelaxedKernel.trusted(*rules[0].evaluate(t, xv.reshape(-1, n)[0], float(cur[0])))
-        elif not paired:
-            control = rules[0].evaluate(t, xv, float(cur[0]))
+            control = RelaxedKernel.trusted(*rules[0].evaluate(t, xv[0], float(cur[0])))
         else:
             control = control_buf[sl]
             if b - a not in plans:
@@ -794,7 +782,7 @@ def _run(coeffs: CoefficientSet, rules: Sequence, n_particles: int, init: InitSp
 
         for s in range(a, b):
             draws[s](out=noise_rows[s])
-        rho = _law_view(xv, control, w_cloud)
+        rho = _PairedLaw(xv, control, w_cloud)
         drift = _per_particle(coeffs.drift, xv, rho, control)
         wv = work[sl]
         for mark in range(n_marks):
@@ -805,17 +793,14 @@ def _run(coeffs: CoefficientSet, rules: Sequence, n_particles: int, init: InitSp
         np.multiply(drift, h, out=wv)
         xn = np.add(xv, wv) if dst is None else np.add(xv, wv, out=dst[sl])
         np.multiply(diffusion, math.sqrt(h), out=wv)
-        if n_rows == 1:
-            wv *= noise_rows[a]
-        else:
-            scaled = wv.reshape(b - a, n_rules, n)
-            scaled *= noise[a:b, None]
+        scaled = wv.reshape(b - a, n_rules, n)
+        scaled *= noise[a:b, None]
         xn += wv
 
         if history:
             k_own = first.base_pos[j] if k is None else k
             if ends:
-                pre_jump_states[k_own + 1] = xn.copy()
+                pre_jump_states[k_own + 1] = xn[0].copy()
         for s, node in ends:
             scen, log = scenarios[s], logs[s]
             lo, hi = scen.bounds[node], scen.bounds[node + 1]
@@ -824,20 +809,20 @@ def _run(coeffs: CoefficientSet, rules: Sequence, n_particles: int, init: InitSp
             cs = control if relaxed else control[own]
             if scen.owners is None:
                 for mark in scen.marks[lo:hi].tolist():
-                    disp = _per_particle(coeffs.jump, xs, _law_view(xs, cs, w_cloud), cs, mark)
+                    disp = _per_particle(coeffs.jump, xs, _PairedLaw(xs, cs, w_cloud), cs, mark)
                     shift = disp.mean(axis=-1).tolist()
                     xs += disp
                     log.append((node, mark, shift[0] if unwrap else shift))
             else:
                 # every jump of the step reads the end-of-step cloud and law
-                rho_minus = _law_view(xs, cs, w_cloud)
+                rho_minus = _PairedLaw(xs, cs, w_cloud)
                 marks, owners = scen.marks[lo:hi], scen.owners[lo:hi]
-                shifts = np.empty(xs.shape[:-1] + (hi - lo,))
+                shifts = np.empty((xs.shape[0], hi - lo))
                 for mark in set(marks.tolist()):
                     sel = marks == mark
                     disp = _per_particle(coeffs.jump, xs, rho_minus, cs, mark)
-                    shifts[..., sel] = disp[..., owners[sel]]
-                np.add.at(xs, (Ellipsis, owners), shifts)
+                    shifts[:, sel] = disp[:, owners[sel]]
+                np.add.at(xs, (slice(None), owners), shifts)
                 per_event = (shifts / n).T.tolist()
                 log.extend(zip(
                     [node] * (hi - lo), marks.tolist(),
@@ -846,9 +831,9 @@ def _run(coeffs: CoefficientSet, rules: Sequence, n_particles: int, init: InitSp
 
         # a finite row sum means a finite row; only a non-finite sum, which
         # finite entries can reach by overflow, needs the entry-wise test
-        sums = np.add.reduce(xn.reshape(-1, n), axis=1)
+        sums = np.add.reduce(xn, axis=1)
         if not math.isfinite(sum(sums.tolist())) and not np.isfinite(xn).all():
-            s = a + int(np.flatnonzero(~np.isfinite(xn.reshape(-1, n)).all(axis=1))[0]) // n_rules
+            s = a + int(np.flatnonzero(~np.isfinite(xn).all(axis=1))[0]) // n_rules
             node = k + 1 if k is not None else scenarios[s].base_pos[j + 1]
             raise DivergenceError(node, scenarios[s].times[node])
         np.divide(sums, n, out=cur)
@@ -856,8 +841,8 @@ def _run(coeffs: CoefficientSet, rules: Sequence, n_particles: int, init: InitSp
             if relaxed:
                 relaxed_controls.append(control)
             else:
-                controls[k_own] = control
-            states[k_own + 1] = xn
+                controls[k_own] = control[0]
+            states[k_own + 1] = xn[0]
         else:
             running[sl] += h * rate
         return xn
@@ -902,7 +887,6 @@ def _run(coeffs: CoefficientSet, rules: Sequence, n_particles: int, init: InitSp
             controls=controls, relaxed_controls=relaxed_controls,
             pre_jump_states=pre_jump_states, event_log=logs[0],
         )]
-    final = x.reshape(n_rows, n)
     records = []
     for s, scen in enumerate(scenarios):
         own = slice(s * n_rules, (s + 1) * n_rules)
@@ -911,7 +895,7 @@ def _run(coeffs: CoefficientSet, rules: Sequence, n_particles: int, init: InitSp
         for node, values in inner_means[s]:
             node_means[node] = values
         records.append(ScenarioRecord(
-            costs=[running[r] + _terminal_cost(coeffs, final[r]) for r in range(own.start, own.stop)],
+            costs=[running[r] + _terminal_cost(coeffs, x[r]) for r in range(own.start, own.stop)],
             means=node_means.reshape(-1) if n_rules == 1 else node_means,
             event_log=logs[s],
         ))
@@ -1082,15 +1066,19 @@ def simulate_records(
 
 
 def cost_of_cloud(cloud: ParticleCloud, coeffs: CoefficientSet) -> float:
-    """Sample cost of one scenario: left-endpoint running integral + terminal."""
+    """Sample cost of one scenario: left-endpoint running integral + terminal.
+
+    Each step is evaluated as the one row of a (1, N) cloud, as :func:`_run`
+    evaluated it.
+    """
     times = cloud.grid.times
     w_cloud = np.full(cloud.n_particles, 1.0 / cloud.n_particles)
     total = 0.0
     for k in range(cloud.grid.n_steps):
         h = times[k + 1] - times[k]
-        x = cloud.states[k]
-        control = cloud.control_at(k)
-        total += h * _running_cost_rate(coeffs, x, _law_view(x, control, w_cloud), control)
+        x = cloud.states[k : k + 1]
+        control = cloud.relaxed_controls[k] if cloud.controls is None else cloud.controls[k : k + 1]
+        total += h * _running_cost_rate(coeffs, x, _PairedLaw(x, control, w_cloud), control)[0]
     return total + _terminal_cost(coeffs, cloud.states[-1])
 
 

@@ -680,7 +680,9 @@ class TestOutputErrors:
         self, tmp_path, capsys, command
     ):
         cfg = small_config(particles=20, scenarios=2, dt=0.05)
-        cfg["model"]["b1"] = 1e200  # the cloud mean overflows on the first steps
+        # the Riccati solution is finite; the cloud grows past the float range on step 2
+        cfg["model"]["b1"] = 100.0
+        cfg["sim"]["init"] = {"kind": "gaussian", "mean": 1e306, "std": 0.5}
         new, old = tmp_path / "new.json", tmp_path / "old.json"
         table = tmp_path / "pairings.csv"
         cfg["output"] = {"fp_pairings": str(table)}
@@ -802,7 +804,9 @@ class TestPoolErrors:
 
     def test_divergence_in_a_worker_exits_3_naming_the_same_step(self, tmp_path, capsys):
         cfg = small_config(particles=20, scenarios=2, dt=0.05)
-        cfg["model"]["sigma"] = 60.0
+        # the Riccati solution is finite; the cloud grows past the float range on step 2
+        cfg["model"]["b1"] = 100.0
+        cfg["sim"]["init"] = {"kind": "gaussian", "mean": 1e306, "std": 0.5}
         path = write_config(tmp_path, cfg)
         lines = []
         for threads in ("1", "2"):
@@ -820,7 +824,7 @@ class TestNumericalFailureExitCode:
     @pytest.mark.parametrize(
         "sigma, message",
         [
-            (60.0, "numerical failure: non-finite state at step 1 (t=0.002)"),
+            (60.0, "numerical failure: finite beta and eta violated at t=0.898926"),
             (1e200, "numerical failure: finite sigma^2, b3^2 and (b2+b3)^2 violated at t=1"),
         ],
     )
@@ -832,6 +836,19 @@ class TestNumericalFailureExitCode:
             assert main(["cost", "--config", path, "--threads", threads]) == 3
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [message]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", [["riccati"], ["verify", "hjb"]], ids="-".join)
+    def test_non_finite_riccati_solution_exits_3_with_one_line(self, tmp_path, capsys, command):
+        cfg = json.loads((CONFIGS / "lq_small.json").read_text())
+        cfg["model"]["b3"] = 1e30  # beta and eta overflow on the first step back from T
+        path = write_config(tmp_path, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(command + ["--config", path, "--out", str(tmp_path / "out")]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "numerical failure: finite beta and eta violated at t=0.999512"
+        ]
         assert captured.out == ""
 
     def test_overflowing_coefficient_is_ill_posed(self):

@@ -775,7 +775,7 @@ class TestReplay:
 
     def test_a_lock_step_only_error_is_raised_when_every_rule_succeeds_alone(self):
         def drift(x, rho, u):
-            if np.ndim(x) == 2:
+            if np.shape(x)[0] > 1:
                 raise FloatingPointError("lock-step input")
             return u + 0.0 * x
 
@@ -1058,10 +1058,13 @@ class TestLeanStepMeans:
 
 
 class TestRelaxedLoopOracle:
-    """The relaxed loop equals a step-by-step run through validated joints."""
+    """The loop equals a step-by-step run through validated joints, under a
+    relaxed rule or under a strict one, whose oracle runs its Dirac rule."""
 
     @staticmethod
     def rule(atoms):
+        if atoms == "strict":
+            return FeedbackRule(lambda t, x, m: 0.3 * m - 0.5 * x + np.sin(3.0 * t))
         if atoms == "shared":
             return RelaxedRule.constant([-0.4, 0.3, 1.1], [0.2, 0.5, 0.3])
         return RelaxedRule(lambda t, x, m: (
@@ -1071,7 +1074,7 @@ class TestRelaxedLoopOracle:
 
     @pytest.mark.parametrize("marks", [1, 2])
     @pytest.mark.parametrize("mode", ["common", "idiosyncratic"])
-    @pytest.mark.parametrize("atoms", ["shared", "per-row"])
+    @pytest.mark.parametrize("atoms", ["shared", "per-row", "strict"])
     def test_states_and_costs_equal_the_oracle(self, atoms, mode, marks):
         from _oracles import relaxed_euler_reference
 
@@ -1081,8 +1084,14 @@ class TestRelaxedLoopOracle:
         coeffs = lq(b1=0.5, b2=0.4, sigma=0.4, jumps=spec)
         rule = self.rule(atoms)
         run = dict(mode=mode, seed=4, scenario=2, init=InitSpec("gaussian", 1.0, 0.5))
-        states, cost = relaxed_euler_reference(coeffs, rule, 30, 1.0, 0.01, **run)
-        cloud = simulate_relaxed(coeffs, rule, 30, 1.0, 0.01, **run)
+        oracle_rule, simulate = rule, simulate_relaxed
+        if rule.kind == "strict":
+            oracle_rule = RelaxedRule(
+                lambda t, x, m: (rule.evaluate(t, x, m)[:, None], np.ones((len(x), 1)))
+            )
+            simulate = simulate_strict
+        states, cost = relaxed_euler_reference(coeffs, oracle_rule, 30, 1.0, 0.01, **run)
+        cloud = simulate(coeffs, rule, 30, 1.0, 0.01, **run)
         assert {mark for _, mark, _ in cloud.event_log} == set(range(marks))
         assert cloud.states.shape == states.shape
         assert np.array_equal(cloud.states, states)
