@@ -2,17 +2,19 @@
 
 Exit codes: 0 = success / all checks passed, 1 = a check failed,
 2 = configuration or usage error, or an output file that cannot be written,
-3 = numerical failure (an ill-posed Riccati system or a diverging particle
-cloud).
+3 = numerical failure (an ill-posed Riccati system, a diverging particle
+cloud or a non-finite cost estimate), reported on one line of stderr.
 """
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
+from contextlib import contextmanager
 
 from . import __version__
 from .config import ConfigError, load_config
-from .errors import DivergenceError, IllPosedError, OutputError
+from .errors import DivergenceError, EstimateError, IllPosedError, OutputError
 from .experiments import (
     VERIFY_KINDS,
     check_writable,
@@ -63,39 +65,63 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NUMERICAL_FAILURES = (DivergenceError, EstimateError, IllPosedError)
+
+
+@contextmanager
+def _held_warnings():
+    """Hold back the warnings a command raises, such as numpy's
+    ``RuntimeWarning`` s, and show them after it as they would have shown,
+    unless it fails numerically: that exit prints its one line alone.
+
+    A forked pool worker inherits the capture, so what it raises stays in it.
+    """
+    held = []
+    try:
+        with warnings.catch_warnings(record=True) as held:
+            yield
+    except _NUMERICAL_FAILURES:
+        held.clear()
+        raise
+    finally:
+        for w in held:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            raw = dict(cfg.raw)
-            raw["sim"] = dict(raw["sim"], seed=int(args.seed))
-            from .config import parse_config
+        with _held_warnings():
+            cfg = load_config(args.config)
+            if args.seed is not None:
+                raw = dict(cfg.raw)
+                raw["sim"] = dict(raw["sim"], seed=int(args.seed))
+                from .config import parse_config
 
-            cfg = parse_config(raw)
-        if args.out:
-            check_writable(args.out)
-        if args.command == "riccati":
-            code, line = run_riccati(cfg, args.out or "riccati.csv")
-        elif args.command == "simulate":
-            code, line = run_simulate(cfg, args.out or "trajectories.csv")
-        elif args.command == "cost":
-            code, line = run_cost(cfg, args.out, threads=args.threads)
-        elif args.command == "chattering":
-            code, line = run_chattering(cfg, args.out, threads=args.threads)
-        elif args.command == "verify":
-            code, line = run_verify(args.kind, cfg, args.out, threads=args.threads)
-        elif args.command == "compare-noise":
-            code, line = run_verify("noise", cfg, args.out, threads=args.threads)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ConfigError(f"unknown command {args.command!r}")
+                cfg = parse_config(raw)
+            if args.out:
+                check_writable(args.out)
+            if args.command == "riccati":
+                code, line = run_riccati(cfg, args.out or "riccati.csv")
+            elif args.command == "simulate":
+                code, line = run_simulate(cfg, args.out or "trajectories.csv")
+            elif args.command == "cost":
+                code, line = run_cost(cfg, args.out, threads=args.threads)
+            elif args.command == "chattering":
+                code, line = run_chattering(cfg, args.out, threads=args.threads)
+            elif args.command == "verify":
+                code, line = run_verify(args.kind, cfg, args.out, threads=args.threads)
+            elif args.command == "compare-noise":
+                code, line = run_verify("noise", cfg, args.out, threads=args.threads)
+            else:  # pragma: no cover - argparse enforces the choices
+                raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except OutputError as err:
         print(f"output error: {err}", file=sys.stderr)
         return 2
-    except (DivergenceError, IllPosedError) as err:
+    except _NUMERICAL_FAILURES as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
     print(line)

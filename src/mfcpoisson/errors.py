@@ -41,6 +41,10 @@ class IllPosedError(RuntimeError):
         return type(self), (self.time, self.constraint)
 
 
+class EstimateError(RuntimeError):
+    """A Monte Carlo estimate came out non-finite."""
+
+
 class DomainError(ValueError):
     """Hypothesis of a closed-form lemma violated (e.g. a<=0)."""
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import errno
 import json
+import math
 import os
 import stat
 import tempfile
@@ -24,7 +25,7 @@ import numpy as np
 from . import __version__
 from .coefficients import lq_coefficients
 from .config import ConfigError, ExperimentConfig
-from .errors import OutputError
+from .errors import EstimateError, OutputError
 from .lq import solve_riccati
 from .simulate import RelaxedRule, map_blocks, standard_error
 from .verify import (
@@ -404,9 +405,12 @@ def run_cost(cfg: ExperimentConfig, out: str, threads: int = 1):
         lambda block: [c for c, in block_costs(coeffs, [rule], params.T, mc, block)],
         mc.scenarios, threads,
     ))
+    mean, std_error = float(costs.mean()), standard_error(costs)
+    if not (math.isfinite(mean) and math.isfinite(std_error)):
+        raise EstimateError(f"non-finite cost estimate {mean} +/- {std_error}")
     payload = {
-        "mean": float(costs.mean()),
-        "std_error": standard_error(costs),
+        "mean": mean,
+        "std_error": std_error,
         "scenarios": int(cfg.mc.scenarios),
         "per_scenario": [float(c) for c in costs],
     }

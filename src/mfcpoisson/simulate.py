@@ -15,6 +15,10 @@ the pre-jump state and pre-jump empirical law:
   its owner.  Every jump of a step reads the same end-of-step cloud and law,
   so step count and memory do not grow with the number of particles; a jump
   moves the law by O(1/N), so this stays consistent with Euler at order dt.
+  A scenario's per-particle events are drawn into flat arrays, with the
+  draws of one :func:`sample_poisson_path` call per particle in their order
+  but no path object, and each step applies the idiosyncratic jumps of all
+  its rows in one pass.
 
 Randomness comes from counter-based Philox streams keyed by
 ``(seed, scenario, purpose)`` with purposes ``init`` / ``brownian`` /
@@ -119,6 +123,42 @@ def sample_poisson_path(jumps, T: float, gen: np.random.Generator) -> PoissonPat
     else:
         marks = np.zeros(times.size, dtype=int)
     return PoissonPath(times, marks)
+
+
+def _draw_events(jumps, T: float, n: int, gen: np.random.Generator):
+    """The events of ``n`` per-particle paths as flat ``(times, marks, counts)``:
+    particle i owns the ``counts[i]`` events after those of particles 0..i-1.
+
+    It makes the draws of ``[sample_poisson_path(jumps, T, gen) for _ in
+    range(n)]`` in their order, the same scalar exponentials and, with more
+    than one mark, each particle's ``choice`` call after its times, and checks
+    the times once, as :class:`PoissonPath` checks each path.
+    """
+    lam = jumps.total_intensity if jumps.n_marks else 0.0
+    if lam <= 0.0:
+        return np.empty(0), np.empty(0, dtype=int), np.zeros(n, dtype=int)
+    exponential, scale = gen.exponential, 1.0 / lam
+    n_marks, probs = jumps.n_marks, jumps.mark_probs
+    times, marks, counts = [], [], []
+    for _ in range(n):
+        start = len(times)
+        t = exponential(scale)
+        while t <= T:
+            times.append(t)
+            t += exponential(scale)
+        count = len(times) - start
+        counts.append(count)
+        if count and n_marks > 1:
+            marks.append(gen.choice(n_marks, size=count, p=probs))
+    times, counts = np.array(times), np.array(counts, dtype=int)
+    marks = np.concatenate(marks) if marks else np.zeros(times.size, dtype=int)
+    # each time must exceed its particle's previous one, or 0 for its first
+    prev = np.empty_like(times)
+    prev[1:] = times[:-1]
+    prev[(np.cumsum(counts) - counts)[counts > 0]] = 0.0
+    if np.any(times <= prev):
+        raise ValueError("event times must be strictly increasing and positive")
+    return times, marks, counts
 
 
 @dataclass(frozen=True)
@@ -612,8 +652,11 @@ class _Scenario:
     ``base_pos[j]`` is the index, on the scenario's own grid, of node j of
     the uniform base grid: under common noise the own grid adds the event
     times, and a base step that holds an event time splits into sub-steps.
-    Node n's events are ``marks[bounds[n]:bounds[n + 1]]`` (and ``owners``
-    under idiosyncratic noise, else ``None``).
+    ``nodes``, ``marks`` and ``owners`` hold each event's landing node, mark
+    and, under idiosyncratic noise, owner (else ``None``), in time order, and
+    node n's events are ``bounds[n]:bounds[n + 1]``.  Idiosyncratic events
+    come from one flat draw (:func:`_draw_events`); :attr:`paths` makes
+    the per-particle :class:`PoissonPath` s from it only when asked.
     """
 
     def __init__(self, jumps, n_particles, T, dt, mode, seed, scenario, path, paths):
@@ -625,33 +668,45 @@ class _Scenario:
             grid = build_grid(T, dt, path.times)
         else:
             if paths is None:
-                gen = substream(seed, scenario, "poisson")
-                paths = [sample_poisson_path(jumps, T, gen) for _ in range(n_particles)]
+                drawn = _draw_events(jumps, T, n_particles, substream(seed, scenario, "poisson"))
             elif len(paths) != n_particles:
                 raise ValueError("idiosyncratic mode needs one Poisson path per particle")
-            ev_times = np.concatenate([p.times for p in paths])
-            order = np.argsort(ev_times, kind="stable")
-            ev_times = ev_times[order]
-            ev_marks = np.concatenate([p.marks for p in paths])[order]
-            ev_owners = np.repeat(np.arange(n_particles), [p.n_events for p in paths])[order]
+            else:
+                drawn = (np.concatenate([p.times for p in paths]),
+                         np.concatenate([p.marks for p in paths]), [p.n_events for p in paths])
+            times, marks, counts = drawn
+            order = np.argsort(times, kind="stable")
+            ev_times, ev_marks = times[order], marks[order]
+            ev_owners = np.repeat(np.arange(n_particles), counts)[order]
             grid = build_grid(T, dt)
             if ev_times.size and ev_times[-1] > T:
                 raise ValueError("event times must lie in (0, T]")
+            self._drawn = drawn
         if ev_marks.size and (ev_marks.min() < 0 or ev_marks.max() >= jumps.n_marks):
             raise ValueError("path carries mark indices outside the declared mark set")
 
         # an event at t in (t_k, t_{k+1}] lands on node k + 1 (exactly t_{k+1} in
         # common mode, whose grid holds every event time)
-        ev_nodes = np.searchsorted(grid.times, ev_times, side="left")
-        self.bounds = np.searchsorted(ev_nodes, np.arange(grid.n_steps + 2)).tolist()
-        self.event_nodes = np.unique(ev_nodes).tolist()
+        self.nodes = np.searchsorted(grid.times, ev_times, side="left")
+        self.bounds = np.searchsorted(self.nodes, np.arange(grid.n_steps + 2)).tolist()
         self.marks, self.owners = ev_marks, ev_owners
-        self.grid, self.path, self.paths = grid, path, paths
+        self.grid, self.path, self._paths = grid, path, paths
         self.times = grid.times.tolist()
         base = build_grid(T, dt).times
         self.base_times = base.tolist()
         self.base_pos = np.searchsorted(grid.times, base).tolist()
         self.mode, self.seed, self.scenario = mode, seed, scenario
+
+    @property
+    def paths(self) -> Optional[list]:
+        """The per-particle paths of idiosyncratic noise, as given or as drawn."""
+        if self._paths is None and self.mode == "idiosyncratic":
+            times, marks, counts = self._drawn
+            cuts = np.cumsum(counts)[:-1]
+            self._paths = [
+                PoissonPath(t, m) for t, m in zip(np.split(times, cuts), np.split(marks, cuts))
+            ]
+        return self._paths
 
 
 def _check_run(mode: str, n_particles: int):
@@ -688,11 +743,16 @@ def _run(coeffs: CoefficientSet, rules: Sequence, n_particles: int, init: InitSp
     over the mmap threshold, an array above the temporaries keeps the heap
     top from being trimmed and faulted in again every step, which two state
     buffers made once per run and swapped do not.  The sub-steps of a base
-    step write into an array made for it.  Each step ends, after its jumps,
-    with one row-sum pass: the sums over N are the next node's means, and a
-    non-finite sum leads to the entry-wise finite test, so a cloud that is
-    not finite at node k + 1, the last included, raises
-    :class:`DivergenceError` with that step and time.
+    step write into an array made for it.  Under idiosyncratic noise the
+    run's events are indexed once, by step, then scenario, then time, and a
+    step with events evaluates the jump coefficient once per mark present on
+    all its rows against one law of the end-of-step cloud; one ``np.add.at``
+    applies the jumps, each entry summing its own in time order, and the
+    event logs are made from the kept shifts after the loop.  Each step
+    ends, after its jumps, with one row-sum pass: the sums over N are the
+    next node's means, and a non-finite sum leads to the entry-wise finite
+    test, so a cloud that is not finite at node k + 1, the last included,
+    raises :class:`DivergenceError` with that step and time.
 
     With ``history`` (one rule, one scenario: :func:`simulate_strict` and
     :func:`simulate_relaxed`) it returns ``[cloud]``, the
@@ -736,17 +796,37 @@ def _run(coeffs: CoefficientSet, rules: Sequence, n_particles: int, init: InitSp
     first = scenarios[0]
     base_times = first.base_times
     m_base = len(base_times) - 1
-    # the base steps some scenario splits into sub-steps, and the jumps that
-    # end an unsplit base step: base step j -> [scenario] and [(scenario, node)]
-    split_at, jumps_at = {}, {}
-    for s, scen in enumerate(scenarios):
-        pos = scen.base_pos
-        for j in np.flatnonzero(np.diff(pos) > 1).tolist():
-            split_at.setdefault(j, []).append(s)
-        for node in scen.event_nodes:
-            j = bisect.bisect_left(pos, node) - 1
-            if pos[j + 1] == node and pos[j] == node - 1:
-                jumps_at.setdefault(j, []).append((s, node))
+    idio = first.owners is not None
+    # the jumps that end an unsplit base step: base step j -> [(scenario, node)]
+    # under common noise, the range of its events under idiosyncratic noise;
+    # and the base steps some scenario splits into sub-steps: j -> [scenario]
+    jumps_at, split_at = {}, {}
+    if idio:
+        # every event of the run, ordered by step, then scenario, then time:
+        # event e lands on node ev_nodes[e] and moves entry (ev_rows[e, r],
+        # ev_cols[e, r]) of rule r by n * shifts[e, r]
+        ev_scen = np.repeat(np.arange(n_scenarios), [scen.nodes.size for scen in scenarios])
+        ev_nodes = np.concatenate([scen.nodes for scen in scenarios])
+        order = np.argsort(ev_nodes, kind="stable")
+        ev_scen, ev_nodes = ev_scen[order], ev_nodes[order]
+        ev_marks = np.concatenate([scen.marks for scen in scenarios])[order]
+        ev_rows = ev_scen[:, None] * n_rules + np.arange(n_rules)
+        owners = np.concatenate([scen.owners for scen in scenarios])[order]
+        ev_cols = np.broadcast_to(owners[:, None], ev_rows.shape)
+        shifts = np.empty(ev_rows.shape)
+        bounds = np.searchsorted(ev_nodes, np.arange(1, m_base + 2)).tolist()
+        for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            if hi > lo:
+                jumps_at[j] = range(lo, hi)
+    else:
+        for s, scen in enumerate(scenarios):
+            pos = scen.base_pos
+            for j in np.flatnonzero(np.diff(pos) > 1).tolist():
+                split_at.setdefault(j, []).append(s)
+            for node in scen.nodes.tolist():
+                j = bisect.bisect_left(pos, node) - 1
+                if pos[j + 1] == node and pos[j] == node - 1:
+                    jumps_at.setdefault(j, []).append((s, node))
     base_means = np.empty((m_base + 1, n_rows))
     base_means[0] = means
     inner_means = [[] for _ in scenarios]  # (node, row means) at sub-step nodes
@@ -765,8 +845,9 @@ def _run(coeffs: CoefficientSet, rules: Sequence, n_particles: int, init: InitSp
         states, written into the rows of ``dst`` or, with ``dst=None``, into
         an array made late in the step.
 
-        ``ends`` lists the ``(scenario, node)`` pairs whose events land at the
-        end of the step.  The step is base step j of every scenario, or, when
+        ``ends`` lists the ``(scenario, node)`` pairs whose common events land
+        at the end of the step, or is the range of the run's idiosyncratic
+        events that do.  The step is base step j of every scenario, or, when
         ``k`` is given, step k of scenario a's own grid inside base step j.
         """
         sl = rows(a, b)
@@ -801,33 +882,33 @@ def _run(coeffs: CoefficientSet, rules: Sequence, n_particles: int, init: InitSp
             k_own = first.base_pos[j] if k is None else k
             if ends:
                 pre_jump_states[k_own + 1] = xn[0].copy()
-        for s, node in ends:
-            scen, log = scenarios[s], logs[s]
-            lo, hi = scen.bounds[node], scen.bounds[node + 1]
-            own = rows(s - a, s - a + 1)
-            xs = xn[own]
-            cs = control if relaxed else control[own]
-            if scen.owners is None:
-                for mark in scen.marks[lo:hi].tolist():
+        if ends and idio:
+            # every jump of the step reads the end-of-step cloud and law, and
+            # one add.at, in (event, rule) order, sums each entry's jumps in time order
+            lo, hi = ends.start, ends.stop
+            rho_minus = _PairedLaw(xn, control, w_cloud)
+            marks, ri, ci, out = ev_marks[lo:hi], ev_rows[lo:hi], ev_cols[lo:hi], shifts[lo:hi]
+            present = set(marks.tolist()) if n_marks > 1 else {0}
+            for mark in present:
+                disp = _per_particle(coeffs.jump, xn, rho_minus, control, mark)
+                if len(present) == 1:
+                    out[...] = disp[ri, ci]
+                else:
+                    sel = marks == mark
+                    out[sel] = disp[ri[sel], ci[sel]]
+            np.add.at(xn, (ri, ci), out)
+            out /= n
+        else:
+            for s, node in ends:
+                scen, log = scenarios[s], logs[s]
+                own = rows(s - a, s - a + 1)
+                xs = xn[own]
+                cs = control if relaxed else control[own]
+                for mark in scen.marks[scen.bounds[node]:scen.bounds[node + 1]].tolist():
                     disp = _per_particle(coeffs.jump, xs, _PairedLaw(xs, cs, w_cloud), cs, mark)
                     shift = disp.mean(axis=-1).tolist()
                     xs += disp
                     log.append((node, mark, shift[0] if unwrap else shift))
-            else:
-                # every jump of the step reads the end-of-step cloud and law
-                rho_minus = _PairedLaw(xs, cs, w_cloud)
-                marks, owners = scen.marks[lo:hi], scen.owners[lo:hi]
-                shifts = np.empty((xs.shape[0], hi - lo))
-                for mark in set(marks.tolist()):
-                    sel = marks == mark
-                    disp = _per_particle(coeffs.jump, xs, rho_minus, cs, mark)
-                    shifts[:, sel] = disp[:, owners[sel]]
-                np.add.at(xs, (slice(None), owners), shifts)
-                per_event = (shifts / n).T.tolist()
-                log.extend(zip(
-                    [node] * (hi - lo), marks.tolist(),
-                    [d[0] for d in per_event] if unwrap else per_event,
-                ))
 
         # a finite row sum means a finite row; only a non-finite sum, which
         # finite entries can reach by overflow, needs the entry-wise test
@@ -880,6 +961,12 @@ def _run(coeffs: CoefficientSet, rules: Sequence, n_particles: int, init: InitSp
             x = x_next
         base_means[j + 1] = means
 
+    if idio:
+        # each scenario's log keeps its events in (step, time) order
+        per_event = (shifts[:, 0] if unwrap else shifts).tolist()
+        for s, entry in zip(ev_scen.tolist(),
+                            zip(ev_nodes.tolist(), ev_marks.tolist(), per_event)):
+            logs[s].append(entry)
     if history:
         return [ParticleCloud(
             grid=first.grid, states=states, mode=first.mode,

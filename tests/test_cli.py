@@ -851,6 +851,50 @@ class TestNumericalFailureExitCode:
         ]
         assert captured.out == ""
 
+    def test_an_overflowed_cost_estimate_exits_3_with_one_line(self, tmp_path, capsys):
+        cfg = small_config(particles=20, scenarios=2, dt=0.05)
+        # the Riccati solution and the states are finite; the costs overflow
+        cfg["sim"]["init"] = {"kind": "gaussian", "mean": 0.0, "std": 1e307}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "cost.json"
+        assert main(["cost", "--config", path, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "numerical failure: non-finite cost estimate inf +/- nan"
+        ]
+        assert captured.out == ""
+        assert not out.exists()
+
+    @staticmethod
+    def run_cli(*argv):
+        """The CLI in a fresh interpreter, which shows warnings as it does for a user."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        return subprocess.run(
+            [sys.executable, "-m", "mfcpoisson.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+            timeout=120,
+        )
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_a_numerical_failure_prints_no_warning(self, tmp_path, threads):
+        cfg = json.loads((CONFIGS / "lq_small.json").read_text())
+        # the Riccati solution is finite; the cloud overflows, with numpy warnings, on step 2
+        cfg["model"]["b1"] = 100.0
+        cfg["sim"]["init"] = {"kind": "gaussian", "mean": 1e306, "std": 0.5}
+        proc = self.run_cli("cost", "--config", write_config(tmp_path, cfg), "--threads", threads)
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            "numerical failure: non-finite state at step 1 (t=0.002)"
+        ]
+
+    def test_other_exits_still_show_their_warnings(self, tmp_path):
+        cfg = json.loads((CONFIGS / "lq_small.json").read_text())
+        cfg["model"]["sigma"] = 60.0  # the chattering costs overflow: INCONCLUSIVE, exit 1
+        proc = self.run_cli("chattering", "--config", write_config(tmp_path, cfg))
+        assert proc.returncode == 1
+        assert proc.stdout == "chattering: INCONCLUSIVE\n"
+        assert "RuntimeWarning: overflow encountered in square" in proc.stderr
+
     def test_overflowing_coefficient_is_ill_posed(self):
         params = parse_config(small_config()).params
         with pytest.raises(IllPosedError) as err:

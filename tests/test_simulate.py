@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -61,6 +62,52 @@ class TestPoissonPath:
             path = sample_poisson_path(spec, 1.5, substream(3, scen, "poisson"))
             assert np.all(np.diff(path.times) > 0)
             assert path.times.size == 0 or (path.times[0] > 0 and path.times[-1] <= 1.5)
+
+
+def _generator_state(gen):
+    return json.dumps(gen.bit_generator.state, default=lambda a: a.tolist(), sort_keys=True)
+
+
+class TestFlatEventDraw:
+    """Idiosyncratic events are drawn flat, with the draws of one path per particle."""
+
+    SPECS = {
+        "1-mark": JumpSpec([1.0], [1.0], [0.3]),
+        "3-marks": JumpSpec([1.0, 2.0, 3.0], [1.0, 0.5, 1.5], [0.3, -0.2, 0.1]),
+        "empty": JumpSpec.empty(),
+        "lambda-T-40": JumpSpec([1.0, 2.0], [30.0, 10.0], [0.1, -0.1]),
+    }
+
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_flat_draw_equals_one_path_per_particle(self, name):
+        spec, n = self.SPECS[name], 60
+        gen = substream(9, 1, "poisson")
+        paths = [sample_poisson_path(spec, 1.0, gen) for _ in range(n)]
+        flat_gen = substream(9, 1, "poisson")
+        times, marks, counts = simulate._draw_events(spec, 1.0, n, flat_gen)
+        want_times = np.concatenate([p.times for p in paths])
+        want_marks = np.concatenate([p.marks for p in paths])
+        assert times.dtype == want_times.dtype and times.tobytes() == want_times.tobytes()
+        assert marks.dtype == want_marks.dtype and marks.tobytes() == want_marks.tobytes()
+        assert counts.tolist() == [p.n_events for p in paths]
+        assert _generator_state(flat_gen) == _generator_state(gen)
+        if name == "1-mark":
+            assert 0 in counts.tolist()  # a particle without events sits between others
+
+    def test_a_history_cloud_keeps_the_paths_of_its_particles(self):
+        spec = self.SPECS["3-marks"]
+        cloud = simulate_strict(
+            lq(jumps=spec), FeedbackRule.constant(0.0), 40, 1.0, 0.05, seed=9, scenario=1,
+            mode="idiosyncratic",
+        )
+        gen = substream(9, 1, "poisson")
+        want = [sample_poisson_path(spec, 1.0, gen) for _ in range(40)]
+        assert len(cloud.paths) == len(want)
+        for path, expected in zip(cloud.paths, want):
+            assert isinstance(path, PoissonPath)
+            assert path.times.tobytes() == expected.times.tobytes()
+            assert path.marks.tobytes() == expected.marks.tobytes()
+            assert not path.times.flags.writeable and not path.marks.flags.writeable
 
 
 class TestGrid:
@@ -1097,6 +1144,39 @@ class TestRelaxedLoopOracle:
         assert np.array_equal(cloud.states, states)
         assert cost_of_cloud(cloud, coeffs) == cost
         assert simulate_record(coeffs, [rule], 30, 1.0, 0.01, **run).costs[0] == cost
+
+
+    def test_two_marks_of_one_particle_in_one_step_equal_the_oracle(self):
+        """A block of S = 3 scenarios x R = 3 paired rules; at lambda = 40 and
+        dt = 0.05 a particle owns events of both marks in one step, and its
+        jumps add up in their time order."""
+        from _oracles import relaxed_euler_reference
+
+        spec = JumpSpec([1.0, 2.0], [25.0, 15.0], [0.3, -0.2])
+        coeffs = lq(b1=0.5, b2=0.4, sigma=0.4, jumps=spec)
+        base = self.rule("strict").fn
+        rules = [FeedbackRule.derived(base), FeedbackRule.derived(base, gain=1.5),
+                 FeedbackRule.derived(base, offset=-0.2)]
+        n, T, dt, seed, scenarios = 30, 1.0, 0.05, 4, [2, 3, 4]
+        init = InitSpec("gaussian", 1.0, 0.5)
+        records = simulate_records(coeffs, rules, n, T, dt, mode="idiosyncratic", seed=seed,
+                                   scenarios=scenarios, init=init)
+        mixed_steps = 0
+        for s, record in zip(scenarios, records):
+            for r, rule in enumerate(rules):
+                oracle_rule = RelaxedRule(lambda t, x, m, rule=rule: (
+                    rule.evaluate(t, x, m)[:, None], np.ones((len(x), 1))
+                ))
+                run = dict(mode="idiosyncratic", seed=seed, scenario=s, init=init)
+                states, cost = relaxed_euler_reference(coeffs, oracle_rule, n, T, dt, **run)
+                cloud = simulate_strict(coeffs, rule, n, T, dt, **run)
+                assert np.array_equal(cloud.states, states)
+                assert record.costs[r] == cost
+            for path in cloud.paths:
+                steps = np.searchsorted(cloud.grid.times, path.times, side="left")
+                for step in set(steps.tolist()):
+                    mixed_steps += len(set(path.marks[steps == step].tolist())) > 1
+        assert mixed_steps > 0
 
 
 class TestMapScenarios:

@@ -22,6 +22,12 @@ those of the fastest of ``--repeats`` runs, which is the least disturbed by
 other load on the host.  At N = 10 the step is nearly all fixed cost: numpy
 calls and Python glue that do not grow with N.
 
+Then, for idiosyncratic noise at the cell of the idiosyncratic benchmark
+workload (R = 1, S = 3, N = 3,000, lambda = 1), it prints the same columns
+for the Euler loop alone, run on scenarios whose events were drawn before
+the clock started, and the milliseconds to draw one scenario's per-particle
+events (fastest of ``--repeats`` draws).
+
 The program is imported from this checkout's ``src/``.  Nothing is written.
 """
 from __future__ import annotations
@@ -35,12 +41,16 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from mfcpoisson import InitSpec, JumpSpec, LQParams, lq_coefficients, simulate_records  # noqa: E402
+from mfcpoisson import simulate  # noqa: E402
 from mfcpoisson.lq import solve_riccati  # noqa: E402
 from mfcpoisson.verify import Perturbation, optimal_feedback_rule  # noqa: E402
 
 #: (scenarios, particles) cells, run for R = 1 and R = 5
 CELLS = [(1, 10), (1, 1_000), (1, 2_000), (1, 20_000), (2, 1_000), (3, 1_000), (4, 1_000), (8, 1_000)]
 PERTURBATIONS = [("gain", 0.5), ("gain", 1.5), ("offset", 0.5), ("offset", -0.5)]
+#: (scenarios, particles) of the idiosyncratic benchmark workload, run for R = 1
+IDIOSYNCRATIC_CELL = (3, 3_000)
+INIT = InitSpec("gaussian", 1.0, 0.5)
 
 
 def rule_sets(sol) -> dict:
@@ -51,19 +61,46 @@ def rule_sets(sol) -> dict:
     }
 
 
-def step_cost(coeffs, rules, n_scenarios: int, n: int, T: float, steps: int, repeats: int):
-    """Seconds and minor faults per uniform grid step of the fastest run."""
+def fastest(run, repeats: int):
+    """Seconds and minor faults of the fastest of ``repeats`` calls of ``run``."""
     best = (float("inf"), 0)
     for _ in range(repeats):
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
-        simulate_records(
-            coeffs, rules, n, T, T / steps, mode="common", seed=1,
-            scenarios=range(n_scenarios), init=InitSpec("gaussian", 1.0, 0.5),
-        )
+        run()
         seconds = time.perf_counter() - start
         best = min(best, (seconds, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults))
-    return best[0] / steps, best[1] / steps
+    return best
+
+
+def step_cost(coeffs, rules, n_scenarios: int, n: int, T: float, steps: int, repeats: int):
+    """Seconds and minor faults per uniform grid step of the fastest common-noise run."""
+    seconds, faults = fastest(lambda: simulate_records(
+        coeffs, rules, n, T, T / steps, mode="common", seed=1,
+        scenarios=range(n_scenarios), init=INIT,
+    ), repeats)
+    return seconds / steps, faults / steps
+
+
+def idiosyncratic_step_cost(coeffs, rules, n_scenarios: int, n: int, T: float, steps: int,
+                            repeats: int):
+    """Seconds and minor faults per uniform grid step of the fastest
+    idiosyncratic Euler loop, with every scenario's events drawn beforehand."""
+    scenarios = [
+        simulate._Scenario(coeffs.jumps, n, T, T / steps, "idiosyncratic", 1, s, None, None)
+        for s in range(n_scenarios)
+    ]
+    seconds, faults = fastest(
+        lambda: simulate._run(coeffs, rules, n, INIT, scenarios, history=False), repeats
+    )
+    return seconds / steps, faults / steps
+
+
+def print_row(n_rules: int, n_scenarios: int, n: int, seconds: float, faults: float):
+    row_steps = n_rules * n_scenarios
+    print(f"{n_rules:>2} {n_scenarios:>2} {n:>7} {seconds * 1e6:>9.1f} "
+          f"{seconds * 1e6 / row_steps:>12.1f} {seconds * 1e9 / (row_steps * n):>17.2f} "
+          f"{faults:>12.2f}")
 
 
 def main(argv=None) -> int:
@@ -81,13 +118,20 @@ def main(argv=None) -> int:
           f"{'ns/particle-step':>17} {'faults/step':>12}")
     for n_rules, rules in sets.items():
         for n_scenarios, n in CELLS:
-            seconds, faults = step_cost(
+            print_row(n_rules, n_scenarios, n, *step_cost(
                 coeffs, rules, n_scenarios, n, params.T, args.steps, args.repeats
-            )
-            row_steps = n_rules * n_scenarios
-            print(f"{n_rules:>2} {n_scenarios:>2} {n:>7} {seconds * 1e6:>9.1f} "
-                  f"{seconds * 1e6 / row_steps:>12.1f} {seconds * 1e9 / (row_steps * n):>17.2f} "
-                  f"{faults:>12.2f}")
+            ))
+
+    n_scenarios, n = IDIOSYNCRATIC_CELL
+    rules = [optimal_feedback_rule(solve_riccati(params, "idiosyncratic", 4096))]
+    print("idiosyncratic noise, the Euler loop alone:")
+    print_row(1, n_scenarios, n, *idiosyncratic_step_cost(
+        coeffs, rules, n_scenarios, n, params.T, args.steps, args.repeats
+    ))
+    seconds, _ = fastest(lambda: simulate._draw_events(
+        params.jumps, params.T, n, simulate.substream(1, 0, "poisson")
+    ), args.repeats)
+    print(f"per-particle event draw of one scenario, N = {n}: {seconds * 1e3:.2f} ms")
     return 0
 
 
