@@ -5,20 +5,18 @@ A scenario is one realization of the driving Poisson randomness.  Under
 cloud approximates the conditional law given that path; under
 ``idiosyncratic`` noise each particle carries its own path and the cloud
 approximates the plain law.  Either way the simulation is an explicit
-Euler scheme with the compensator in the drift, and a jump is applied from
-the pre-jump state and pre-jump empirical law:
-
-* common noise runs on a jump-adapted grid, where every event time is a
-  node and each jump lands at its exact node;
-* idiosyncratic noise runs on the uniform grid, where a jump at
-  t in (t_k, t_{k+1}] lands at the end of its step, node k + 1, moving only
-  its owner.  Every jump of a step reads the same end-of-step cloud and law,
-  so step count and memory do not grow with the number of particles; a jump
-  moves the law by O(1/N), so this stays consistent with Euler at order dt.
-  A scenario's per-particle events are drawn into flat arrays, with the
-  draws of one :func:`sample_poisson_path` call per particle in their order
-  but no path object, and each step applies the idiosyncratic jumps of all
-  its rows in one pass.
+Euler scheme with the compensator in the drift.  The two regimes differ
+only in which particles an event moves: every particle under common noise,
+so the conditional law jumps, and only its owner under idiosyncratic noise.
+An event at t in (t_k, t_{k+1}] ends its step at node k + 1, and every
+jump of a step reads the end-of-step cloud and law.  Common noise runs on a
+jump-adapted grid, where every event time is a node, so its one event of a
+node lands at its exact time.  Idiosyncratic noise runs on the uniform
+grid, so step count and memory do not grow with the number of particles; a
+jump moves the law by O(1/N), so this stays consistent with Euler at order
+dt.  A scenario's per-particle events are drawn into flat arrays, with the
+draws of one :func:`sample_poisson_path` call per particle in their order
+but no path object.
 
 Randomness comes from counter-based Philox streams keyed by
 ``(seed, scenario, purpose)`` with purposes ``init`` / ``brownian`` /
@@ -57,7 +55,6 @@ every node and the event log, the same numbers a cloud's history gives.
 """
 from __future__ import annotations
 
-import bisect
 import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
@@ -181,10 +178,6 @@ class TimeGrid:
     @property
     def n_steps(self) -> int:
         return self.times.shape[0] - 1
-
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
 
     def node_of(self, t: float) -> int:
         idx = int(np.searchsorted(self.times, t))
@@ -653,10 +646,12 @@ class _Scenario:
     the uniform base grid: under common noise the own grid adds the event
     times, and a base step that holds an event time splits into sub-steps.
     ``nodes``, ``marks`` and ``owners`` hold each event's landing node, mark
-    and, under idiosyncratic noise, owner (else ``None``), in time order, and
-    node n's events are ``bounds[n]:bounds[n + 1]``.  Idiosyncratic events
-    come from one flat draw (:func:`_draw_events`); :attr:`paths` makes
-    the per-particle :class:`PoissonPath` s from it only when asked.
+    and, under idiosyncratic noise, owner (else ``None``), in time order; a
+    path's event times strictly increase, so a common node lands at most one
+    event.  Both regimes' events come as flat ``(times, marks, counts)``,
+    with no counts, and so no owners, under common noise; idiosyncratic
+    events come from one flat draw (:func:`_draw_events`), and :attr:`paths`
+    makes the per-particle :class:`PoissonPath` s from it only when asked.
     """
 
     def __init__(self, jumps, n_particles, T, dt, mode, seed, scenario, path, paths):
@@ -664,7 +659,7 @@ class _Scenario:
         if mode == "common":
             if path is None:
                 path = sample_poisson_path(jumps, T, substream(seed, scenario, "poisson"))
-            ev_times, ev_marks, ev_owners = path.times, path.marks, None
+            drawn = path.times, path.marks, None
             grid = build_grid(T, dt, path.times)
         else:
             if paths is None:
@@ -674,23 +669,20 @@ class _Scenario:
             else:
                 drawn = (np.concatenate([p.times for p in paths]),
                          np.concatenate([p.marks for p in paths]), [p.n_events for p in paths])
-            times, marks, counts = drawn
-            order = np.argsort(times, kind="stable")
-            ev_times, ev_marks = times[order], marks[order]
-            ev_owners = np.repeat(np.arange(n_particles), counts)[order]
             grid = build_grid(T, dt)
-            if ev_times.size and ev_times[-1] > T:
-                raise ValueError("event times must lie in (0, T]")
-            self._drawn = drawn
-        if ev_marks.size and (ev_marks.min() < 0 or ev_marks.max() >= jumps.n_marks):
+        times, marks, counts = drawn
+        order = np.argsort(times, kind="stable")
+        ev_times, self.marks = times[order], marks[order]
+        self.owners = None if counts is None else np.repeat(np.arange(n_particles), counts)[order]
+        if ev_times.size and ev_times[-1] > T:
+            raise ValueError("event times must lie in (0, T]")
+        if self.marks.size and (self.marks.min() < 0 or self.marks.max() >= jumps.n_marks):
             raise ValueError("path carries mark indices outside the declared mark set")
 
         # an event at t in (t_k, t_{k+1}] lands on node k + 1 (exactly t_{k+1} in
         # common mode, whose grid holds every event time)
         self.nodes = np.searchsorted(grid.times, ev_times, side="left")
-        self.bounds = np.searchsorted(self.nodes, np.arange(grid.n_steps + 2)).tolist()
-        self.marks, self.owners = ev_marks, ev_owners
-        self.grid, self.path, self._paths = grid, path, paths
+        self.grid, self.path, self._paths, self._drawn = grid, path, paths, drawn
         self.times = grid.times.tolist()
         base = build_grid(T, dt).times
         self.base_times = base.tolist()
@@ -729,30 +721,35 @@ def _run(coeffs: CoefficientSet, rules: Sequence, n_particles: int, init: InitSp
     substream, and keeps its events, node indices, means and event log.
 
     The rows walk the uniform base grid with one scalar ``t`` and ``h``.  A
-    scenario whose own grid has event nodes inside base step j takes those
-    sub-steps on its own rows in that iteration, so every row takes exactly
-    the (t, h) steps, draws and jumps of its own grid and keeps the bits of
-    its rule run alone on its scenario alone.  The coefficients are
-    evaluated once per step on all the rows that take it, and derived rules
-    share one evaluation (:func:`_paired_plan`).  The step's own arithmetic,
-    in the order of ``x + drift*h + diffusion*sqrt(h)*noise`` with the
-    compensator subtracted mark by mark from the drift, runs in buffers made
-    once per run: the compensated drift, the diffusion term and the normals
-    each have one.  The next states of a base step go into an array made
-    after the coefficients' temporaries, which lives through the next step:
-    over the mmap threshold, an array above the temporaries keeps the heap
-    top from being trimmed and faulted in again every step, which two state
-    buffers made once per run and swapped do not.  The sub-steps of a base
-    step write into an array made for it.  Under idiosyncratic noise the
-    run's events are indexed once, by step, then scenario, then time, and a
-    step with events evaluates the jump coefficient once per mark present on
-    all its rows against one law of the end-of-step cloud; one ``np.add.at``
-    applies the jumps, each entry summing its own in time order, and the
-    event logs are made from the kept shifts after the loop.  Each step
-    ends, after its jumps, with one row-sum pass: the sums over N are the
-    next node's means, and a non-finite sum leads to the entry-wise finite
-    test, so a cloud that is not finite at node k + 1, the last included,
-    raises :class:`DivergenceError` with that step and time.
+    scenario with a common event in base step j takes the steps of its own
+    grid there on its own rows in that iteration, even when the event lands
+    on the base node, so every row takes exactly the (t, h) steps, draws and
+    jumps of its own grid and keeps the bits of its rule run alone on its
+    scenario alone, and a step of several scenarios carries no common event.
+    The coefficients are evaluated once per step on all the rows that take
+    it, and derived rules share one evaluation (:func:`_paired_plan`).  The
+    step's own arithmetic, in the order of ``x + drift*h +
+    diffusion*sqrt(h)*noise`` with the compensator subtracted mark by mark
+    from the drift, runs in buffers made once per run: the compensated
+    drift, the diffusion term and the normals each have one.  The next
+    states of a base step go into an array made after the coefficients'
+    temporaries, which lives through the next step: over the mmap
+    threshold, an array above the temporaries keeps the heap top from being
+    trimmed and faulted in again every step, which two state buffers made
+    once per run and swapped do not.  The sub-steps of a base step write
+    into an array made for it.
+
+    The run's events are indexed once, by base step, then scenario, then
+    time, and a step with events evaluates the jump coefficient once per
+    mark present on all its rows against one law of the end-of-step cloud.
+    A common event, the one of its node, moves every particle of its
+    scenario's rows; one ``np.add.at`` applies the idiosyncratic jumps, each
+    entry summing its own in time order.  The event logs are made from the
+    kept shifts after the loop.  Each step ends, after its jumps, with one
+    row-sum pass: the sums over N are the next node's means, and a
+    non-finite sum leads to the entry-wise finite test, so a cloud that is
+    not finite at node k + 1, the last included, raises
+    :class:`DivergenceError` with that step and time.
 
     With ``history`` (one rule, one scenario: :func:`simulate_strict` and
     :func:`simulate_relaxed`) it returns ``[cloud]``, the
@@ -797,36 +794,34 @@ def _run(coeffs: CoefficientSet, rules: Sequence, n_particles: int, init: InitSp
     base_times = first.base_times
     m_base = len(base_times) - 1
     idio = first.owners is not None
-    # the jumps that end an unsplit base step: base step j -> [(scenario, node)]
-    # under common noise, the range of its events under idiosyncratic noise;
-    # and the base steps some scenario splits into sub-steps: j -> [scenario]
+    # every event of the run, ordered by base step, then scenario, then time:
+    # event e lands on node ev_nodes[e] of scenario ev_scen[e]'s grid, and the
+    # shift of rule r's cloud mean goes into shifts[e, r]
+    ev_scen = np.repeat(np.arange(n_scenarios), [scen.nodes.size for scen in scenarios])
+    ev_nodes = np.concatenate([scen.nodes for scen in scenarios])
+    ev_steps = np.concatenate(
+        [np.searchsorted(scen.base_pos, scen.nodes) - 1 for scen in scenarios]
+    )
+    order = np.argsort(ev_steps, kind="stable")
+    ev_scen, ev_nodes, ev_steps = ev_scen[order], ev_nodes[order], ev_steps[order]
+    ev_marks = np.concatenate([scen.marks for scen in scenarios])[order]
+    shifts = np.empty((ev_nodes.size, n_rules))
+    scen_of, node_of, step_of = ev_scen.tolist(), ev_nodes.tolist(), ev_steps.tolist()
+    new_step = np.diff(ev_steps, prepend=-1) != 0
+    # the idiosyncratic events that end base step j, j -> range of events;
+    # the scenarios that take base step j alone, j -> [(scenario, first event)]
     jumps_at, split_at = {}, {}
     if idio:
-        # every event of the run, ordered by step, then scenario, then time:
-        # event e lands on node ev_nodes[e] and moves entry (ev_rows[e, r],
-        # ev_cols[e, r]) of rule r by n * shifts[e, r]
-        ev_scen = np.repeat(np.arange(n_scenarios), [scen.nodes.size for scen in scenarios])
-        ev_nodes = np.concatenate([scen.nodes for scen in scenarios])
-        order = np.argsort(ev_nodes, kind="stable")
-        ev_scen, ev_nodes = ev_scen[order], ev_nodes[order]
-        ev_marks = np.concatenate([scen.marks for scen in scenarios])[order]
+        # event e moves entry (ev_rows[e, r], ev_cols[e, r]) of rule r by n * shifts[e, r]
         ev_rows = ev_scen[:, None] * n_rules + np.arange(n_rules)
         owners = np.concatenate([scen.owners for scen in scenarios])[order]
         ev_cols = np.broadcast_to(owners[:, None], ev_rows.shape)
-        shifts = np.empty(ev_rows.shape)
-        bounds = np.searchsorted(ev_nodes, np.arange(1, m_base + 2)).tolist()
-        for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            if hi > lo:
-                jumps_at[j] = range(lo, hi)
+        cuts = np.flatnonzero(new_step).tolist() + [ev_nodes.size]
+        for lo, hi in zip(cuts, cuts[1:]):
+            jumps_at[step_of[lo]] = range(lo, hi)
     else:
-        for s, scen in enumerate(scenarios):
-            pos = scen.base_pos
-            for j in np.flatnonzero(np.diff(pos) > 1).tolist():
-                split_at.setdefault(j, []).append(s)
-            for node in scen.nodes.tolist():
-                j = bisect.bisect_left(pos, node) - 1
-                if pos[j + 1] == node and pos[j] == node - 1:
-                    jumps_at.setdefault(j, []).append((s, node))
+        for e in np.flatnonzero(new_step | (np.diff(ev_scen, prepend=-1) != 0)).tolist():
+            split_at.setdefault(step_of[e], []).append((scen_of[e], e))
     base_means = np.empty((m_base + 1, n_rows))
     base_means[0] = means
     inner_means = [[] for _ in scenarios]  # (node, row means) at sub-step nodes
@@ -845,10 +840,9 @@ def _run(coeffs: CoefficientSet, rules: Sequence, n_particles: int, init: InitSp
         states, written into the rows of ``dst`` or, with ``dst=None``, into
         an array made late in the step.
 
-        ``ends`` lists the ``(scenario, node)`` pairs whose common events land
-        at the end of the step, or is the range of the run's idiosyncratic
-        events that do.  The step is base step j of every scenario, or, when
-        ``k`` is given, step k of scenario a's own grid inside base step j.
+        ``ends`` is the range of the run's events that land at the end of the
+        step.  The step is base step j of every scenario, or, when ``k`` is
+        given, step k of scenario a's own grid inside base step j.
         """
         sl = rows(a, b)
         xv, cur = src[sl], means[sl]
@@ -882,33 +876,29 @@ def _run(coeffs: CoefficientSet, rules: Sequence, n_particles: int, init: InitSp
             k_own = first.base_pos[j] if k is None else k
             if ends:
                 pre_jump_states[k_own + 1] = xn[0].copy()
-        if ends and idio:
-            # every jump of the step reads the end-of-step cloud and law, and
-            # one add.at, in (event, rule) order, sums each entry's jumps in time order
+        if ends:
+            # every jump of the step reads the end-of-step cloud and law
             lo, hi = ends.start, ends.stop
             rho_minus = _PairedLaw(xn, control, w_cloud)
-            marks, ri, ci, out = ev_marks[lo:hi], ev_rows[lo:hi], ev_cols[lo:hi], shifts[lo:hi]
+            marks, out = ev_marks[lo:hi], shifts[lo:hi]
+            if idio:
+                ri, ci = ev_rows[lo:hi], ev_cols[lo:hi]
             present = set(marks.tolist()) if n_marks > 1 else {0}
             for mark in present:
                 disp = _per_particle(coeffs.jump, xn, rho_minus, control, mark)
-                if len(present) == 1:
+                if not idio:
+                    # the one event of a common node, on a step of its scenario alone
+                    out[...] = disp.mean(axis=-1)
+                    xn += disp
+                elif len(present) == 1:
                     out[...] = disp[ri, ci]
                 else:
                     sel = marks == mark
                     out[sel] = disp[ri[sel], ci[sel]]
-            np.add.at(xn, (ri, ci), out)
-            out /= n
-        else:
-            for s, node in ends:
-                scen, log = scenarios[s], logs[s]
-                own = rows(s - a, s - a + 1)
-                xs = xn[own]
-                cs = control if relaxed else control[own]
-                for mark in scen.marks[scen.bounds[node]:scen.bounds[node + 1]].tolist():
-                    disp = _per_particle(coeffs.jump, xs, _PairedLaw(xs, cs, w_cloud), cs, mark)
-                    shift = disp.mean(axis=-1).tolist()
-                    xs += disp
-                    log.append((node, mark, shift[0] if unwrap else shift))
+            if idio:
+                # one add.at, in (event, rule) order, sums each entry's jumps in time order
+                np.add.at(xn, (ri, ci), out)
+                out /= n
 
         # a finite row sum means a finite row; only a non-finite sum, which
         # finite entries can reach by overflow, needs the entry-wise test
@@ -928,45 +918,45 @@ def _run(coeffs: CoefficientSet, rules: Sequence, n_particles: int, init: InitSp
             running[sl] += h * rate
         return xn
 
-    def sub_steps(src, dst, s, j):
-        """Scenario s's own steps inside base step j, ending in ``dst``."""
+    def sub_steps(src, dst, s, j, e):
+        """Scenario s's own steps inside base step j, ending in ``dst``; event
+        e is its first there."""
         scen, own = scenarios[s], rows(s, s + 1)
-        times, bounds = scen.times, scen.bounds
+        times = scen.times
         start, stop = scen.base_pos[j], scen.base_pos[j + 1]
         for k in range(start, stop):
             if k > start:
                 src[own] = dst[own]
             node = k + 1
-            ends = [(s, node)] if bounds[node + 1] > bounds[node] else []
-            step(src, dst, s, s + 1, times[k], times[node] - times[k], ends, j, k)
+            # nodes of other scenarios' grids share numbers with this one's
+            hit = e < len(node_of) and scen_of[e] == s and node_of[e] == node
+            step(src, dst, s, s + 1, times[k], times[node] - times[k], range(e, e + hit), j, k)
+            e += hit
             if node < stop:
                 inner_means[s].append((node, means[own].copy()))
 
     for j in range(m_base):
         t = base_times[j]
         h = base_times[j + 1] - t
-        ends = jumps_at.get(j, ())
         split = split_at.get(j)
         if split is None:
-            x = step(x, None, 0, n_scenarios, t, h, ends, j)
+            x = step(x, None, 0, n_scenarios, t, h, jumps_at.get(j, ()), j)
         else:
             x_next = np.empty(shape)
             a = 0
-            for s in split + [n_scenarios]:
+            for s, e in split + [(n_scenarios, None)]:
                 if s > a:
-                    step(x, x_next, a, s, t, h, [e for e in ends if a <= e[0] < s], j)
+                    step(x, x_next, a, s, t, h, (), j)
                 if s < n_scenarios:
-                    sub_steps(x, x_next, s, j)
+                    sub_steps(x, x_next, s, j, e)
                 a = s + 1
             x = x_next
         base_means[j + 1] = means
 
-    if idio:
-        # each scenario's log keeps its events in (step, time) order
-        per_event = (shifts[:, 0] if unwrap else shifts).tolist()
-        for s, entry in zip(ev_scen.tolist(),
-                            zip(ev_nodes.tolist(), ev_marks.tolist(), per_event)):
-            logs[s].append(entry)
+    # each scenario's log keeps its events in (step, time) order
+    per_event = (shifts[:, 0] if unwrap else shifts).tolist()
+    for s, entry in zip(scen_of, zip(node_of, ev_marks.tolist(), per_event)):
+        logs[s].append(entry)
     if history:
         return [ParticleCloud(
             grid=first.grid, states=states, mode=first.mode,

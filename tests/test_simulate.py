@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -1177,6 +1178,41 @@ class TestRelaxedLoopOracle:
                 for step in set(steps.tolist()):
                     mixed_steps += len(set(path.marks[steps == step].tolist())) > 1
         assert mixed_steps > 0
+
+    def test_a_common_block_with_events_on_and_between_base_nodes_equals_the_oracle(
+        self, hand_paths
+    ):
+        """A block of the S = 6 hand-made common paths x R = 3 paired rules:
+        events inside a base step, two in one step, on a base node, none, at
+        T, and on a base node followed by one in the next step.  The jump
+        reads the law, so a jump against any law but the end-of-step one
+        shows."""
+        from _oracles import relaxed_euler_reference
+
+        hand_paths.update(HAND_PATHS)
+        lq_jump = TestScenarioBlocks.COEFFS.jump
+        coeffs = dataclasses.replace(TestScenarioBlocks.COEFFS, jump=lambda x, rho, u, mark: (
+            lq_jump(x, rho, u, mark) + 0.25 * (rho.mean_state[0] - x)
+        ))
+        base = self.rule("strict").fn
+        rules = [FeedbackRule.derived(base), FeedbackRule.derived(base, gain=1.5),
+                 FeedbackRule.derived(base, offset=-0.2)]
+        n, T, dt, seed, scenarios = 30, 1.0, 1 / 64, 5, list(HAND_PATHS)
+        init = InitSpec("gaussian", 1.0, 0.5)
+        records = simulate_records(coeffs, rules, n, T, dt, seed=seed, scenarios=scenarios,
+                                   init=init)
+        assert [len(record.event_log) for record in records] == [1, 2, 1, 0, 2, 2]
+        for s, record in zip(scenarios, records):
+            for r, rule in enumerate(rules):
+                oracle_rule = RelaxedRule(lambda t, x, m, rule=rule: (
+                    rule.evaluate(t, x, m)[:, None], np.ones((len(x), 1))
+                ))
+                run = dict(mode="common", seed=seed, scenario=s, init=init)
+                states, cost = relaxed_euler_reference(coeffs, oracle_rule, n, T, dt, **run)
+                cloud = simulate_strict(coeffs, rule, n, T, dt, **run)
+                assert cloud.states.shape == states.shape
+                assert np.array_equal(cloud.states, states)
+                assert record.costs[r] == cost
 
 
 class TestMapScenarios:

@@ -1,19 +1,25 @@
-"""Run every CLI subcommand once and print its wall time, peak RSS, output size and digest.
+"""Run every CLI subcommand once in each noise regime and print its wall time,
+peak RSS, output size and digest.
 
     python3 tools/cli_resources.py [--config configs/lq_small.json]
 
-Each subcommand runs as ``python -m mfcpoisson.cli`` from this checkout's
-``src/`` in a child process whose working directory is a temporary
-directory, and every output file goes there, so nothing is written into the
-checkout.  Peak RSS is the child's ``ru_maxrss`` from ``os.wait4``.  The
-output file's size is printed for every subcommand, and for the CSV writers
-(``riccati`` and ``simulate``) also that size over the subcommand's whole
-wall time, start-up included, in MB/s, so a slower writer shows in the log.
+Every subcommand runs on the given config and then, in rows marked
+``[idio]``, on a copy of it with ``sim.mode`` set to ``idiosyncratic``, so
+one diff covers both noise regimes' jumps.  ``verify fp`` is left out on the
+copy: it needs common noise and exits 2 on purpose.  Each subcommand runs as
+``python -m mfcpoisson.cli`` from this checkout's ``src/`` in a child
+process whose working directory is a temporary directory, one per config,
+and every output file and the copy go under a temporary directory, so
+nothing is written into the checkout.  Peak RSS is the child's
+``ru_maxrss`` from ``os.wait4``.  The output file's size is printed for
+every subcommand, and for the CSV writers (``riccati`` and ``simulate``)
+also that size over the subcommand's whole wall time, start-up included, in
+MB/s, so a slower writer shows in the log.
 
 The last column, ``out/stdout_sha256``, holds the first 8 hex digits of the
 sha256 of the output file and of the subcommand's stdout, in which the
-temporary directory is cut from the output path.  Neither depends on where
-the checkout or the temporary directory is, so two checkouts whose
+config's temporary directory is cut from the output path.  Neither depends
+on where the checkout or the temporary directory is, so two checkouts whose
 subcommands write the same bytes print the same column, and comparing them
 is a diff of it.
 
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -51,6 +58,8 @@ COMMANDS = [
 ]
 ACCEPTED = (0, 1)
 CSV_WRITERS = ("riccati", "simulate")
+#: the subcommands left out on the idiosyncratic copy
+COMMON_ONLY = (["verify", "fp"],)
 MB = float(1 << 20)
 
 
@@ -79,30 +88,45 @@ def run(command, config: Path, work: Path):
     return child.returncode, time.perf_counter() - start, usage.ru_maxrss / 1024, stdout
 
 
+def idiosyncratic_copy(config: Path, work: Path) -> Path:
+    """``config`` with ``sim.mode`` set to ``idiosyncratic``, written into ``work``."""
+    data = json.loads(config.read_text())
+    data["sim"]["mode"] = "idiosyncratic"
+    copy = work / "idiosyncratic.json"
+    copy.write_text(json.dumps(data, indent=2))
+    return copy
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--config", default=str(ROOT / "configs" / "lq_small.json"))
     config = Path(parser.parse_args(argv).config).resolve()
 
-    print(f"{'command':<20} {'exit':>4} {'wall_s':>8} {'peak_rss_mb':>12} "
+    print(f"{'command':<26} {'exit':>4} {'wall_s':>8} {'peak_rss_mb':>12} "
           f"{'out_kb':>9} {'csv_mb_s':>9}  out/stdout_sha256")
     failed = []
-    with tempfile.TemporaryDirectory() as work:
-        for command in COMMANDS:
-            code, wall, rss, stdout = run(command, config, Path(work))
-            name = " ".join(command)
-            out = output_path(command, Path(work))
-            data = out.read_bytes() if out.exists() else None
-            size = "-" if data is None else f"{len(data) / 1024:.1f}"
-            rate = "-"
-            if data is not None and command[0] in CSV_WRITERS:
-                rate = f"{len(data) / MB / wall:.1f}"
-            sums = "-" if data is None else digest(data)
-            sums += "/" + digest(stdout.replace(os.fsencode(work + os.sep), b""))
-            print(f"{name:<20} {code:>4} {wall:>8.2f} {rss:>12.1f} {size:>9} {rate:>9}  {sums}",
-                  flush=True)
-            if code not in ACCEPTED:
-                failed.append(f"{name} exited {code}")
+    with tempfile.TemporaryDirectory() as top:
+        runs = [("", config, Path(top, "given"))]
+        runs.append((" [idio]", idiosyncratic_copy(config, Path(top)), Path(top, "idio")))
+        for label, cfg, work in runs:
+            work.mkdir()
+            for command in COMMANDS:
+                if label and command in COMMON_ONLY:
+                    continue
+                code, wall, rss, stdout = run(command, cfg, work)
+                name = " ".join(command) + label
+                out = output_path(command, work)
+                data = out.read_bytes() if out.exists() else None
+                size = "-" if data is None else f"{len(data) / 1024:.1f}"
+                rate = "-"
+                if data is not None and command[0] in CSV_WRITERS:
+                    rate = f"{len(data) / MB / wall:.1f}"
+                sums = "-" if data is None else digest(data)
+                sums += "/" + digest(stdout.replace(os.fsencode(str(work) + os.sep), b""))
+                print(f"{name:<26} {code:>4} {wall:>8.2f} {rss:>12.1f} {size:>9} {rate:>9}  "
+                      f"{sums}", flush=True)
+                if code not in ACCEPTED:
+                    failed.append(f"{name} exited {code}")
     for line in failed:
         print(f"FAILED: {line}", file=sys.stderr)
     return 1 if failed else 0
